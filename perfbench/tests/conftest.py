@@ -1,0 +1,12 @@
+"""Puts the library source and the benchmark modules on sys.path.
+
+    python3 -m pytest perfbench/tests
+"""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE.parent.parent / "src", HERE.parent):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
