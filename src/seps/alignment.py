@@ -44,6 +44,11 @@ class RelevanceHead:
         yield f"{prefix}.b", self.out_b
 
 
+def validate_k_top(k_top: int) -> None:
+    if k_top < 1:
+        raise ConfigError("k_top must be >= 1")
+
+
 @dataclass
 class AlignmentParams:
     k_top: int
@@ -51,23 +56,11 @@ class AlignmentParams:
     w2p: RelevanceHead
 
     def __post_init__(self) -> None:
-        if self.k_top < 1:
-            raise ConfigError("k_top must be >= 1")
+        validate_k_top(self.k_top)
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
         yield from self.p2w.named("head_p2w")
         yield from self.w2p.named("head_w2p")
-
-
-@dataclass
-class SimilarityMatrix:
-    """Pairwise cosine similarities, patches along rows, words along columns."""
-
-    values: Tensor
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
 
 
 @dataclass
@@ -86,8 +79,9 @@ class AlignmentScore:
 
 
 def similarity_matrix(patches: Tensor | np.ndarray,
-                      words: Tensor | np.ndarray) -> SimilarityMatrix:
-    """Exact cosine of every patch-word pair; zero-norm vectors are refused.
+                      words: Tensor | np.ndarray) -> Tensor:
+    """Exact cosine of every patch-word pair, patches along rows and words
+    along columns; zero-norm vectors are refused.
 
     Both sides may be graph tensors; plain arrays enter as constants.
     """
@@ -101,12 +95,11 @@ def similarity_matrix(patches: Tensor | np.ndarray,
             or np.any(np.linalg.norm(patches.data, axis=1) == 0.0)):
         raise DegenerateVectorError("degenerate vector in alignment")
     raw = ad.matmul(patches, ad.transpose(words))
-    cosine = ad.scale_cols(ad.scale_rows(raw, ad.recip(ad.rows_l2norm(patches))),
-                           ad.recip(ad.rows_l2norm(words)))
-    return SimilarityMatrix(values=cosine)
+    return ad.scale_cols(ad.scale_rows(raw, ad.recip(ad.rows_l2norm(patches))),
+                         ad.recip(ad.rows_l2norm(words)))
 
 
-def relevance_pool(sim: SimilarityMatrix, direction: str,
+def relevance_pool(sim: Tensor, direction: str,
                    params: AlignmentParams) -> tuple[Tensor, Tensor]:
     """Mean and top-K head terms for one pooling direction.
 
@@ -116,7 +109,7 @@ def relevance_pool(sim: SimilarityMatrix, direction: str,
     """
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction: {direction}")
-    matrix = sim.values if direction == "patch_to_word" else ad.transpose(sim.values)
+    matrix = sim if direction == "patch_to_word" else ad.transpose(sim)
     maxima, _ = ad.row_max_with_arg(matrix)
     mean_term = ad.mean_all(maxima)
     pooled, _ = ad.topk(maxima, params.k_top)
@@ -124,7 +117,7 @@ def relevance_pool(sim: SimilarityMatrix, direction: str,
     return mean_term, head.apply(pooled)
 
 
-def score_from_similarity(sim: SimilarityMatrix, params: AlignmentParams) -> AlignmentScore:
+def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScore:
     mean_p2w, head_p2w = relevance_pool(sim, "patch_to_word", params)
     mean_w2p, head_w2p = relevance_pool(sim, "word_to_patch", params)
     total = ad.add(ad.add(ad.add(mean_p2w, head_p2w), mean_w2p), head_w2p)

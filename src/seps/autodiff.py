@@ -502,20 +502,6 @@ def topk(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
     return _node(values, (x,), vjp, "topk"), idx
 
 
-def gather(x: Tensor, indices: np.ndarray) -> Tensor:
-    xd = x.data
-    if xd.ndim != 1:
-        raise ShapeError("gather expects a vector")
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return _node(xd[idx], (x,), vjp, "gather")
-
-
 def element(x: Tensor, i: int, j: int) -> Tensor:
     xd = x.data
     if xd.ndim != 2:

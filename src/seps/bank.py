@@ -1,5 +1,8 @@
 """Feature banks: on-disk format, global embeddings, synthetic generation.
 
+The reader and the atomic writer here also serve the SEPC checkpoints,
+which share the length-prefixed little-endian layout.
+
 A bank holds per-sample patch features, sparse-text token features,
 dense-text token features, and an optional ground-truth relevance mask.
 Features are stored float32 on disk ("SEPB" v1, little-endian) and widened
@@ -9,6 +12,8 @@ write->read roundtrips are bit-exact.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -20,8 +25,6 @@ from .errors import BankFormatError, BankInvariantError, ConfigError
 
 MAGIC = b"SEPB"
 VERSION = 1
-
-MASK_UNKNOWN = None  # relevance mask is either an int8 {0,1} vector or None
 
 
 @dataclass
@@ -108,16 +111,76 @@ class SynthConfig:
 
 
 # ---------------------------------------------------------------------------
-# binary io
+# binary io: the length-prefixed little-endian layout shared by SEPB and SEPC
+
+
+def text_chunk(value: str) -> bytes:
+    raw = value.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def write_atomic(path, chunks: list[bytes]) -> None:
+    """Write a sibling temp file, then rename it over `path`, so an
+    interrupted write leaves the previous file whole."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(b"".join(chunks))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+class Reader:
+    """Cursor over a whole file; any malformed read raises BankFormatError."""
+
+    def __init__(self, path, kind: str):
+        with open(path, "rb") as fh:
+            self.blob = fh.read()
+        self.pos = 0
+        self.kind = kind
+
+    def corrupt(self) -> BankFormatError:
+        return BankFormatError(f"corrupt {self.kind}")
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.blob):
+            raise self.corrupt()
+        out = self.blob[self.pos:self.pos + n]
+        self.pos += n
+        return out
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def text(self) -> str:
+        try:
+            return self.take(self.u32()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise self.corrupt() from None
+
+    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
+        """float32 block of the given shape, widened to float64; must be finite."""
+        data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4")
+        if not np.isfinite(data).all():
+            raise self.corrupt()
+        try:  # a zero dim lets the size check pass for any other dims
+            return data.astype(np.float64).reshape(shape)
+        except ValueError:
+            raise self.corrupt() from None
+
+    def finish(self) -> None:
+        if self.pos != len(self.blob):
+            raise self.corrupt()
 
 
 def write_bank(bank: FeatureBank, path) -> None:
     bank.validate()
     chunks = [MAGIC, struct.pack("<III", VERSION, bank.dim, len(bank.samples))]
     for sample in bank.samples:
-        sid = sample.sample_id.encode("utf-8")
-        chunks.append(struct.pack("<I", len(sid)))
-        chunks.append(sid)
+        chunks.append(text_chunk(sample.sample_id))
         for arr in (sample.patches, sample.sparse_tokens, sample.dense_tokens):
             chunks.append(struct.pack("<I", arr.shape[0]))
             chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -126,59 +189,29 @@ def write_bank(bank: FeatureBank, path) -> None:
         else:
             chunks.append(struct.pack("<B", 1))
             chunks.append(np.asarray(sample.relevance_mask, dtype=np.uint8).tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
-
-
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise BankFormatError("corrupt bank")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.blob)
+    write_atomic(path, chunks)
 
 
 def read_bank(path) -> FeatureBank:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    reader = _Reader(blob)
+    reader = Reader(path, "bank")
     if reader.take(4) != MAGIC:
         raise BankFormatError("not a feature bank")
-    version = reader.u32()
-    if version != VERSION:
+    if reader.u32() != VERSION:
         raise BankFormatError("unsupported version")
     dim = reader.u32()
     n_samples = reader.u32()
     samples = []
     for _ in range(n_samples):
-        sid = reader.take(reader.u32()).decode("utf-8")
-        mats = []
-        for _ in range(3):
-            rows = reader.u32()
-            raw = reader.take(rows * dim * 4)
-            mats.append(np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(rows, dim))
+        sid = reader.text()
+        mats = [reader.floats((reader.u32(), dim)) for _ in range(3)]
         mask = None
-        if reader.u8() == 1:
+        flag = reader.take(1)[0]
+        if flag == 1:
             mask = np.frombuffer(reader.take(mats[0].shape[0]), dtype=np.uint8).astype(np.int8)
-            if not np.isin(mask, (0, 1)).all():
-                raise BankFormatError("corrupt bank")
+        if flag > 1 or (mask is not None and not np.isin(mask, (0, 1)).all()):
+            raise reader.corrupt()
         samples.append(Sample(sid, mats[0], mats[1], mats[2], mask))
-    if not reader.done():
-        raise BankFormatError("corrupt bank")
+    reader.finish()
     bank = FeatureBank(dim=dim, samples=samples)
     bank.validate()
     return bank

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import alignment, autodiff as ad, evaluator, selection, trainer
-from .bank import FeatureBank, SynthConfig, generate_synthetic, read_bank
+from .bank import FeatureBank, SynthConfig, generate_synthetic, read_bank, write_bank
 from .errors import ConfigError, NumericalError, SepsError
 
 EXIT_OK = 0
@@ -24,31 +24,10 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    dim: int = 32
-    n_patches: int = 16
-    n_keep: int = 0
-    rho: float = 0.5
-    beta: float = 0.2
-    tau: float = 1.0
-    k_top: int = 8
-    lambda1: float = 1.0
-    lambda2: float = 1.0
-    margin: float = 0.2
-    lr: float = 1e-4
-    weight_decay: float = 1e-2
-    batch_size: int = 8
-    epochs: int = 20
-    seed: int = 0
-    samples: int = 64
-    n_relevant: int = 4
-    n_sparse_words: int = 2
-    n_dense_words: int = 4
-    concepts: int = 256
-    noise_sigma: float = 0.1
-    head_hidden: int = 0
-    grad_check_every: int = 0
+    train: trainer.TrainConfig = trainer.TrainConfig()
+    synth: SynthConfig = SynthConfig()
     folds: int = 1
     bank: str = ""
     val_bank: str = ""
@@ -56,13 +35,23 @@ class RunConfig:
     out: str = ""
     history: str = ""
 
+    def __post_init__(self) -> None:
+        if self.folds < 1:
+            raise ConfigError("folds must be >= 1")
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_PATH_KEYS = ("bank", "val_bank", "checkpoint", "out", "history")
+
+# config keys and flags are the fields of the two sections and of RunConfig
+# itself; a field shared by both sections (dim, n_patches, seed) is one key
+_SECTIONS = {"train": trainer.TrainConfig, "synth": SynthConfig}
+_ALIASES = {"n_samples": "samples", "n_relevant_patches": "n_relevant",
+            "concept_count": "concepts"}
+KEY_TYPES = {_ALIASES.get(f.name, f.name): f.type
+             for cls in (*_SECTIONS.values(), RunConfig) for f in fields(cls)
+             if f.name not in _SECTIONS}
 
 
 def _parse_value(key: str, raw: str):
-    kind = _FIELD_TYPES.get(key)
+    kind = KEY_TYPES.get(key)
     if kind is None:
         raise ConfigError(f"unknown config key: {key}")
     try:
@@ -97,34 +86,17 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
     if getattr(args, "config", None):
         merged.update(parse_config_file(args.config))
-    for key in _FIELD_TYPES:
+    for key in KEY_TYPES:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    cfg = RunConfig(**merged)
-    # surface invalid numeric settings before any command runs
-    _train_config(cfg)
-    if cfg.folds < 1:
-        raise ConfigError("folds must be >= 1")
-    return cfg
 
+    def pick(cls) -> dict:
+        keys = {f.name: _ALIASES.get(f.name, f.name) for f in fields(cls)}
+        return {name: merged[key] for name, key in keys.items() if key in merged}
 
-def _train_config(cfg: RunConfig) -> trainer.TrainConfig:
-    return trainer.TrainConfig(
-        dim=cfg.dim, n_patches=cfg.n_patches, lr=cfg.lr,
-        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        epochs=cfg.epochs, margin=cfg.margin, rho=cfg.rho,
-        lambda1=cfg.lambda1, lambda2=cfg.lambda2, beta=cfg.beta, tau=cfg.tau,
-        k_top=cfg.k_top, n_keep=cfg.n_keep, head_hidden=cfg.head_hidden,
-        seed=cfg.seed, grad_check_every=cfg.grad_check_every)
-
-
-def _synth_config(cfg: RunConfig) -> SynthConfig:
-    return SynthConfig(
-        n_samples=cfg.samples, dim=cfg.dim, n_patches=cfg.n_patches,
-        n_relevant_patches=cfg.n_relevant, n_sparse_words=cfg.n_sparse_words,
-        n_dense_words=cfg.n_dense_words, concept_count=cfg.concepts,
-        noise_sigma=cfg.noise_sigma, seed=cfg.seed)
+    sections = {name: cls(**pick(cls)) for name, cls in _SECTIONS.items()}
+    return RunConfig(**sections, **pick(RunConfig))
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
@@ -146,16 +118,13 @@ def _load_bank(path: str) -> FeatureBank:
 
 def cmd_gen(cfg: RunConfig) -> int:
     _require(cfg, "out")
-    synth = _synth_config(cfg)
-    synth.validate()
-    bank = generate_synthetic(synth)
+    bank = generate_synthetic(cfg.synth)
     try:
-        from .bank import write_bank
         write_bank(bank, cfg.out)
     except OSError as exc:
         raise ConfigError(f"cannot write bank {cfg.out}: {exc}") from exc
     print(f"wrote {cfg.out}: {len(bank.samples)} samples, dim {bank.dim}, "
-          f"{synth.n_relevant_patches} relevant of {synth.n_patches} patches")
+          f"{cfg.synth.n_relevant_patches} relevant of {cfg.synth.n_patches} patches")
     return EXIT_OK
 
 
@@ -171,11 +140,7 @@ def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "bank", "out")
     bank = _load_bank(cfg.bank)
     val_bank = _load_bank(cfg.val_bank) if cfg.val_bank else None
-    tcfg = _train_config(cfg)
-    if tcfg.dim != bank.dim or tcfg.n_patches != bank.samples[0].n_patches:
-        tcfg = trainer.TrainConfig(**{
-            **{f.name: getattr(tcfg, f.name) for f in fields(trainer.TrainConfig)},
-            "dim": bank.dim, "n_patches": bank.samples[0].n_patches})
+    tcfg = replace(cfg.train, dim=bank.dim, n_patches=bank.samples[0].n_patches)
     _, history = trainer.fit(bank, tcfg, val_bank=val_bank, checkpoint_path=cfg.out)
     lines = [_history_line(h) for h in history]
     for line in lines:
@@ -204,8 +169,7 @@ def cmd_score(cfg: RunConfig, image_id: str, caption_id: str) -> int:
     _require(cfg, "bank", "checkpoint")
     bank = _load_bank(cfg.bank)
     params = trainer.load_checkpoint(cfg.checkpoint)
-    if bank.dim != params.selection.dim:
-        raise ConfigError("dimension mismatch between bank and checkpoint")
+    evaluator.check_dims(bank, params)
     image = bank.by_id(image_id)
     caption = bank.by_id(caption_id)
     with ad.no_grad():
@@ -225,8 +189,7 @@ def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
     _require(cfg, "bank", "checkpoint")
     bank = _load_bank(cfg.bank)
     params = trainer.load_checkpoint(cfg.checkpoint)
-    if bank.dim != params.selection.dim:
-        raise ConfigError("dimension mismatch between bank and checkpoint")
+    evaluator.check_dims(bank, params)
     try:
         sample = bank.by_id(sample_id)
     except SepsError:
@@ -253,7 +216,7 @@ def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value config file")
-    for name, kind in _FIELD_TYPES.items():
+    for name, kind in KEY_TYPES.items():
         flag = "--" + name.replace("_", "-")
         if kind == "int":
             parser.add_argument(flag, dest=name, type=int)

@@ -9,8 +9,6 @@ relevance masks as an ROC AUC.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,48 +94,21 @@ def rsum(recalls: Sequence[float]) -> float:
     return total
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("SEPS_THREADS", "0")
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
-def _aggregated_vectors(bank: FeatureBank, params) -> list[np.ndarray]:
-    def one(sample: Sample) -> np.ndarray:
-        agg, _, _ = selection.select_and_aggregate(sample, params.selection, "eval")
-        return agg.vectors.data
-
-    workers = _worker_count()
-    with ad.no_grad():
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(one, bank.samples))
-        return [one(s) for s in bank.samples]
+def check_dims(bank: FeatureBank, params) -> None:
+    if bank.dim != params.selection.dim:
+        raise ConfigError("dimension mismatch between bank and checkpoint")
 
 
 def pairwise_scores(bank: FeatureBank, params) -> np.ndarray:
     """S[i, j] = alignment score of image i against caption j, eval mode."""
-    if bank.dim != params.selection.dim:
-        raise ConfigError("dimension mismatch between bank and checkpoint")
-    vectors = _aggregated_vectors(bank, params)
-    n = len(bank.samples)
-    scores = np.zeros((n, n))
-
-    def fill_row(i: int) -> None:
-        for j, other in enumerate(bank.samples):
-            scores[i, j] = alignment.align_score(
-                vectors[i], other.sparse_tokens, params.alignment).total.item()
-
-    workers = _worker_count()
+    check_dims(bank, params)
+    scores = np.zeros((len(bank.samples), len(bank.samples)))
     with ad.no_grad():
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(fill_row, range(n)))
-        else:
-            for i in range(n):
-                fill_row(i)
+        for i, image in enumerate(bank.samples):
+            agg, _, _ = selection.select_and_aggregate(image, params.selection, "eval")
+            for j, caption in enumerate(bank.samples):
+                scores[i, j] = alignment.align_score(
+                    agg.vectors.data, caption.sparse_tokens, params.alignment).total.item()
     return scores
 
 
@@ -221,8 +192,7 @@ def sparse_branch_scores(sample: Sample, params) -> np.ndarray:
 def selection_quality(bank: FeatureBank, params) -> float:
     """Mean per-sample AUC of the sparse-branch ranking vs the ground-truth
     relevance mask; samples without a two-class mask are skipped."""
-    if bank.dim != params.selection.dim:
-        raise ConfigError("dimension mismatch between bank and checkpoint")
+    check_dims(bank, params)
     aucs = []
     for sample in bank.samples:
         mask = sample.relevance_mask

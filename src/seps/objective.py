@@ -49,10 +49,6 @@ class BatchScores:
     keep_dense: list[Tensor]
     details: dict = field(default_factory=dict)
 
-    @property
-    def batch_size(self) -> int:
-        return self.scores.shape[0]
-
     def keep_fractions(self) -> tuple[float, float]:
         """Batch-mean forward keep fraction per branch."""
         ks = float(np.mean([t.item() for t in self.keep_sparse]))
@@ -95,7 +91,7 @@ def batch_similarity(
         for j, other in enumerate(samples):
             sim = similarity_matrix(agg.vectors, other.sparse_tokens)
             if collect:
-                details["similarity"][(i, j)] = sim.values.data.copy()
+                details["similarity"][(i, j)] = sim.data.copy()
             cells.append(score_from_similarity(sim, align_params).total)
     b = len(samples)
     return BatchScores(

@@ -30,6 +30,21 @@ MODES = ("train", "eval", "soft")
 # branch scores are clipped here before entering the log-domain logits
 CLIP_HI = 1.0 - 1e-6
 
+# checkpoint names of the SelectionParams weights; "agg_sparse.w" is the
+# field agg_sparse_w, and so on
+TENSOR_NAMES = ("pred.w1", "pred.b1", "pred.w2", "pred.b2", "agg_sparse.w",
+                "agg_sparse.b", "agg_dense.w", "agg_dense.b")
+
+
+def validate_knobs(beta: float, tau: float, n_keep: int) -> None:
+    """The selection knobs' ranges; `n_keep` is the resolved column count."""
+    if not 0.0 <= beta <= 0.5:
+        raise ConfigError("beta must lie in [0, 0.5]")
+    if tau <= 0.0:
+        raise ConfigError("tau must be > 0")
+    if n_keep < 1:
+        raise ConfigError("n_keep must be >= 1")
+
 
 @dataclass
 class SelectionParams:
@@ -55,41 +70,29 @@ class SelectionParams:
     zero_dense_attention: bool = False  # ablation switch: s_dt forced to 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 0.5:
-            raise ConfigError("beta must lie in [0, 0.5]")
-        if self.tau <= 0.0:
-            raise ConfigError("tau must be > 0")
-        if self.n_keep < 1:
-            raise ConfigError("n_keep must be >= 1")
+        validate_knobs(self.beta, self.tau, self.n_keep)
 
     @property
     def dim(self) -> int:
         return self.pred_w1.shape[0]
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
-        yield "pred.w1", self.pred_w1
-        yield "pred.b1", self.pred_b1
-        yield "pred.w2", self.pred_w2
-        yield "pred.b2", self.pred_b2
-        yield "agg_sparse.w", self.agg_sparse_w
-        yield "agg_sparse.b", self.agg_sparse_b
-        yield "agg_dense.w", self.agg_dense_w
-        yield "agg_dense.b", self.agg_dense_b
+        for name in TENSOR_NAMES:
+            yield name, getattr(self, name.replace(".", "_"))
 
 
 @dataclass
 class ScoreBundle:
-    """Per-patch significance components and their combined score.
+    """Per-patch significance components.
 
-    `predicted` and `combined` carry gradients; the three attention scores
-    are pure functions of the input features and stay plain arrays.
+    `predicted` carries gradients; the three attention scores are pure
+    functions of the input features and stay plain arrays.
     """
 
     predicted: Tensor
     sparse_text: np.ndarray
     dense_text: np.ndarray
     image_self: np.ndarray
-    combined: Tensor | None
 
 
 @dataclass
@@ -154,12 +157,6 @@ def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np
     if hi - lo < CONSTANTS.eps_norm:
         return np.full(raw.shape, 0.5)
     return (raw - lo) / (hi - lo + CONSTANTS.eps_norm)
-
-
-def combine_scores(bundle: ScoreBundle, beta: float) -> Tensor:
-    """Total significance: (1-2b)*pred + b*(sparse + dense + 2*image)."""
-    fixed = beta * (bundle.sparse_text + bundle.dense_text + 2.0 * bundle.image_self)
-    return ad.add(ad.scale(bundle.predicted, 1.0 - 2.0 * beta), ad.constant(fixed))
 
 
 def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[Tensor, Tensor]:
@@ -292,9 +289,7 @@ def score_and_decide(
         sparse_text=s_st,
         dense_text=s_dt,
         image_self=s_im,
-        combined=None,  # filled below once components exist
     )
-    bundle.combined = combine_scores(bundle, params.beta)
 
     score_s, score_d = branch_scores(bundle, params.beta)
     noise = mode == "train"

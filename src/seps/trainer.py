@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
 
 from . import autodiff as ad
 from . import evaluator, objective
-from .alignment import AlignmentParams, RelevanceHead
+from .alignment import AlignmentParams, RelevanceHead, validate_k_top
 from .autodiff import Tensor
-from .bank import FeatureBank
+from .bank import FeatureBank, Reader, text_chunk, write_atomic
 from .errors import BankFormatError, ConfigError, DivergenceError, NumericalError
 from .objective import ObjectiveConfig
-from .selection import SelectionParams
+from .selection import TENSOR_NAMES, SelectionParams, validate_knobs
 
 CKPT_MAGIC = b"SEPC"
 CKPT_VERSION = 1
@@ -57,18 +57,11 @@ class TrainConfig:
             raise ConfigError("epochs must be >= 1")
         if self.dim < 1 or self.n_patches < 1:
             raise ConfigError("dim and n_patches must be >= 1")
-        if not 0.0 <= self.beta <= 0.5:
-            raise ConfigError("beta must lie in [0, 0.5]")
-        if self.tau <= 0.0:
-            raise ConfigError("tau must be > 0")
-        if self.margin <= 0.0:
-            raise ConfigError("margin must be > 0")
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigError("rho must lie in (0, 1]")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ConfigError("lambda coefficients must be >= 0")
-        if self.k_top < 1:
-            raise ConfigError("k_top must be >= 1")
+        if min(self.n_keep, self.head_hidden, self.grad_check_every) < 0:
+            raise ConfigError("n_keep, head_hidden and grad_check_every must be >= 0")
+        self.objective()  # margin, rho and lambdas
+        validate_knobs(self.beta, self.tau, self.keep_count)
+        validate_k_top(self.k_top)
 
     @property
     def keep_count(self) -> int:
@@ -199,9 +192,6 @@ class EpochStats:
     val_r1: float | None = None
 
 
-AUDIT_STEP = 1e-6
-
-
 def _audit_gradients(samples, params: ModelParams, cfg: TrainConfig,
                      rng: np.random.Generator) -> None:
     """Spot-check backprop against central differences on the smooth
@@ -222,7 +212,7 @@ def _audit_gradients(samples, params: ModelParams, cfg: TrainConfig,
     tensors = params.tensors()
     flat = [(ti, ci) for ti, t in enumerate(tensors) for ci in range(t.size)]
     picks = rng.choice(len(flat), size=min(10, len(flat)), replace=False)
-    step = AUDIT_STEP
+    step = ad.CONSTANTS.fd_step
     for pick in picks:
         ti, ci = flat[int(pick)]
         tensor = tensors[ti]
@@ -305,7 +295,7 @@ def fit(
             val_r1=val_r1,
         ))
         if checkpoint_path is not None:
-            save_checkpoint(checkpoint_path, params, cfg)
+            save_checkpoint(checkpoint_path, params)
     return params, history
 
 
@@ -313,26 +303,15 @@ def fit(
 # checkpoints
 
 
-def _hyper_entries(cfg_like: SelectionParams, k_top: int, head_hidden: int,
-                   dim: int) -> list[tuple[str, np.ndarray]]:
-    return [
-        ("hyper.dim", np.float64(dim)),
-        ("hyper.beta", np.float64(cfg_like.beta)),
-        ("hyper.tau", np.float64(cfg_like.tau)),
-        ("hyper.rho", np.float64(cfg_like.rho)),
-        ("hyper.n_keep", np.float64(cfg_like.n_keep)),
-        ("hyper.k_top", np.float64(k_top)),
-        ("hyper.head_hidden", np.float64(head_hidden)),
-    ]
-
-
-def save_checkpoint(path, params: ModelParams, cfg: TrainConfig | None = None) -> None:
+def save_checkpoint(path, params: ModelParams) -> None:
     head_hidden = 0
     if params.alignment.p2w.hid_w is not None:
         head_hidden = params.alignment.p2w.hid_w.shape[1]
-    entries: list[tuple[str, np.ndarray]] = [(n, t.data) for n, t in params.named()]
-    entries += [(n, np.asarray(v)) for n, v in _hyper_entries(
-        params.selection, params.alignment.k_top, head_hidden, params.selection.dim)]
+    sel = params.selection
+    entries = [(n, t.data) for n, t in params.named()] + [
+        ("hyper.dim", sel.dim), ("hyper.beta", sel.beta), ("hyper.tau", sel.tau),
+        ("hyper.rho", sel.rho), ("hyper.n_keep", sel.n_keep),
+        ("hyper.k_top", params.alignment.k_top), ("hyper.head_hidden", head_hidden)]
     chunks = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(entries))]
     for name, data in entries:
         arr = np.asarray(data, dtype=np.float64)
@@ -341,62 +320,32 @@ def save_checkpoint(path, params: ModelParams, cfg: TrainConfig | None = None) -
         if not np.all(np.isfinite(narrowed)):
             # refuse to replace a good checkpoint with an overflowed one
             raise DivergenceError("divergence detected")
-        raw = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
+        chunks.append(text_chunk(name))
         chunks.append(struct.pack("<I", arr.ndim))
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(narrowed.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+    write_atomic(path, chunks)
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise BankFormatError("corrupt checkpoint")
-        out = blob[pos:pos + n]
-        pos += n
-        return out
-
-    if take(4) != CKPT_MAGIC:
+    reader = Reader(path, "checkpoint")
+    if reader.take(4) != CKPT_MAGIC:
         raise BankFormatError("not a checkpoint")
-    version, count = struct.unpack("<II", take(8))
-    if version != CKPT_VERSION:
+    if reader.u32() != CKPT_VERSION:
         raise BankFormatError("unsupported version")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        name = take(struct.unpack("<I", take(4))[0]).decode("utf-8")
-        rank = struct.unpack("<I", take(4))[0]
-        shape = struct.unpack(f"<{rank}I", take(4 * rank)) if rank else ()
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(size * 4), dtype="<f4").astype(np.float64).reshape(shape)
-        tensors[name] = data
-    if pos != len(blob):
-        raise BankFormatError("corrupt checkpoint")
+    for _ in range(reader.u32()):
+        name = reader.text()
+        tensors[name] = reader.floats(tuple(reader.u32() for _ in range(reader.u32())))
+    reader.finish()
 
     try:
         hyper = {k.split(".", 1)[1]: float(tensors[k])
                  for k in list(tensors) if k.startswith("hyper.")}
-        sel = SelectionParams(
-            pred_w1=_param(tensors["pred.w1"], "pred.w1"),
-            pred_b1=_param(tensors["pred.b1"], "pred.b1"),
-            pred_w2=_param(tensors["pred.w2"], "pred.w2"),
-            pred_b2=_param(tensors["pred.b2"], "pred.b2"),
-            agg_sparse_w=_param(tensors["agg_sparse.w"], "agg_sparse.w"),
-            agg_sparse_b=_param(tensors["agg_sparse.b"], "agg_sparse.b"),
-            agg_dense_w=_param(tensors["agg_dense.w"], "agg_dense.w"),
-            agg_dense_b=_param(tensors["agg_dense.b"], "agg_dense.b"),
-            beta=hyper["beta"],
-            tau=hyper["tau"],
-            n_keep=int(hyper["n_keep"]),
-            rho=hyper["rho"],
-        )
+        weights = {name.replace(".", "_"): _param(tensors[name], name)
+                   for name in TENSOR_NAMES}
+        sel = SelectionParams(**weights, beta=hyper["beta"], tau=hyper["tau"],
+                              n_keep=int(hyper["n_keep"]), rho=hyper["rho"])
 
         def head(prefix: str) -> RelevanceHead:
             hid_w = tensors.get(f"{prefix}.hid_w")
@@ -414,8 +363,3 @@ def load_checkpoint(path) -> ModelParams:
         raise BankFormatError(f"checkpoint missing tensor {exc}") from exc
     return ModelParams(selection=sel, alignment=align)
 
-
-def with_dense_ablation(params: ModelParams) -> ModelParams:
-    """Copy of the params with the dense attention channel zeroed."""
-    return ModelParams(selection=replace(params.selection, zero_dense_attention=True),
-                       alignment=params.alignment)

@@ -6,9 +6,8 @@ import pytest
 from conftest import make_params
 
 from seps import autodiff as ad
-from seps.alignment import (AlignmentParams, RelevanceHead, SimilarityMatrix,
-                            align_score, relevance_pool, score_from_similarity,
-                            similarity_matrix)
+from seps.alignment import (AlignmentParams, RelevanceHead, align_score,
+                            relevance_pool, score_from_similarity, similarity_matrix)
 from seps.errors import DegenerateVectorError
 from seps.trainer import ModelParams
 
@@ -25,8 +24,8 @@ def head_params(k_top: int, w_p2w=None, w_w2p=None) -> AlignmentParams:
                            w2p=linear_head(zero if w_w2p is None else w_w2p))
 
 
-def sim_of(matrix) -> SimilarityMatrix:
-    return SimilarityMatrix(values=ad.constant(np.asarray(matrix, dtype=float)))
+def sim_of(matrix) -> ad.Tensor:
+    return ad.constant(np.asarray(matrix, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -35,19 +34,19 @@ def sim_of(matrix) -> SimilarityMatrix:
 
 def test_cosine_identity():
     v = np.array([[1.0, 0.0, 0.0]])
-    assert similarity_matrix(v, v).values.item() == 1.0
+    assert similarity_matrix(v, v).item() == 1.0
 
 
 def test_cosine_orthogonal():
     patches = np.array([[1.0, 0.0]])
     words = np.array([[0.0, 1.0]])
-    assert similarity_matrix(patches, words).values.item() == 0.0
+    assert similarity_matrix(patches, words).item() == 0.0
 
 
 def test_cosine_matches_hand_computation(rng):
     patches = rng.normal(size=(3, 2))
     words = rng.normal(size=(2, 2))
-    got = similarity_matrix(patches, words).values.data
+    got = similarity_matrix(patches, words).data
     expected = np.empty((3, 2))
     for i in range(3):
         for j in range(2):
@@ -187,8 +186,8 @@ def test_align_scale_invariance(rng):
     scaled_words[0] *= 0.003
     rescored = align_score(scaled_patches, scaled_words, params).total.item()
     assert rescored == pytest.approx(base, abs=1e-9)
-    a0 = similarity_matrix(patches, words).values.data
-    a1 = similarity_matrix(scaled_patches, scaled_words).values.data
+    a0 = similarity_matrix(patches, words).data
+    a1 = similarity_matrix(scaled_patches, scaled_words).data
     np.testing.assert_allclose(a1, a0, atol=1e-9)
 
 

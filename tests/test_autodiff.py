@@ -255,7 +255,6 @@ def _fd_cases():
             ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
         "row_max": (lambda t: ad.sum_all(ad.row_max_with_arg(t)[0]), m34),
         "topk": (lambda t: ad.dot(ad.topk(t, 4)[0], ad.constant([1.0, 2.0, 3.0, 4.0])), (3,)),
-        "gather": (lambda t: ad.sum_all(ad.gather(t, np.array([0, 2, 2]))), (3,)),
         "element": (lambda t: ad.element(t, 1, 2), m34),
         "stack": (lambda t: ad.mean_all(ad.stack(
             [ad.element(t, 0, 0), ad.element(t, 1, 1), ad.element(t, 2, 3),

@@ -83,7 +83,51 @@ def test_config_rejects_unknown_key(tmp_path):
 
 
 def test_config_rejects_invalid_value(tmp_path):
-    assert cli.main(["gen", "--out", str(tmp_path / "x.sepb"), "--beta", "0.9"]) == 2
+    out = tmp_path / "x.sepb"
+    for flag, value in (("--beta", "0.9"), ("--n-keep", "-5"), ("--head-hidden", "-1"),
+                        ("--grad-check-every", "-1")):
+        assert cli.main(["gen", "--out", str(out), flag, value]) == 2, flag
+        assert not out.exists()
+
+
+# every config key, as flag and file key, with its default
+PINNED_DEFAULTS = {
+    "dim": 32, "n_patches": 16, "lr": 1e-4, "weight_decay": 1e-2, "batch_size": 8,
+    "epochs": 20, "margin": 0.2, "rho": 0.5, "lambda1": 1.0, "lambda2": 1.0,
+    "beta": 0.2, "tau": 1.0, "k_top": 8, "n_keep": 0, "head_hidden": 0, "seed": 0,
+    "grad_check_every": 0, "samples": 64, "n_relevant": 4, "n_sparse_words": 2,
+    "n_dense_words": 4, "concepts": 256, "noise_sigma": 0.1, "folds": 1,
+    "bank": "", "val_bank": "", "checkpoint": "", "out": "", "history": "",
+}
+FIELD_OF_KEY = {"samples": "n_samples", "n_relevant": "n_relevant_patches",
+                "concepts": "concept_count"}
+
+
+def flat_config(cfg: cli.RunConfig) -> dict:
+    """Each key's value, read from every place the key lands."""
+    out = {}
+    for key in PINNED_DEFAULTS:
+        name = FIELD_OF_KEY.get(key, key)
+        values = {getattr(part, name) for part in (cfg, cfg.train, cfg.synth)
+                  if hasattr(part, name)}
+        assert len(values) == 1, key
+        out[key] = values.pop()
+    return out
+
+
+def test_config_keys_and_defaults_are_pinned(tmp_path):
+    assert len(PINNED_DEFAULTS) == 29
+    assert list(cli.KEY_TYPES) == list(PINNED_DEFAULTS)
+    parser = cli._build_parser()
+    assert flat_config(cli.build_config(parser.parse_args(["gen"]))) == PINNED_DEFAULTS
+    # each key round-trips through a config file and through its flag
+    conf = tmp_path / "all.conf"
+    conf.write_text("".join(f"{k} = {v}\n" for k, v in PINNED_DEFAULTS.items()))
+    from_file = cli.build_config(parser.parse_args(["gen", "--config", str(conf)]))
+    assert flat_config(from_file) == PINNED_DEFAULTS
+    flags = [arg for k, v in PINNED_DEFAULTS.items()
+             for arg in (f"--{k.replace('_', '-')}", str(v))]
+    assert flat_config(cli.build_config(parser.parse_args(["gen"] + flags))) == PINNED_DEFAULTS
 
 
 # ---------------------------------------------------------------------------

@@ -199,18 +199,6 @@ def test_selection_quality_chance_for_unrelated_mask(rng):
     assert abs(auc - 0.5) <= 0.05
 
 
-def test_thread_env_does_not_change_results(monkeypatch):
-    cfg = SynthConfig(n_samples=8, dim=8, n_patches=6, n_relevant_patches=2,
-                      n_sparse_words=2, n_dense_words=3, concept_count=12, seed=9)
-    bank = generate_synthetic(cfg)
-    params = make_params(dim=8, n_patches=6, n_keep=3, k_top=2, seed=3)
-    monkeypatch.setenv("SEPS_THREADS", "0")
-    serial = retrieval_eval(bank, params)
-    monkeypatch.setenv("SEPS_THREADS", "3")
-    threaded = retrieval_eval(bank, params)
-    assert serial == threaded
-
-
 def test_selection_quality_requires_masks():
     bank = separable_bank()
     for sample in bank.samples:

@@ -11,7 +11,7 @@ from seps.autodiff import CONSTANTS
 from seps.bank import Sample
 from seps.errors import ConfigError, NoPatchesSelectedError, ShapeError
 from seps.selection import (DecisionMask, ScoreBundle, aggregate, attention_scores,
-                            branch_scores, combine_scores, gumbel_decision,
+                            branch_scores, gumbel_decision,
                             predict_scores, select_and_aggregate)
 
 
@@ -19,7 +19,7 @@ def bundle_from(pred, s_st, s_dt, s_im):
     predicted = pred if isinstance(pred, ad.Tensor) else ad.constant(pred)
     return ScoreBundle(predicted=predicted, sparse_text=np.asarray(s_st, dtype=float),
                        dense_text=np.asarray(s_dt, dtype=float),
-                       image_self=np.asarray(s_im, dtype=float), combined=None)
+                       image_self=np.asarray(s_im, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -71,22 +71,6 @@ def test_attention_scores_hand_case():
     out = attention_scores(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), 2)
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-7)
     assert out[1] == 0.0
-
-
-def test_combine_scores_beta_zero_collapses():
-    bundle = bundle_from([0.3, 0.7], [0.1, 0.9], [0.2, 0.8], [0.5, 0.5])
-    out = combine_scores(bundle, 0.0)
-    np.testing.assert_array_equal(out.data, [0.3, 0.7])
-
-
-def test_combine_scores_worked_example():
-    bundle = bundle_from([0.8], [0.6], [0.4], [0.5])
-    assert combine_scores(bundle, 0.25).item() == pytest.approx(0.9, abs=1e-12)
-
-
-def test_combine_scores_zero_components():
-    bundle = bundle_from([0.0], [0.0], [0.0], [0.0])
-    assert combine_scores(bundle, 0.2).item() == 0.0
 
 
 def test_branch_scores_symmetric_when_texts_agree():
@@ -248,8 +232,7 @@ def test_forward_zero_init_scores_all_half():
         predicted=predict_scores(patches, params.selection),
         sparse_text=attention_scores(patches, patches[0] / np.linalg.norm(patches[0]), 4),
         dense_text=attention_scores(patches, patches[0] / np.linalg.norm(patches[0]), 4),
-        image_self=attention_scores(patches, patches[0] / np.linalg.norm(patches[0]), 4),
-        combined=None)
+        image_self=attention_scores(patches, patches[0] / np.linalg.norm(patches[0]), 4))
     np.testing.assert_array_equal(bundle.predicted.data, [0.5, 0.5, 0.5])
     np.testing.assert_array_equal(bundle.sparse_text, [0.5, 0.5, 0.5])
 
