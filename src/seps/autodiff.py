@@ -99,38 +99,6 @@ class Tensor:
         tag = self.name or ("leaf" if not self.parents else "node")
         return f"Tensor({tag}, shape={self.shape})"
 
-    # Arithmetic sugar; scalars are promoted to constants.
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    def __radd__(self, other):
-        return add(_coerce(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_coerce(other)))
-
-    def __rsub__(self, other):
-        return add(_coerce(other), neg(self))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / float(other))
-        raise ShapeError("tensor/tensor division is not supported; use recip")
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def tensor(data, requires_grad: bool = False, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=requires_grad, name=name)
@@ -138,12 +106,6 @@ def tensor(data, requires_grad: bool = False, name: str | None = None) -> Tensor
 
 def constant(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=False, name=name)
-
-
-def _coerce(value) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return constant(value)
 
 
 def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable, name: str) -> Tensor:
@@ -541,7 +503,6 @@ class Graph:
     def __init__(self, output: Tensor):
         self.output = output
         self.nodes = self._toposort(output)
-        self.adjoints: dict[int, np.ndarray] = {}
 
     @staticmethod
     def _toposort(root: Tensor) -> list[Tensor]:
@@ -582,7 +543,6 @@ class Graph:
                     adj[key] = adj[key] + pg
                 else:
                     adj[key] = pg
-        self.adjoints = adj
         return adj
 
 
@@ -608,35 +568,34 @@ def gradient(output: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor
     return out
 
 
-def fd_gradient(f: Callable[[Tensor], Tensor], point: Tensor,
-                step: float = CONSTANTS.fd_step) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    base = point.data
-    grad = np.zeros_like(base)
-    flat = grad.reshape(-1)
-    with no_grad():
-        for i in range(base.size):
-            bumped = base.copy().reshape(-1)
-            bumped[i] += step
-            hi = f(constant(bumped.reshape(base.shape))).item()
-            bumped[i] -= 2.0 * step
-            lo = f(constant(bumped.reshape(base.shape))).item()
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NonFiniteError("non-finite evaluation in finite difference")
-            flat[i] = (hi - lo) / (2.0 * step)
-    return grad
+def central_difference(loss: Callable[[], float], tensor: Tensor, index: int,
+                       step: float = CONSTANTS.fd_step) -> float:
+    """Central difference of `loss()` in one flat coordinate of `tensor`,
+    whose data is restored afterwards even if `loss` raises."""
+    original = tensor.data
+    bumped = original.copy().reshape(-1)
+    try:
+        bumped[index] += step
+        tensor.data = bumped.reshape(original.shape)
+        hi = loss()
+        bumped[index] -= 2.0 * step
+        lo = loss()
+    finally:
+        tensor.data = original
+    return (hi - lo) / (2.0 * step)
 
 
 def finite_difference_check(f: Callable[[Tensor], Tensor], point: Tensor,
                             step: float = CONSTANTS.fd_step) -> float:
     """Max over coordinates of |analytic - central| / max(1, |analytic|).
 
-    Large errors are reported, never masked; only non-finite evaluations
-    raise.
+    Large errors are reported, never masked; a non-finite evaluation raises
+    in the Tensor constructor.
     """
     probe = tensor(point.data.copy(), requires_grad=True)
-    out = f(probe)
-    analytic = gradient(out, [probe])[probe].data
-    numeric = fd_gradient(f, probe, step=step)
+    analytic = gradient(f(probe), [probe])[probe].data
+    with no_grad():
+        numeric = np.array([central_difference(lambda: f(probe).item(), probe, i, step)
+                            for i in range(probe.size)]).reshape(probe.shape)
     denom = np.maximum(1.0, np.abs(analytic))
     return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0

@@ -49,8 +49,6 @@ class Sample:
                 raise BankInvariantError(f"{self.sample_id}: N >= 1 violated for {name}")
             if arr.shape[1] != dim:
                 raise BankInvariantError(f"{self.sample_id}: {name} dim {arr.shape[1]} != {dim}")
-            if not np.all(np.isfinite(arr)):
-                raise BankInvariantError(f"{self.sample_id}: non-finite {name}")
         if self.relevance_mask is not None:
             mask = np.asarray(self.relevance_mask)
             if mask.shape != (self.patches.shape[0],):
@@ -177,13 +175,19 @@ class Reader:
 
 
 def write_bank(bank: FeatureBank, path) -> None:
+    """Refuses features that are not finite as float32, which `read_bank`
+    would reject, before anything is written."""
     bank.validate()
     chunks = [MAGIC, struct.pack("<III", VERSION, bank.dim, len(bank.samples))]
     for sample in bank.samples:
         chunks.append(text_chunk(sample.sample_id))
         for arr in (sample.patches, sample.sparse_tokens, sample.dense_tokens):
+            with np.errstate(over="ignore"):
+                narrowed = np.ascontiguousarray(arr, dtype="<f4")
+            if not np.isfinite(narrowed).all():
+                raise BankInvariantError(f"{sample.sample_id}: not finite as float32")
             chunks.append(struct.pack("<I", arr.shape[0]))
-            chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            chunks.append(narrowed.tobytes())
         if sample.relevance_mask is None:
             chunks.append(struct.pack("<B", 0))
         else:

@@ -112,6 +112,15 @@ def _load_bank(path: str) -> FeatureBank:
         raise ConfigError(f"cannot read bank {path}: {exc}") from exc
 
 
+def _load_model(cfg: RunConfig) -> tuple[FeatureBank, trainer.ModelParams]:
+    """The bank and the checkpoint, checked to share one feature dimension."""
+    _require(cfg, "bank", "checkpoint")
+    bank = _load_bank(cfg.bank)
+    params = trainer.load_checkpoint(cfg.checkpoint)
+    evaluator.check_dims(bank, params)
+    return bank, params
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -156,9 +165,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    _require(cfg, "bank", "checkpoint")
-    bank = _load_bank(cfg.bank)
-    params = trainer.load_checkpoint(cfg.checkpoint)
+    bank, params = _load_model(cfg)
     report = evaluator.retrieval_eval(bank, params, folds=cfg.folds)
     print(report.table())
     print(report.machine_line())
@@ -166,10 +173,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def cmd_score(cfg: RunConfig, image_id: str, caption_id: str) -> int:
-    _require(cfg, "bank", "checkpoint")
-    bank = _load_bank(cfg.bank)
-    params = trainer.load_checkpoint(cfg.checkpoint)
-    evaluator.check_dims(bank, params)
+    bank, params = _load_model(cfg)
     image = bank.by_id(image_id)
     caption = bank.by_id(caption_id)
     with ad.no_grad():
@@ -186,18 +190,11 @@ def cmd_score(cfg: RunConfig, image_id: str, caption_id: str) -> int:
 
 
 def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
-    _require(cfg, "bank", "checkpoint")
-    bank = _load_bank(cfg.bank)
-    params = trainer.load_checkpoint(cfg.checkpoint)
-    evaluator.check_dims(bank, params)
-    try:
-        sample = bank.by_id(sample_id)
-    except SepsError:
-        raise ConfigError(f"unknown sample id: {sample_id}") from None
+    bank, params = _load_model(cfg)
+    sample = bank.by_id(sample_id)
     with ad.no_grad():
         _, bundle, (mask_s, mask_d) = selection.select_and_aggregate(
             sample, params.selection, "eval")
-        br_s, br_d = selection.branch_scores(bundle, params.selection.beta)
     pred = bundle.predicted.data
     print(f"# sample {sample_id}: {sample.n_patches} patches")
     print("# idx s_p s_st s_dt s_im s_sparse s_dense keep(sd) gt")
@@ -206,7 +203,7 @@ def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
         keep = f"{int(mask_s.hard[i])}{int(mask_d.hard[i])}"
         print(f"{i} {pred[i]:.4f} {bundle.sparse_text[i]:.4f} "
               f"{bundle.dense_text[i]:.4f} {bundle.image_self[i]:.4f} "
-              f"{br_s.data[i]:.4f} {br_d.data[i]:.4f} {keep} {gt}")
+              f"{mask_s.score.data[i]:.4f} {mask_d.score.data[i]:.4f} {keep} {gt}")
     return EXIT_OK
 
 

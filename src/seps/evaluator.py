@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import alignment, selection
-from .bank import FeatureBank, Sample
+from .bank import FeatureBank
 from .errors import BankInvariantError, ConfigError
 
 K_VALUES = (1, 5, 10)
@@ -46,8 +46,6 @@ class RetrievalReport:
     t2i_r5: float
     t2i_r10: float
     rsum: float
-    n_queries_i2t: int
-    n_queries_t2i: int
 
     def machine_line(self) -> str:
         fields = (self.i2t_r1, self.i2t_r5, self.i2t_r10,
@@ -112,48 +110,34 @@ def pairwise_scores(bank: FeatureBank, params) -> np.ndarray:
     return scores
 
 
-def _six_recalls(scores: np.ndarray, gt_i2t: GroundTruth, gt_t2i: GroundTruth) -> list[float]:
+def _six_recalls(scores: np.ndarray) -> list[float]:
     # K is clamped to the gallery size so small banks stay evaluable
-    gallery = scores.shape[1]
-    i2t = [recall_at_k(scores, gt_i2t, min(k, gallery)) for k in K_VALUES]
-    gallery_t = scores.shape[0]
-    t2i = [recall_at_k(scores.T, gt_t2i, min(k, gallery_t)) for k in K_VALUES]
-    return i2t + t2i
+    n = scores.shape[0]
+    gt = GroundTruth.identity(n)
+    return ([recall_at_k(scores, gt, min(k, n)) for k in K_VALUES]
+            + [recall_at_k(scores.T, gt, min(k, n)) for k in K_VALUES])
 
 
-def retrieval_eval(bank: FeatureBank, params, folds: int = 1,
-                   gt_i2t: GroundTruth | None = None,
-                   gt_t2i: GroundTruth | None = None) -> RetrievalReport:
+def retrieval_eval(bank: FeatureBank, params, folds: int = 1) -> RetrievalReport:
     """Evaluate retrieval in both directions over all pairs in the bank.
 
-    `folds > 1` splits the bank into contiguous folds, evaluates each
-    in isolation, and averages the six recalls over folds.
+    The bank is split into `folds` contiguous folds; each is evaluated in
+    isolation and the six recalls are averaged over folds.
     """
-    if len(bank.samples) < 2:
+    n = len(bank.samples)
+    if n < 2:
         raise ConfigError("retrieval needs at least two samples")
-    scores = pairwise_scores(bank, params)
-    n = scores.shape[0]
     if folds < 1 or n % folds != 0:
         raise ConfigError("fold count must divide the sample count")
-    if folds == 1:
-        recalls = _six_recalls(scores,
-                               gt_i2t or GroundTruth.identity(n),
-                               gt_t2i or GroundTruth.identity(n))
-    else:
-        if gt_i2t is not None or gt_t2i is not None:
-            raise ConfigError("custom ground truth is not supported with folds")
-        size = n // folds
-        per_fold = []
-        for f in range(folds):
-            block = scores[f * size:(f + 1) * size, f * size:(f + 1) * size]
-            ident = GroundTruth.identity(size)
-            per_fold.append(_six_recalls(block, ident, ident))
-        recalls = [float(np.mean([fold[i] for fold in per_fold])) for i in range(6)]
+    scores = pairwise_scores(bank, params)
+    size = n // folds
+    per_fold = [_six_recalls(scores[f * size:(f + 1) * size, f * size:(f + 1) * size])
+                for f in range(folds)]
+    recalls = [float(np.mean([fold[i] for fold in per_fold])) for i in range(6)]
     return RetrievalReport(
         i2t_r1=recalls[0], i2t_r5=recalls[1], i2t_r10=recalls[2],
         t2i_r1=recalls[3], t2i_r5=recalls[4], t2i_r10=recalls[5],
         rsum=rsum(recalls),
-        n_queries_i2t=n, n_queries_t2i=n,
     )
 
 
@@ -163,30 +147,16 @@ def retrieval_eval(bank: FeatureBank, params, folds: int = 1,
 
 def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based ROC AUC with midrank handling of ties."""
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(len(scores))
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    # a tie group spanning sorted positions i..j shares the rank (i+j)/2 + 1
+    ranks = (0.5 * (ends - counts + ends - 1) + 1.0)[inverse]
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise BankInvariantError("AUC needs both classes")
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def sparse_branch_scores(sample: Sample, params) -> np.ndarray:
-    """Eval-mode sparse-branch decision scores for one sample."""
-    with ad.no_grad():
-        _, bundle, _ = selection.select_and_aggregate(sample, params.selection, "eval")
-        score, _ = selection.branch_scores(bundle, params.selection.beta)
-        return score.data
 
 
 def selection_quality(bank: FeatureBank, params) -> float:
@@ -201,7 +171,10 @@ def selection_quality(bank: FeatureBank, params) -> float:
         labels = np.asarray(mask)
         if labels.min() == labels.max():
             continue
-        aucs.append(_auc(sparse_branch_scores(sample, params), labels))
+        with ad.no_grad():
+            _, _, (mask_s, _) = selection.select_and_aggregate(
+                sample, params.selection, "eval")
+        aucs.append(_auc(mask_s.score.data, labels))
     if not aucs:
         raise BankInvariantError("no masks")
     return float(np.mean(aucs))

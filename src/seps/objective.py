@@ -9,7 +9,7 @@ hinge) so the result is bit-reproducible against a plain double loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,6 @@ class BatchScores:
     scores: Tensor                    # B x B
     keep_sparse: list[Tensor]         # per-sample mean gate, sparse branch
     keep_dense: list[Tensor]
-    details: dict = field(default_factory=dict)
 
     def keep_fractions(self) -> tuple[float, float]:
         """Batch-mean forward keep fraction per branch."""
@@ -63,42 +62,31 @@ def batch_similarity(
     mode: str = "train",
     seed: int = 0,
     step: int = 0,
-    collect: bool = False,
 ) -> BatchScores:
     """One selection pass per image, then alignment against every caption.
 
     Decision noise is keyed by (seed, sample id, step) so distinct samples
-    and steps draw independent, reproducible streams.  `collect` stashes
-    forward arrays (aggregated vectors, similarity matrices, branch scores)
-    for diagnostics.
+    and steps draw independent, reproducible streams.
     """
     if not samples:
         raise ShapeError("empty batch")
     cells: list[Tensor] = []
     keep_s: list[Tensor] = []
     keep_d: list[Tensor] = []
-    details: dict = {"vectors": [], "similarity": {}, "branch_scores": []} if collect else {}
-    for i, sample in enumerate(samples):
+    for sample in samples:
         rng = selection.decision_rng(seed, sample.sample_id, step) if mode == "train" else None
-        agg, bundle, (mask_s, mask_d) = selection.select_and_aggregate(
+        agg, _, (mask_s, mask_d) = selection.select_and_aggregate(
             sample, sel_params, mode, rng)
         keep_s.append(ad.mean_all(mask_s.gate(mode)))
         keep_d.append(ad.mean_all(mask_d.gate(mode)))
-        if collect:
-            s_sp, s_dn = selection.branch_scores(bundle, sel_params.beta)
-            details["vectors"].append(agg.vectors.data.copy())
-            details["branch_scores"].append((s_sp.data.copy(), s_dn.data.copy()))
-        for j, other in enumerate(samples):
+        for other in samples:
             sim = similarity_matrix(agg.vectors, other.sparse_tokens)
-            if collect:
-                details["similarity"][(i, j)] = sim.data.copy()
             cells.append(score_from_similarity(sim, align_params).total)
     b = len(samples)
     return BatchScores(
         scores=ad.stack(cells, (b, b)),
         keep_sparse=keep_s,
         keep_dense=keep_d,
-        details=details,
     )
 
 

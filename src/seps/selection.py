@@ -99,13 +99,15 @@ class ScoreBundle:
 class DecisionMask:
     """Keep/drop decision for each patch in one branch.
 
-    `hard` is the 0/1 forward decision, `soft` the keep probability, and
-    `logit` the temperature-scaled log-odds that produced it.
+    `hard` is the 0/1 forward decision, `soft` the keep probability,
+    `logit` the temperature-scaled log-odds that produced it, and `score`
+    the clipped branch score the logits were drawn from.
     """
 
     hard: np.ndarray
     soft: Tensor
     logit: Tensor
+    score: Tensor
 
     def gate(self, mode: str) -> Tensor:
         """Per-patch multiplier used downstream: hard forward in train/eval,
@@ -199,7 +201,7 @@ def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
     logit = ad.scale(diff, 1.0 / tau)
     soft = ad.sigmoid(logit)
     hard = (soft.data > 0.5).astype(np.float64)
-    return DecisionMask(hard=hard, soft=soft, logit=logit)
+    return DecisionMask(hard=hard, soft=soft, logit=logit, score=scores)
 
 
 def _branch_weights(logits: Tensor, mask: DecisionMask, mode: str) -> Tensor | None:

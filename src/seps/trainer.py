@@ -206,27 +206,15 @@ def _audit_gradients(samples, params: ModelParams, cfg: TrainConfig,
 
     batch = objective.batch_similarity(samples, params.selection, params.alignment,
                                        "soft", cfg.seed)
-    loss = objective.batch_loss(batch, obj)
-    grads = ad.gradient(loss, params.tensors())
-
     tensors = params.tensors()
+    grads = ad.gradient(objective.batch_loss(batch, obj), tensors)
     flat = [(ti, ci) for ti, t in enumerate(tensors) for ci in range(t.size)]
     picks = rng.choice(len(flat), size=min(10, len(flat)), replace=False)
-    step = ad.CONSTANTS.fd_step
     for pick in picks:
         ti, ci = flat[int(pick)]
         tensor = tensors[ti]
         analytic = float(grads[tensor].data.reshape(-1)[ci])
-        original = tensor.data.copy()
-        bumped = original.reshape(-1).copy()
-        bumped[ci] += step
-        tensor.data = bumped.reshape(original.shape)
-        hi = loss_value()
-        bumped[ci] -= 2.0 * step
-        tensor.data = bumped.reshape(original.shape)
-        lo = loss_value()
-        tensor.data = original
-        numeric = (hi - lo) / (2.0 * step)
+        numeric = ad.central_difference(loss_value, tensor, ci)
         rel = abs(analytic - numeric) / max(1.0, abs(analytic))
         if rel >= 1e-3:
             raise NumericalError(

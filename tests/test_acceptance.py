@@ -17,7 +17,7 @@ from test_bank import banks_equal, random_bank
 
 from seps import autodiff as ad
 from seps import evaluator, objective, selection
-from seps.alignment import align_score
+from seps.alignment import align_score, similarity_matrix
 from seps.autodiff import softmax_columns
 from seps.bank import Sample, SynthConfig, generate_synthetic, read_bank, write_bank
 from seps.evaluator import GroundTruth, recall_at_k, rsum
@@ -42,17 +42,22 @@ def _random_batch(rng, b, d, n, m):
                    rng.normal(size=(m, d))) for i in range(b)]
 
 
-def _min_tie_gap(details, scores, margin):
+def _min_tie_gap(samples, params, scores, margin):
     """Smallest distance to any subgradient tie or kink in the forward pass."""
     gaps = [np.inf]
-    for a in details["similarity"].values():
+    with ad.no_grad():
+        passes = [selection.select_and_aggregate(s, params.selection, "soft")
+                  for s in samples]
+        similarity = [similarity_matrix(agg.vectors, other.sparse_tokens).data
+                      for agg, _, _ in passes for other in samples]
+    for a in similarity:
         for vec in list(a) + list(a.T):
             if len(vec) > 1:
                 top = np.sort(vec)[::-1]
                 gaps.append(top[0] - top[1])
     hi = 1.0 - 1e-6
-    for s_sp, s_dn in details["branch_scores"]:
-        for arr in (s_sp, s_dn):
+    for _, _, masks in passes:
+        for arr in (mask.score.data for mask in masks):
             near_clip = arr[arr < hi]
             if near_clip.size:
                 gaps.append(float(np.min(hi - near_clip)))
@@ -87,8 +92,8 @@ def test_criterion_1_gradient_correctness():
             params = init_params(cfg)
             samples = _random_batch(rng, 2, d, n, m)
             batch = objective.batch_similarity(
-                samples, params.selection, params.alignment, "soft", collect=True)
-            if _min_tie_gap(batch.details, batch.scores.data, obj.margin) < 1e-4:
+                samples, params.selection, params.alignment, "soft")
+            if _min_tie_gap(samples, params, batch.scores.data, obj.margin) < 1e-4:
                 continue  # ties excluded by resampling
             loss = objective.batch_loss(batch, obj)
             grads = ad.gradient(loss, params.tensors())

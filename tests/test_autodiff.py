@@ -177,6 +177,34 @@ def test_fd_check_reports_discontinuity():
     assert err > 1e3
 
 
+def test_central_difference_of_a_quadratic():
+    x = ad.tensor([1.0, -2.0, 0.5], requires_grad=True)
+    before = x.data.copy()
+    slope = ad.central_difference(lambda: float(np.sum(x.data ** 2)), x, 1)
+    assert abs(slope - (-4.0)) < 1e-8
+    np.testing.assert_array_equal(x.data, before)
+
+
+def test_central_difference_restores_tensor_when_loss_raises():
+    x = ad.tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+    original = x.data
+    before = original.copy()
+    calls = []
+
+    def failing_loss() -> float:
+        calls.append(x.data.copy())
+        if len(calls) == 2:
+            raise RuntimeError("loss failed")
+        return 0.0
+
+    with pytest.raises(RuntimeError):
+        ad.central_difference(failing_loss, x, 3)
+    assert x.data is original
+    np.testing.assert_array_equal(x.data, before)
+    assert calls[0][1, 1] == 4.0 + ad.CONSTANTS.fd_step
+    assert calls[1][1, 1] == 4.0 + ad.CONSTANTS.fd_step - 2.0 * ad.CONSTANTS.fd_step
+
+
 def test_non_finite_result_raises():
     with pytest.raises(NonFiniteError):
         ad.log(ad.constant([0.0]))

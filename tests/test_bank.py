@@ -67,6 +67,19 @@ def test_write_rejects_empty_sample(tmp_path):
         write_bank(bad, tmp_path / "bad.sepb")
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, np.nan])
+def test_write_refuses_values_not_finite_as_float32(value, tmp_path):
+    path = tmp_path / "bank.sepb"
+    write_bank(random_bank(np.random.default_rng(0)), path)
+    before = path.read_bytes()
+    bad = random_bank(np.random.default_rng(1))
+    bad.samples[-1].dense_tokens[0, 0] = value
+    with pytest.raises(BankInvariantError, match="not finite as float32"):
+        write_bank(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 def test_read_rejects_bad_magic(tmp_path):
     bank = random_bank(np.random.default_rng(1))
     path = tmp_path / "bank.sepb"

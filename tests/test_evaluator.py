@@ -7,6 +7,7 @@ import pytest
 
 from conftest import basis_sample, make_params, zero_params
 
+from seps import evaluator
 from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic
 from seps.errors import BankInvariantError, ConfigError
 from seps.evaluator import (GroundTruth, recall_at_k, retrieval_eval, rsum,
@@ -165,8 +166,52 @@ def test_retrieval_fold_splitting():
         retrieval_eval(bank, params, folds=5)
 
 
+def test_retrieval_checks_folds_before_scoring(monkeypatch):
+    bank = separable_bank()
+    params = make_params(dim=12, n_keep=2, k_top=2)
+
+    def no_scoring(*args):
+        raise AssertionError("pairs scored before the fold check")
+
+    monkeypatch.setattr(evaluator, "pairwise_scores", no_scoring)
+    for folds in (0, len(bank.samples) + 1, 5):
+        with pytest.raises(ConfigError, match="fold count"):
+            retrieval_eval(bank, params, folds=folds)
+
+
 # ---------------------------------------------------------------------------
 # selection quality
+
+
+def midrank_auc_loop(scores, labels):
+    """The original midrank loop, kept as the oracle for `_auc`."""
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = len(labels) - n_pos
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def test_auc_matches_midrank_loop_bitwise_on_ties():
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        n = int(rng.integers(2, 40))
+        levels = int(rng.integers(1, n + 1))  # few levels -> many ties
+        scores = rng.integers(0, levels, size=n) / max(levels - 1, 1)
+        if rng.random() < 0.3:
+            scores = np.where(rng.random(n) < 0.5, scores, rng.random(n))
+        labels = rng.integers(0, 2, size=n).astype(np.int8)
+        labels[rng.choice(n, size=2, replace=False)] = (0, 1)
+        assert evaluator._auc(scores, labels) == midrank_auc_loop(scores, labels)
 
 
 def test_selection_quality_perfect_on_separable_bank():

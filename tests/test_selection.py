@@ -149,7 +149,7 @@ def explicit_mask(hard):
     hard = np.asarray(hard, dtype=np.float64)
     soft = ad.constant(np.clip(hard, 0.01, 0.99))
     logit = ad.constant(np.log(soft.data / (1 - soft.data)))
-    return DecisionMask(hard=hard, soft=soft, logit=logit)
+    return DecisionMask(hard=hard, soft=soft, logit=logit, score=soft)
 
 
 def test_aggregate_uniform_at_zero_init():
@@ -247,6 +247,18 @@ def test_forward_relevant_patches_outscore_distractors():
     distractor = s_sp.data[sample.relevance_mask == 0]
     assert relevant.min() > distractor.max()
     np.testing.assert_array_equal(mask_s.hard, sample.relevance_mask.astype(float))
+
+
+@pytest.mark.parametrize("mode", selection.MODES)
+def test_decision_mask_score_is_the_branch_score(mode, rng):
+    sample = Sample("m", rng.normal(size=(7, 5)), rng.normal(size=(2, 5)),
+                    rng.normal(size=(3, 5)))
+    params = make_params(dim=5, n_keep=3, seed=3)
+    noise = np.random.default_rng(8) if mode == "train" else None
+    _, bundle, (mask_s, mask_d) = select_and_aggregate(sample, params.selection, mode, noise)
+    s_sp, s_dn = branch_scores(bundle, params.selection.beta)
+    assert np.array_equal(mask_s.score.data, s_sp.data)
+    assert np.array_equal(mask_d.score.data, s_dn.data)
 
 
 def test_forward_unknown_mode_rejected():
