@@ -185,7 +185,7 @@ def log(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function; gradient y*(1-y)."""
-    out = _sigmoid_np(a.data)
+    out = sigmoid_np(a.data)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -193,7 +193,7 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, (a,), vjp, "sigmoid")
 
 
-def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+def sigmoid_np(x: np.ndarray) -> np.ndarray:
     # Stable in both tails; never overflows.
     out = np.empty_like(x, dtype=np.float64)
     pos = x >= 0
@@ -209,7 +209,7 @@ def log_sigmoid(a: Tensor) -> Tensor:
     out = -np.logaddexp(0.0, -ad)
 
     def vjp(g):
-        return (g * _sigmoid_np(-ad),)
+        return (g * sigmoid_np(-ad),)
 
     return _node(out, (a,), vjp, "log_sigmoid")
 

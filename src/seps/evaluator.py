@@ -160,8 +160,9 @@ def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
 
 
 def selection_quality(bank: FeatureBank, params) -> float:
-    """Mean per-sample AUC of the sparse-branch ranking vs the ground-truth
-    relevance mask; samples without a two-class mask are skipped."""
+    """Mean per-sample AUC of the eval-mode sparse-branch score vs the
+    ground-truth relevance mask; a sample without a two-class mask is
+    skipped, one whose branches both keep nothing still counts."""
     check_dims(bank, params)
     aucs = []
     for sample in bank.samples:
@@ -171,10 +172,7 @@ def selection_quality(bank: FeatureBank, params) -> float:
         labels = np.asarray(mask)
         if labels.min() == labels.max():
             continue
-        with ad.no_grad():
-            _, _, (mask_s, _) = selection.select_and_aggregate(
-                sample, params.selection, "eval")
-        aucs.append(_auc(mask_s.score.data, labels))
+        aucs.append(_auc(selection.sparse_eval_scores(sample, params.selection), labels))
     if not aucs:
         raise BankInvariantError("no masks")
     return float(np.mean(aucs))

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import CONSTANTS, Tensor
 from .bank import Sample, global_embedding, stable_id_hash
-from .errors import ConfigError, NoPatchesSelectedError, ShapeError
+from .errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
 
 MODES = ("train", "eval", "soft")
 
@@ -136,12 +136,16 @@ class AggregatedPatches:
     empty_dense: bool
 
 
-def predict_scores(patches: np.ndarray, params: SelectionParams) -> Tensor:
-    """Learned significance in (0,1) for every patch."""
+def _patch_matrix(patches: np.ndarray, params: SelectionParams) -> np.ndarray:
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2 or patches.shape[1] != params.dim:
         raise ShapeError(f"patches shape {patches.shape} does not match dim {params.dim}")
-    v = ad.constant(patches)
+    return np.ascontiguousarray(patches)  # the layout a Tensor stores
+
+
+def predict_scores(patches: np.ndarray, params: SelectionParams) -> Tensor:
+    """Learned significance in (0,1) for every patch."""
+    v = ad.constant(_patch_matrix(patches, params))
     hidden = ad.tanh(ad.add_rowvec(ad.matmul(v, params.pred_w1), params.pred_b1))
     logits = ad.add(ad.matmul(hidden, params.pred_w2), params.pred_b2)
     return ad.sigmoid(logits)
@@ -161,6 +165,10 @@ def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np
     return (raw - lo) / (hi - lo + CONSTANTS.eps_norm)
 
 
+def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndarray:
+    return beta * (2.0 * text + 2.0 * image)
+
+
 def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[Tensor, Tensor]:
     """Per-branch decision scores, clipped to [0, 1) for the log domain.
 
@@ -168,8 +176,8 @@ def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[Tensor, Tensor]:
     score, so sparse and dense branches see the same total weight mass.
     """
     coeff = 1.0 - 2.0 * beta
-    sparse_fixed = beta * (2.0 * bundle.sparse_text + 2.0 * bundle.image_self)
-    dense_fixed = beta * (2.0 * bundle.dense_text + 2.0 * bundle.image_self)
+    sparse_fixed = _attention_part(beta, bundle.sparse_text, bundle.image_self)
+    dense_fixed = _attention_part(beta, bundle.dense_text, bundle.image_self)
     pred = ad.scale(bundle.predicted, coeff)
     s_sparse = ad.clip(ad.add(pred, ad.constant(sparse_fixed)), 0.0, CLIP_HI)
     s_dense = ad.clip(ad.add(pred, ad.constant(dense_fixed)), 0.0, CLIP_HI)
@@ -258,6 +266,42 @@ def decision_rng(seed: int, sample_id: str, step: int = 0) -> np.random.Generato
         np.random.SeedSequence([seed, stable_id_hash(sample_id), step]))
 
 
+def attention_views(sample: Sample, params: SelectionParams) -> tuple[np.ndarray, ...]:
+    """Sparse-text, dense-text and image-self attention of every patch."""
+    patches = sample.patches
+    dim = patches.shape[1]
+    e_sparse, _ = global_embedding(sample.sparse_tokens)
+    e_dense, _ = global_embedding(sample.dense_tokens)
+    e_image, _ = global_embedding(patches)
+
+    s_st = attention_scores(patches, e_sparse, dim)
+    if params.zero_dense_attention:
+        s_dt = np.zeros(patches.shape[0])
+    else:
+        s_dt = attention_scores(patches, e_dense, dim)
+    s_im = attention_scores(patches, e_image, dim)
+    return s_st, s_dt, s_im
+
+
+def _finite(*arrays: np.ndarray) -> np.ndarray:
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError("non-finite values in the sparse-branch score")
+    return arrays[0]
+
+
+def sparse_eval_scores(sample: Sample, params: SelectionParams) -> np.ndarray:
+    """Eval-mode sparse-branch score of every patch without the tape, bitwise
+    equal to `branch_scores(...)[0]` after `score_and_decide(..., "eval")`;
+    it raises NonFiniteError wherever that path's Tensor checks would."""
+    s_st, s_dt, s_im = attention_views(sample, params)
+    patches = _patch_matrix(sample.patches, params)
+    pre = _finite(patches @ params.pred_w1.data + params.pred_b1.data[None, :])
+    logits = _finite(np.tanh(pre) @ params.pred_w2.data + params.pred_b2.data)
+    pred = ad.sigmoid_np(logits) * (1.0 - 2.0 * params.beta)
+    scores = np.clip(pred + _attention_part(params.beta, s_st, s_im), 0.0, CLIP_HI)
+    return _finite(scores, s_dt)  # the taped path holds s_dt in a Tensor too
+
+
 def score_and_decide(
     sample: Sample,
     params: SelectionParams,
@@ -271,27 +315,8 @@ def score_and_decide(
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode: {mode}")
-    patches = sample.patches
-    dim = patches.shape[1]
-
-    e_sparse, _ = global_embedding(sample.sparse_tokens)
-    e_dense, _ = global_embedding(sample.dense_tokens)
-    e_image, _ = global_embedding(patches)
-
-    s_st = attention_scores(patches, e_sparse, dim)
-    if params.zero_dense_attention:
-        s_dt = np.zeros(patches.shape[0])
-    else:
-        s_dt = attention_scores(patches, e_dense, dim)
-    s_im = attention_scores(patches, e_image, dim)
-
-    predicted = predict_scores(patches, params)
-    bundle = ScoreBundle(
-        predicted=predicted,
-        sparse_text=s_st,
-        dense_text=s_dt,
-        image_self=s_im,
-    )
+    s_st, s_dt, s_im = attention_views(sample, params)
+    bundle = ScoreBundle(predict_scores(sample.patches, params), s_st, s_dt, s_im)
 
     score_s, score_d = branch_scores(bundle, params.beta)
     noise = mode == "train"

@@ -7,11 +7,14 @@ import pytest
 
 from conftest import basis_sample, make_params, zero_params
 
-from seps import evaluator
+from seps import autodiff as ad
+from seps import evaluator, selection
 from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic
-from seps.errors import BankInvariantError, ConfigError
+from seps.errors import (BankInvariantError, ConfigError, NonFiniteError,
+                         NoPatchesSelectedError)
 from seps.evaluator import (GroundTruth, recall_at_k, retrieval_eval, rsum,
                             selection_quality)
+from seps.trainer import TrainConfig, init_params
 
 
 def diag_gt(n: int) -> GroundTruth:
@@ -251,3 +254,105 @@ def test_selection_quality_requires_masks():
     params = zero_params(make_params(dim=12, n_keep=2, k_top=2))
     with pytest.raises(BankInvariantError, match="no masks"):
         selection_quality(bank, params)
+
+
+def taped_selection_quality(bank, params):
+    """The per-sample loop through the full taped selection pass that
+    `selection_quality` ran before its tape-free forward, kept as the oracle."""
+    evaluator.check_dims(bank, params)
+    aucs = []
+    for sample in bank.samples:
+        mask = sample.relevance_mask
+        if mask is None:
+            continue
+        labels = np.asarray(mask)
+        if labels.min() == labels.max():
+            continue
+        with ad.no_grad():
+            _, _, (mask_s, _) = selection.select_and_aggregate(
+                sample, params.selection, "eval")
+        aucs.append(evaluator._auc(mask_s.score.data, labels))
+    if not aucs:
+        raise BankInvariantError("no masks")
+    return float(np.mean(aucs))
+
+
+def mann_whitney_auc(scores, labels):
+    """Share of (relevant, irrelevant) pairs ranked correctly, ties half."""
+    pos, neg = scores[labels == 1], scores[labels == 0]
+    wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
+    return float(wins / (pos.size * neg.size))
+
+
+def six_sample_bank():
+    data = generate_synthetic(SynthConfig(seed=4, n_samples=6, dim=8, n_patches=6,
+                                          n_relevant_patches=2, n_sparse_words=1,
+                                          n_dense_words=2, concept_count=64))
+    return data, init_params(TrainConfig(dim=8, n_patches=6, n_keep=2, k_top=2, beta=0.0))
+
+
+@pytest.mark.parametrize("shape", [
+    dict(n_samples=32, dim=32, n_patches=16, n_relevant_patches=4, noise_sigma=0.1),
+    dict(n_samples=12, dim=64, n_patches=196, n_relevant_patches=24, n_sparse_words=2,
+         n_dense_words=8, concept_count=4096, noise_sigma=0.1),
+], ids=["desk", "vit"])
+def test_selection_quality_bitwise_equal_to_the_taped_loop(shape):
+    bank = generate_synthetic(SynthConfig(seed=21, **shape))
+    params = make_params(dim=shape["dim"], n_patches=shape["n_patches"], n_keep=8, seed=21)
+    assert selection_quality(bank, params) == taped_selection_quality(bank, params)
+
+
+def test_selection_quality_counts_samples_whose_branches_keep_nothing():
+    # predictions near 0 and beta = 0: neither branch keeps a patch
+    bank, params = six_sample_bank()
+    params.selection.pred_b2.data = np.asarray(-20.0)
+    with pytest.raises(NoPatchesSelectedError):
+        taped_selection_quality(bank, params)
+    expected = []
+    for sample in bank.samples:
+        labels = np.asarray(sample.relevance_mask)
+        with ad.no_grad():
+            bundle, mask_s, mask_d = selection.score_and_decide(sample, params.selection)
+        assert not mask_s.kept.any() and not mask_d.kept.any()
+        if labels.min() != labels.max():
+            expected.append(mann_whitney_auc(mask_s.score.data, labels))
+    auc = selection_quality(bank, params)
+    assert abs(auc - float(np.mean(expected))) <= 1e-12
+    assert round(auc, 4) == 0.3958
+
+
+def test_selection_quality_raises_on_overflow_like_the_taped_loop():
+    # the first layer's pre-activation overflows; every input is finite
+    bank, params = six_sample_bank()
+    for name in ("pred_w1", "pred_b1"):
+        tensor = getattr(params.selection, name)
+        tensor.data = np.full_like(tensor.data, 1e308)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteError):
+            taped_selection_quality(bank, params)
+        with pytest.raises(NonFiniteError):
+            selection_quality(bank, params)
+
+
+def test_selection_quality_rejects_a_wrong_dim_bank_like_the_taped_loop():
+    bank, params = separable_bank(dim=12), make_params(dim=8)
+    for score in (taped_selection_quality, selection_quality):
+        with pytest.raises(ConfigError, match="dimension mismatch"):
+            score(bank, params)
+
+
+def test_auc_needs_both_classes():
+    with pytest.raises(BankInvariantError, match="AUC needs both classes"):
+        evaluator._auc(np.array([0.2, 0.7]), np.array([1, 1]))
+
+
+def test_selection_quality_builds_no_tape_and_runs_no_decision(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("selection_quality left its tape-free path")
+
+    params = zero_params(make_params(dim=12, n_keep=2, k_top=2))
+    params.selection.beta = 0.25
+    for name in ("select_and_aggregate", "aggregate", "gumbel_decision"):
+        monkeypatch.setattr(selection, name, forbidden)
+    monkeypatch.setattr(ad.Tensor, "__init__", forbidden)
+    assert selection_quality(separable_bank(), params) == 1.0

@@ -8,11 +8,11 @@ from conftest import basis_sample, make_params, zero_params
 from seps import autodiff as ad
 from seps import selection
 from seps.autodiff import CONSTANTS
-from seps.bank import Sample
-from seps.errors import ConfigError, NoPatchesSelectedError, ShapeError
+from seps.bank import Sample, SynthConfig, generate_synthetic
+from seps.errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
 from seps.selection import (DecisionMask, ScoreBundle, aggregate, attention_scores,
-                            branch_scores, gumbel_decision,
-                            predict_scores, select_and_aggregate)
+                            branch_scores, gumbel_decision, predict_scores,
+                            score_and_decide, select_and_aggregate, sparse_eval_scores)
 
 
 def bundle_from(pred, s_st, s_dt, s_im):
@@ -259,6 +259,98 @@ def test_decision_mask_score_is_the_branch_score(mode, rng):
     s_sp, s_dn = branch_scores(bundle, params.selection.beta)
     assert np.array_equal(mask_s.score.data, s_sp.data)
     assert np.array_equal(mask_d.score.data, s_dn.data)
+
+
+# ---------------------------------------------------------------------------
+# tape-free sparse-branch scores
+
+
+def taped_sparse_scores(sample, params):
+    with ad.no_grad():
+        bundle, _, _ = score_and_decide(sample, params, "eval")
+    return branch_scores(bundle, params.beta)[0].data
+
+
+def assert_bitwise_parity(samples, params):
+    for sample in samples:
+        fast = sparse_eval_scores(sample, params)
+        assert fast.dtype == np.float64
+        assert fast.tobytes() == taped_sparse_scores(sample, params).tobytes(), sample.sample_id
+
+
+DESK = dict(dim=32, n_patches=16, n_relevant_patches=4, n_sparse_words=2,
+            n_dense_words=4, noise_sigma=0.1)
+VIT = dict(dim=64, n_patches=196, n_relevant_patches=24, n_sparse_words=2,
+           n_dense_words=8, concept_count=4096, noise_sigma=0.1)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.2, 0.5])
+def test_sparse_eval_scores_bitwise_equal_to_taped_branch_score(beta):
+    samples = generate_synthetic(SynthConfig(n_samples=24, seed=11, **DESK)).samples
+    params = make_params(dim=32, n_patches=16, beta=beta, seed=4).selection
+    params.pred_b2.data = np.asarray(0.3)  # move predictions off the init's centre
+    assert_bitwise_parity(samples, params)
+
+
+def test_sparse_eval_scores_bitwise_on_vit_shaped_samples():
+    samples = generate_synthetic(SynthConfig(n_samples=8, seed=12, **VIT)).samples
+    assert_bitwise_parity(samples, make_params(dim=64, n_patches=196, n_keep=8,
+                                               seed=5).selection)
+
+
+def test_sparse_eval_scores_bitwise_with_dense_attention_zeroed():
+    samples = generate_synthetic(SynthConfig(n_samples=8, seed=13, **DESK)).samples
+    params = make_params(dim=32, n_patches=16, seed=6).selection
+    params.zero_dense_attention = True
+    assert_bitwise_parity(samples, params)
+
+
+def test_sparse_eval_scores_bitwise_on_degenerate_caption_and_single_patch(rng):
+    params = make_params(dim=6, seed=7).selection
+    token = rng.normal(size=(1, 6))
+    # tokens t and -t average to zero: the embedding is degenerate and the
+    # sparse-text view is flat at 0.5
+    flat = Sample("zero-mean", rng.normal(size=(9, 6)), np.vstack([token, -token]),
+                  rng.normal(size=(3, 6)))
+    single = Sample("one", rng.normal(size=(1, 6)), rng.normal(size=(2, 6)),
+                    rng.normal(size=(3, 6)))
+    with ad.no_grad():
+        bundle, _, _ = score_and_decide(flat, params, "eval")
+    np.testing.assert_array_equal(bundle.sparse_text, np.full(9, 0.5))
+    assert_bitwise_parity([flat, single], params)
+
+
+def test_sparse_eval_scores_rejects_dim_mismatch_like_the_taped_path(rng):
+    params = make_params(dim=4).selection
+    sample = Sample("wide", rng.normal(size=(3, 5)), rng.normal(size=(2, 5)),
+                    rng.normal(size=(2, 5)))
+    with pytest.raises(ShapeError) as taped:
+        score_and_decide(sample, params, "eval")
+    with pytest.raises(ShapeError) as fast:
+        sparse_eval_scores(sample, params)
+    assert str(fast.value) == str(taped.value)
+
+
+@pytest.mark.parametrize("where", ["pred.w1", "pred.w2", "patches", "sparse_tokens",
+                                   "dense_tokens"])
+def test_sparse_eval_scores_raises_non_finite_like_the_taped_path(where, rng):
+    params = make_params(dim=4, seed=1).selection
+    arrays = dict(patches=rng.normal(size=(5, 4)), sparse_tokens=rng.normal(size=(2, 4)),
+                  dense_tokens=rng.normal(size=(3, 4)))
+    if where.startswith("pred."):
+        # the pre-activation overflows to inf; no input is non-finite
+        weight, bias = ("pred_w1", "pred_b1") if where == "pred.w1" else ("pred_w2", "pred_b2")
+        for name in (weight, bias):
+            tensor = getattr(params, name)
+            tensor.data = np.full_like(tensor.data, 1e308)
+    else:
+        arrays[where][0, 0] = np.nan
+    sample = Sample("bad", **arrays)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            taped_sparse_scores(sample, params)
+        with pytest.raises(NonFiniteError):
+            sparse_eval_scores(sample, params)
 
 
 def test_forward_unknown_mode_rejected():
