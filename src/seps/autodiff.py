@@ -13,7 +13,6 @@ straight_through forwards a constant while backpropagating as identity.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -21,18 +20,9 @@ import numpy as np
 from .errors import EmptySupportError, GraphError, NonFiniteError, ShapeError
 
 
-@dataclass(frozen=True)
-class NumericConstants:
-    eps_norm: float = 1e-8   # degenerate-range guard for min-max normalization
-    eps_log: float = 1e-8    # additive guard before log
-    fd_step: float = 1e-6    # central-difference step
-
-    def __post_init__(self) -> None:
-        if min(self.eps_norm, self.eps_log, self.fd_step) <= 0.0:
-            raise ValueError("numeric constants must be strictly positive")
-
-
-CONSTANTS = NumericConstants()
+EPS_NORM = 1e-8   # degenerate-range guard for min-max normalization
+EPS_LOG = 1e-8    # additive guard before log
+FD_STEP = 1e-6    # central-difference step
 
 _grad_enabled = True
 
@@ -108,7 +98,9 @@ def constant(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=False, name=name)
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable, name: str) -> Tensor:
+def node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable, name: str) -> Tensor:
+    """An op's output: recorded on the tape with `vjp` when a parent is
+    tracked and gradients are enabled, a plain constant otherwise."""
     if _grad_enabled and any(p.tracked() for p in parents):
         return Tensor(data, parents=parents, vjp=vjp, name=name)
     return Tensor(data, name=name)
@@ -128,38 +120,20 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         gb = g if b.shape == out.shape else np.sum(g)
         return ga, gb
 
-    return _node(out, (a, b), vjp, "add")
+    return node(out, (a, b), vjp, "add")
 
 
 def neg(a: Tensor) -> Tensor:
-    return _node(-a.data, (a,), lambda g: (-g,), "neg")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape and a.shape != () and b.shape != ():
-        raise ShapeError(f"mul shapes {a.shape} vs {b.shape}")
-    ad, bd = a.data, b.data
-    out = ad * bd
-
-    def vjp(g):
-        ga = g * bd
-        gb = g * ad
-        if a.shape != out.shape:
-            ga = np.sum(ga)
-        if b.shape != out.shape:
-            gb = np.sum(gb)
-        return ga, gb
-
-    return _node(out, (a, b), vjp, "mul")
+    return node(-a.data, (a,), lambda g: (-g,), "neg")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _node(a.data * c, (a,), lambda g: (g * c,), "scale")
+    return node(a.data * c, (a,), lambda g: (g * c,), "scale")
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
-    return _node(a.data + float(c), (a,), lambda g: (g,), "add_scalar")
+    return node(a.data + float(c), (a,), lambda g: (g,), "add_scalar")
 
 
 def recip(a: Tensor) -> Tensor:
@@ -169,7 +143,7 @@ def recip(a: Tensor) -> Tensor:
     def vjp(g):
         return (-g * out * out,)
 
-    return _node(out, (a,), vjp, "recip")
+    return node(out, (a,), vjp, "recip")
 
 
 def log(a: Tensor) -> Tensor:
@@ -180,7 +154,7 @@ def log(a: Tensor) -> Tensor:
     def vjp(g):
         return (g / ad,)
 
-    return _node(out, (a,), vjp, "log")
+    return node(out, (a,), vjp, "log")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -190,7 +164,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return _node(out, (a,), vjp, "sigmoid")
+    return node(out, (a,), vjp, "sigmoid")
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -211,7 +185,7 @@ def log_sigmoid(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * sigmoid_np(-ad),)
 
-    return _node(out, (a,), vjp, "log_sigmoid")
+    return node(out, (a,), vjp, "log_sigmoid")
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -220,17 +194,7 @@ def tanh(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * (1.0 - out * out),)
 
-    return _node(out, (a,), vjp, "tanh")
-
-
-def relu(a: Tensor) -> Tensor:
-    ad = a.data
-    out = np.maximum(ad, 0.0)
-
-    def vjp(g):
-        return (g * (ad > 0.0),)
-
-    return _node(out, (a,), vjp, "relu")
+    return node(out, (a,), vjp, "tanh")
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -242,7 +206,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     def vjp(g):
         return (g * gate,)
 
-    return _node(out, (a,), vjp, "clip")
+    return node(out, (a,), vjp, "clip")
 
 
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
@@ -250,7 +214,7 @@ def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
     hard = _as_f64(hard)
     if hard.shape != soft.shape:
         raise ShapeError(f"straight_through shapes {hard.shape} vs {soft.shape}")
-    return _node(hard.copy(), (soft,), lambda g: (g,), "straight_through")
+    return node(hard.copy(), (soft,), lambda g: (g,), "straight_through")
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +234,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def vjp(g):
             return np.outer(g, bd), ad.T @ g
 
-    return _node(out, (a, b), vjp, "matmul")
+    return node(out, (a, b), vjp, "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.ndim != 2:
         raise ShapeError("transpose expects a matrix")
-    return _node(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
+    return node(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
 
 
 def dot(a: Tensor, b: Tensor) -> Tensor:
@@ -288,16 +252,7 @@ def dot(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         return g * bd, g * ad
 
-    return _node(out, (a, b), vjp, "dot")
-
-
-def sum_all(a: Tensor) -> Tensor:
-    shape = a.shape
-
-    def vjp(g):
-        return (np.full(shape, g),)
-
-    return _node(np.sum(a.data), (a,), vjp, "sum_all")
+    return node(out, (a, b), vjp, "dot")
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -308,7 +263,7 @@ def mean_all(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(shape, g / n),)
 
-    return _node(np.mean(a.data), (a,), vjp, "mean_all")
+    return node(np.mean(a.data), (a,), vjp, "mean_all")
 
 
 def scale_rows(a: Tensor, s: Tensor) -> Tensor:
@@ -320,7 +275,7 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
     def vjp(g):
         return g * sd[:, None], np.sum(g * ad, axis=1)
 
-    return _node(out, (a, s), vjp, "scale_rows")
+    return node(out, (a, s), vjp, "scale_rows")
 
 
 def scale_cols(a: Tensor, s: Tensor) -> Tensor:
@@ -332,7 +287,7 @@ def scale_cols(a: Tensor, s: Tensor) -> Tensor:
     def vjp(g):
         return g * sd[None, :], np.sum(g * ad, axis=0)
 
-    return _node(out, (a, s), vjp, "scale_cols")
+    return node(out, (a, s), vjp, "scale_cols")
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
@@ -344,7 +299,7 @@ def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
     def vjp(g):
         return g, np.sum(g, axis=0)
 
-    return _node(ad + vd[None, :], (a, v), vjp, "add_rowvec")
+    return node(ad + vd[None, :], (a, v), vjp, "add_rowvec")
 
 
 def add_colvec(a: Tensor, v: Tensor) -> Tensor:
@@ -356,7 +311,7 @@ def add_colvec(a: Tensor, v: Tensor) -> Tensor:
     def vjp(g):
         return g, np.sum(g, axis=1)
 
-    return _node(ad + vd[:, None], (a, v), vjp, "add_colvec")
+    return node(ad + vd[:, None], (a, v), vjp, "add_colvec")
 
 
 def rows_l2norm(a: Tensor) -> Tensor:
@@ -369,7 +324,7 @@ def rows_l2norm(a: Tensor) -> Tensor:
     def vjp(g):
         return ((g / out)[:, None] * ad,)
 
-    return _node(out, (a,), vjp, "rows_l2norm")
+    return node(out, (a,), vjp, "rows_l2norm")
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +358,7 @@ def softmax_columns(x: Tensor, support: np.ndarray | None = None) -> Tensor:
         inner = np.sum(g * out, axis=0, keepdims=True)
         return (out * (g - inner),)
 
-    return _node(out, (x,), vjp, "softmax_columns")
+    return node(out, (x,), vjp, "softmax_columns")
 
 
 def _softmax_columns_np(xd: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -433,7 +388,7 @@ def row_max_with_arg(x: Tensor) -> tuple[Tensor, np.ndarray]:
         gx[rows, arg] = g
         return (gx,)
 
-    return _node(values, (x,), vjp, "row_max"), arg
+    return node(values, (x,), vjp, "row_max"), arg
 
 
 def topk(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
@@ -461,20 +416,7 @@ def topk(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
         np.add.at(gx, idx, g)
         return (gx,)
 
-    return _node(values, (x,), vjp, "topk"), idx
-
-
-def element(x: Tensor, i: int, j: int) -> Tensor:
-    xd = x.data
-    if xd.ndim != 2:
-        raise ShapeError("element expects a matrix")
-
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        gx[i, j] = g
-        return (gx,)
-
-    return _node(xd[i, j], (x,), vjp, "element")
+    return node(values, (x,), vjp, "topk"), idx
 
 
 def stack(parts: Sequence[Tensor], shape: tuple[int, ...]) -> Tensor:
@@ -490,7 +432,7 @@ def stack(parts: Sequence[Tensor], shape: tuple[int, ...]) -> Tensor:
         flat = g.reshape(-1)
         return tuple(flat[i] for i in range(len(parts)))
 
-    return _node(data, parts, vjp, "stack")
+    return node(data, parts, vjp, "stack")
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +511,7 @@ def gradient(output: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor
 
 
 def central_difference(loss: Callable[[], float], tensor: Tensor, index: int,
-                       step: float = CONSTANTS.fd_step) -> float:
+                       step: float = FD_STEP) -> float:
     """Central difference of `loss()` in one flat coordinate of `tensor`,
     whose data is restored afterwards even if `loss` raises."""
     original = tensor.data
@@ -586,7 +528,7 @@ def central_difference(loss: Callable[[], float], tensor: Tensor, index: int,
 
 
 def finite_difference_check(f: Callable[[Tensor], Tensor], point: Tensor,
-                            step: float = CONSTANTS.fd_step) -> float:
+                            step: float = FD_STEP) -> float:
     """Max over coordinates of |analytic - central| / max(1, |analytic|).
 
     Large errors are reported, never masked; a non-finite evaluation raises

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import CONSTANTS
+from .autodiff import EPS_NORM
 from .errors import BankFormatError, BankInvariantError, ConfigError
 
 MAGIC = b"SEPB"
@@ -83,6 +83,12 @@ class FeatureBank:
         return len(self.samples)
 
 
+def validate_shape(dim: int, n_patches: int) -> None:
+    """The feature shape's range, for synthesis and training alike."""
+    if dim < 1 or n_patches < 1:
+        raise ConfigError("dim and n_patches must be >= 1")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     n_samples: int = 64
@@ -96,8 +102,9 @@ class SynthConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_samples < 1 or self.dim < 1 or self.n_patches < 1:
-            raise ConfigError("n_samples, dim, n_patches must be >= 1")
+        if self.n_samples < 1:
+            raise ConfigError("n_samples must be >= 1")
+        validate_shape(self.dim, self.n_patches)
         if not (0 <= self.n_relevant_patches <= self.n_patches):
             raise ConfigError("n_relevant_patches <= n_patches violated")
         if self.n_sparse_words < 1 or self.n_dense_words < self.n_sparse_words:
@@ -236,7 +243,7 @@ def global_embedding(tokens: np.ndarray) -> tuple[np.ndarray, bool]:
         raise BankInvariantError("global_embedding expects K x d with K >= 1")
     mean = tokens.mean(axis=0)
     norm = float(np.linalg.norm(mean))
-    if norm < CONSTANTS.eps_norm:
+    if norm < EPS_NORM:
         return np.zeros(tokens.shape[1]), True
     return mean / norm, False
 

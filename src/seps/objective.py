@@ -9,7 +9,9 @@ hinge) so the result is bit-reproducible against a plain double loop.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -90,86 +92,66 @@ def batch_similarity(
     )
 
 
-def decision_keep_stats(
-    samples: Sequence[Sample],
-    sel_params: SelectionParams,
-    mode: str = "train",
-    seed: int = 0,
-    step: int = 0,
-) -> tuple[list[Tensor], list[Tensor]]:
-    """Per-sample keep fractions from the decision stage alone.
-
-    Runs scoring and the Gumbel decisions without aggregating patches, so a
-    ratio-only objective can be optimized even when a noisy draw empties
-    both branches of a sample.
-    """
-    keep_s: list[Tensor] = []
-    keep_d: list[Tensor] = []
-    for sample in samples:
-        rng = selection.decision_rng(seed, sample.sample_id, step) if mode == "train" else None
-        _, mask_s, mask_d = selection.score_and_decide(sample, sel_params, mode, rng)
-        keep_s.append(ad.mean_all(mask_s.gate(mode)))
-        keep_d.append(ad.mean_all(mask_d.gate(mode)))
-    return keep_s, keep_d
-
-
 def triplet_loss(scores: Tensor, margin: float) -> Tensor:
-    """Bidirectional hinge over the hardest in-batch negatives.
+    """Bidirectional hinge over the hardest in-batch negatives, as one node.
 
     For each row i, the hardest caption is the off-diagonal row maximum and
     the hardest image the off-diagonal column maximum (first occurrence on
-    ties); gradient flows only through the selected entries.
+    ties).  Each hinge is ((s[i,hard] + -s[i,i]) + margin)^+; while it is
+    strictly positive its gradient is +1 at the hard entry, -1 at s[i,i].
     """
     data = scores.data
     if data.ndim != 2 or data.shape[0] != data.shape[1]:
         raise ShapeError(f"scores must be square, got {data.shape}")
-    b = data.shape[0]
-    if b < 2:
+    if data.shape[0] < 2:
         raise ConfigError("no negatives available")
 
     masked = data.copy()
     np.fill_diagonal(masked, -np.inf)
+    rows = np.arange(data.shape[0])
     hardest_caption = np.argmax(masked, axis=1)
     hardest_image = np.argmax(masked, axis=0)
+    text = (data[rows, hardest_caption] + -data[rows, rows]) + margin
+    image = (data[hardest_image, rows] + -data[rows, rows]) + margin
+    on_text, on_image = text > 0.0, image > 0.0
+    # terms added left to right, as a plain loop over rows adds them
+    total = reduce(operator.add, np.maximum(text, 0.0) + np.maximum(image, 0.0))
 
-    total: Tensor | None = None
-    for i in range(b):
-        pos = ad.element(scores, i, i)
-        text_hinge = ad.relu(ad.add_scalar(
-            ad.add(ad.element(scores, i, int(hardest_caption[i])), ad.neg(pos)), margin))
-        image_hinge = ad.relu(ad.add_scalar(
-            ad.add(ad.element(scores, int(hardest_image[i]), i), ad.neg(pos)), margin))
-        term = ad.add(text_hinge, image_hinge)
-        total = term if total is None else ad.add(total, term)
-    return total
+    def vjp(g):
+        gs = np.zeros_like(data)
+        np.add.at(gs, (rows[on_text], hardest_caption[on_text]), g)
+        np.add.at(gs, (hardest_image[on_image], rows[on_image]), g)
+        gs[rows, rows] -= g * (on_text + on_image.astype(np.float64))
+        return (gs,)
+
+    return ad.node(total, (scores,), vjp, "triplet_loss")
 
 
 def ratio_loss(keep_stats: tuple[Sequence[Tensor], Sequence[Tensor]],
                cfg: ObjectiveConfig) -> Tensor:
-    """Mean over images of (rho - l1*keep_sparse - l2*keep_dense)^2.
+    """Mean over images of (rho - l1*keep_sparse - l2*keep_dense)^2, as one node.
 
     Forward values use the straight-through keep means, so the printed
     value matches the hard decisions while gradient flows through the soft
-    keep probabilities.
+    keep probabilities.  Each gap is (ks*(-l1) + kd*(-l2)) + rho; the
+    squares are added in batch order, then scaled by 1/B.
     """
     keep_s, keep_d = keep_stats
     if len(keep_s) != len(keep_d) or not keep_s:
         raise ShapeError("keep statistics missing for a branch")
-    total: Tensor | None = None
-    for ps, pd in zip(keep_s, keep_d):
-        gap = ad.add_scalar(
-            ad.add(ad.scale(ps, -cfg.lambda1), ad.scale(pd, -cfg.lambda2)), cfg.rho)
-        term = ad.mul(gap, gap)
-        total = term if total is None else ad.add(total, term)
-    return ad.scale(total, 1.0 / len(keep_s))
+    inv = 1.0 / len(keep_s)
+    gaps = ((np.array([t.data for t in keep_s]) * -cfg.lambda1
+             + np.array([t.data for t in keep_d]) * -cfg.lambda2) + cfg.rho)
 
+    def vjp(g):
+        half = g * inv * gaps
+        return (*((half + half) * -cfg.lambda1), *((half + half) * -cfg.lambda2))
 
-def total_loss(scores: Tensor,
-               keep_stats: tuple[Sequence[Tensor], Sequence[Tensor]],
-               cfg: ObjectiveConfig) -> Tensor:
-    """Unweighted sum of the alignment and ratio terms."""
-    return ad.add(triplet_loss(scores, cfg.margin), ratio_loss(keep_stats, cfg))
+    return ad.node(reduce(operator.add, gaps * gaps) * inv, (*keep_s, *keep_d), vjp,
+                   "ratio_loss")
 
 
 def batch_loss(batch: BatchScores, cfg: ObjectiveConfig) -> Tensor:
-    return total_loss(batch.scores, (batch.keep_sparse, batch.keep_dense), cfg)
+    """Unweighted sum of the alignment and ratio terms."""
+    return ad.add(triplet_loss(batch.scores, cfg.margin),
+                  ratio_loss((batch.keep_sparse, batch.keep_dense), cfg))

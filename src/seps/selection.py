@@ -21,7 +21,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import CONSTANTS, Tensor
+from .autodiff import EPS_LOG, EPS_NORM, Tensor
 from .bank import Sample, global_embedding, stable_id_hash
 from .errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
 
@@ -36,12 +36,16 @@ TENSOR_NAMES = ("pred.w1", "pred.b1", "pred.w2", "pred.b2", "agg_sparse.w",
                 "agg_sparse.b", "agg_dense.w", "agg_dense.b")
 
 
+def validate_tau(tau: float) -> None:
+    if tau <= 0.0:
+        raise ConfigError("tau must be > 0")
+
+
 def validate_knobs(beta: float, tau: float, n_keep: int) -> None:
     """The selection knobs' ranges; `n_keep` is the resolved column count."""
     if not 0.0 <= beta <= 0.5:
         raise ConfigError("beta must lie in [0, 0.5]")
-    if tau <= 0.0:
-        raise ConfigError("tau must be > 0")
+    validate_tau(tau)
     if n_keep < 1:
         raise ConfigError("n_keep must be >= 1")
 
@@ -160,9 +164,9 @@ def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np
     """
     raw = np.asarray(patches, dtype=np.float64) @ np.asarray(embedding, dtype=np.float64) / dim
     lo, hi = float(raw.min()), float(raw.max())
-    if hi - lo < CONSTANTS.eps_norm:
+    if hi - lo < EPS_NORM:
         return np.full(raw.shape, 0.5)
-    return (raw - lo) / (hi - lo + CONSTANTS.eps_norm)
+    return (raw - lo) / (hi - lo + EPS_NORM)
 
 
 def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -193,12 +197,11 @@ def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
     of the pair at temperature tau.  A patch is kept iff that probability
     strictly exceeds 0.5, so an exactly ambivalent score drops.
     """
-    if tau <= 0.0:
-        raise ConfigError("tau must be > 0")
-    keep = ad.log(ad.add_scalar(scores, CONSTANTS.eps_log))
+    validate_tau(tau)
+    keep = ad.log(ad.add_scalar(scores, EPS_LOG))
     # 1-s formed as -(s-1) so an exact 0.5 yields bitwise-equal logits
     one_minus = ad.neg(ad.add_scalar(scores, -1.0))
-    drop = ad.log(ad.add_scalar(one_minus, CONSTANTS.eps_log))
+    drop = ad.log(ad.add_scalar(one_minus, EPS_LOG))
     diff = ad.add(keep, ad.neg(drop))
     if noise_enabled:
         if rng is None:

@@ -19,7 +19,7 @@ from . import autodiff as ad
 from . import evaluator, objective
 from .alignment import AlignmentParams, RelevanceHead, validate_k_top
 from .autodiff import Tensor
-from .bank import FeatureBank, Reader, text_chunk, write_atomic
+from .bank import FeatureBank, Reader, text_chunk, validate_shape, write_atomic
 from .errors import BankFormatError, ConfigError, DivergenceError, NumericalError
 from .objective import ObjectiveConfig
 from .selection import TENSOR_NAMES, SelectionParams, validate_knobs
@@ -55,8 +55,7 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.dim < 1 or self.n_patches < 1:
-            raise ConfigError("dim and n_patches must be >= 1")
+        validate_shape(self.dim, self.n_patches)
         if min(self.n_keep, self.head_hidden, self.grad_check_every) < 0:
             raise ConfigError("n_keep, head_hidden and grad_check_every must be >= 0")
         self.objective()  # margin, rho and lambdas
@@ -315,7 +314,27 @@ def save_checkpoint(path, params: ModelParams) -> None:
     write_atomic(path, chunks)
 
 
+HYPER_KEYS = ("dim", "beta", "tau", "rho", "n_keep", "k_top", "head_hidden")
+
+
+def _expected_shapes(hyper: dict[str, float]) -> dict[str, tuple]:
+    """The shape of every entry, as the hyperparameters dictate."""
+    d, nc, k, hh = (hyper[key] for key in ("dim", "n_keep", "k_top", "head_hidden"))
+    shapes = {f"hyper.{key}": () for key in HYPER_KEYS}
+    shapes.update({"pred.w1": (d, d), "pred.b1": (d,), "pred.w2": (d,), "pred.b2": ()})
+    for branch in ("agg_sparse", "agg_dense"):
+        shapes.update({f"{branch}.w": (d, nc), f"{branch}.b": (nc,)})
+    for head in ("head_p2w", "head_w2p"):
+        if hh:
+            shapes.update({f"{head}.hid_w": (k, hh), f"{head}.hid_b": (hh,)})
+        shapes.update({f"{head}.w": (hh or k,), f"{head}.b": ()})
+    return shapes
+
+
 def load_checkpoint(path) -> ModelParams:
+    """Raises BankFormatError for a damaged file, and for one that lacks an
+    entry, holds an extra one, or has a tensor shaped against its
+    hyperparameters."""
     reader = Reader(path, "checkpoint")
     if reader.take(4) != CKPT_MAGIC:
         raise BankFormatError("not a checkpoint")
@@ -328,26 +347,24 @@ def load_checkpoint(path) -> ModelParams:
     reader.finish()
 
     try:
-        hyper = {k.split(".", 1)[1]: float(tensors[k])
-                 for k in list(tensors) if k.startswith("hyper.")}
-        weights = {name.replace(".", "_"): _param(tensors[name], name)
-                   for name in TENSOR_NAMES}
-        sel = SelectionParams(**weights, beta=hyper["beta"], tau=hyper["tau"],
-                              n_keep=int(hyper["n_keep"]), rho=hyper["rho"])
+        hyper = {key: tensors[f"hyper.{key}"].item() for key in HYPER_KEYS}
+    except (KeyError, ValueError):  # absent, or not a single value
+        raise reader.corrupt() from None
+    expected = _expected_shapes(hyper)
+    if tensors.keys() != expected.keys() or any(
+            tensors[name].shape != shape for name, shape in expected.items()):
+        raise reader.corrupt()
 
-        def head(prefix: str) -> RelevanceHead:
-            hid_w = tensors.get(f"{prefix}.hid_w")
-            return RelevanceHead(
-                out_w=_param(tensors[f"{prefix}.w"], f"{prefix}.w"),
-                out_b=_param(tensors[f"{prefix}.b"], f"{prefix}.b"),
-                hid_w=_param(hid_w, f"{prefix}.hid_w") if hid_w is not None else None,
-                hid_b=_param(tensors[f"{prefix}.hid_b"], f"{prefix}.hid_b")
-                if hid_w is not None else None,
-            )
+    loaded = {name: _param(data, name) for name, data in tensors.items()
+              if not name.startswith("hyper.")}
+    sel = SelectionParams(**{name.replace(".", "_"): loaded[name] for name in TENSOR_NAMES},
+                          beta=hyper["beta"], tau=hyper["tau"],
+                          n_keep=int(hyper["n_keep"]), rho=hyper["rho"])
 
-        align = AlignmentParams(k_top=int(hyper["k_top"]),
-                                p2w=head("head_p2w"), w2p=head("head_w2p"))
-    except KeyError as exc:
-        raise BankFormatError(f"checkpoint missing tensor {exc}") from exc
+    def head(prefix: str) -> RelevanceHead:  # hid_* are present iff head_hidden > 0
+        return RelevanceHead(out_w=loaded[f"{prefix}.w"], out_b=loaded[f"{prefix}.b"],
+                             hid_w=loaded.get(f"{prefix}.hid_w"),
+                             hid_b=loaded.get(f"{prefix}.hid_b"))
+
+    align = AlignmentParams(k_top=int(hyper["k_top"]), p2w=head("head_p2w"), w2p=head("head_w2p"))
     return ModelParams(selection=sel, alignment=align)
-

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from seps import autodiff as ad
 from seps.bank import Sample
 from seps.trainer import ModelParams, TrainConfig, init_params
 
@@ -13,6 +14,19 @@ def make_params(dim: int, n_patches: int = 4, n_keep: int = 2, k_top: int = 2,
     cfg = TrainConfig(dim=dim, n_patches=n_patches, n_keep=n_keep, k_top=k_top,
                       beta=beta, tau=tau, seed=seed, head_hidden=head_hidden)
     return init_params(cfg)
+
+
+def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Elementwise product of equal-shaped tensors; a finite-difference
+    scalariser for tests, not a library op."""
+    return ad.Tensor(a.data * b.data, parents=(a, b),
+                     vjp=lambda g: (g * b.data, g * a.data), name="mul")
+
+
+def sum_all(a: ad.Tensor) -> ad.Tensor:
+    """Sum of every entry; the finite-difference scalariser for tests."""
+    return ad.Tensor(np.sum(a.data), parents=(a,),
+                     vjp=lambda g: (np.full(a.shape, g),), name="sum_all")
 
 
 def zero_params(params: ModelParams) -> ModelParams:

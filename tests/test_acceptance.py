@@ -181,8 +181,15 @@ def test_criterion_3_ratio_control():
     state = OptimizerState()
     sampled = []
     for step in range(200):
-        keep_s, keep_d = objective.decision_keep_stats(
-            samples, params.selection, "train", seed=cfg.seed, step=step)
+        # keep fractions from the decisions alone: no aggregation runs, so a
+        # noisy draw that empties both branches of a sample cannot abort
+        keep_s, keep_d = [], []
+        for sample in samples:
+            rng = selection.decision_rng(cfg.seed, sample.sample_id, step)
+            _, mask_s, mask_d = selection.score_and_decide(sample, params.selection,
+                                                           "train", rng)
+            keep_s.append(ad.mean_all(mask_s.gate("train")))
+            keep_d.append(ad.mean_all(mask_d.gate("train")))
         sampled.append(obj.lambda1 * float(np.mean([t.item() for t in keep_s]))
                        + obj.lambda2 * float(np.mean([t.item() for t in keep_d])))
         loss = objective.ratio_loss((keep_s, keep_d), obj)

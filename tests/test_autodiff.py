@@ -1,11 +1,17 @@
 """Numeric substrate: op examples, gradient checks, determinism."""
 
+import ast
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import mul, sum_all
+
+import seps
 from seps import autodiff as ad
+from seps.objective import ObjectiveConfig, ratio_loss, triplet_loss
 from seps.errors import EmptySupportError, GraphError, NonFiniteError, ShapeError
 
 
@@ -83,7 +89,7 @@ def test_row_max_gradient_away_from_ties():
     x = rng.normal(size=(3, 4)) + np.arange(12).reshape(3, 4) * 0.31
     point = ad.tensor(x, requires_grad=True)
     err = ad.finite_difference_check(
-        lambda t: ad.sum_all(ad.row_max_with_arg(t)[0]), point)
+        lambda t: sum_all(ad.row_max_with_arg(t)[0]), point)
     assert err < 1e-7
 
 
@@ -113,14 +119,14 @@ def test_topk_gradient_away_from_ties():
 
 def test_gradient_square():
     x = ad.tensor(3.0, requires_grad=True)
-    grad = ad.gradient(ad.mul(x, x), [x])[x].item()
+    grad = ad.gradient(mul(x, x), [x])[x].item()
     assert grad == 6.0
 
 
 def test_gradient_product():
     x = ad.tensor(2.0, requires_grad=True)
     y = ad.tensor(5.0, requires_grad=True)
-    grads = ad.gradient(ad.mul(x, y), [x, y])
+    grads = ad.gradient(mul(x, y), [x, y])
     assert grads[x].item() == 5.0
     assert grads[y].item() == 2.0
 
@@ -147,7 +153,7 @@ def test_gradient_non_scalar_output_raises():
 def test_gradient_unreached_leaf_is_zero():
     x = ad.tensor(2.0, requires_grad=True)
     other = ad.tensor([1.0, 1.0], requires_grad=True)
-    grads = ad.gradient(ad.mul(x, x), [x, other])
+    grads = ad.gradient(mul(x, x), [x, other])
     np.testing.assert_array_equal(grads[other].data, np.zeros(2))
 
 
@@ -161,7 +167,7 @@ def test_fd_check_linear_is_near_exact():
 def test_fd_check_sigmoid_composite():
     x = ad.tensor([0.3, -0.7], requires_grad=True)
     err = ad.finite_difference_check(
-        lambda t: ad.mean_all(ad.sigmoid(ad.mul(t, t))), x)
+        lambda t: ad.mean_all(ad.sigmoid(mul(t, t))), x)
     assert err < 1e-6
 
 
@@ -170,7 +176,7 @@ def test_fd_check_reports_discontinuity():
     # must be returned, not raised or masked
     def step(t):
         hard = (t.data > 0.0).astype(float)
-        return ad.sum_all(ad.straight_through(ad.scale(t, 0.0), hard))
+        return sum_all(ad.straight_through(ad.scale(t, 0.0), hard))
 
     x = ad.tensor([1e-7], requires_grad=True)
     err = ad.finite_difference_check(step, x)
@@ -201,8 +207,8 @@ def test_central_difference_restores_tensor_when_loss_raises():
         ad.central_difference(failing_loss, x, 3)
     assert x.data is original
     np.testing.assert_array_equal(x.data, before)
-    assert calls[0][1, 1] == 4.0 + ad.CONSTANTS.fd_step
-    assert calls[1][1, 1] == 4.0 + ad.CONSTANTS.fd_step - 2.0 * ad.CONSTANTS.fd_step
+    assert calls[0][1, 1] == 4.0 + ad.FD_STEP
+    assert calls[1][1, 1] == 4.0 + ad.FD_STEP - 2.0 * ad.FD_STEP
 
 
 def test_non_finite_result_raises():
@@ -250,43 +256,74 @@ def _away_from_ties(rng, shape, spread=1.0):
     return rng.permutation(flat).reshape(shape)
 
 
+TRIPLET_MARGIN = 0.2
+
+
+def _clear_of_kinks(s, margin, clearance=1e-3):
+    """No off-diagonal tie for a row or column maximum and no hinge within
+    `clearance` of 0, so a central difference sees one linear piece."""
+    masked = s + np.diag(np.full(len(s), -np.inf))
+    for lines in (masked, masked.T):
+        top2 = np.sort(lines, axis=1)[:, -2:]
+        hinge = top2[:, 1] - np.diag(s) + margin
+        if np.any(top2[:, 1] - top2[:, 0] < clearance) or np.any(np.abs(hinge) < clearance):
+            return False
+    return True
+
+
+def _square_scores(rng, b=4):
+    while True:
+        s = _away_from_ties(rng, (b, b))
+        if _clear_of_kinks(s, TRIPLET_MARGIN):
+            return s
+
+
+def _draw(rng, shape):
+    if callable(shape):
+        return shape(rng)
+    return _away_from_ties(rng, (3, 4) if shape == "m34" else shape)
+
+
 def _fd_cases():
     w = np.array([0.7, -1.3, 0.4])
     m34 = "m34"  # marker: 3x4 matrix input
+    eye = [ad.constant(row) for row in np.eye(6)]  # dot(t, e_i) picks t[i]
+    ratio_cfg = ObjectiveConfig(rho=0.4, lambda1=0.7, lambda2=1.3)
     return {
-        "add": (lambda t: ad.sum_all(ad.add(t, ad.constant([0.2, -0.4, 1.0]))), (3,)),
-        "add_scalar_broadcast": (lambda t: ad.sum_all(ad.add(t, ad.constant(0.3))), (3,)),
-        "mul": (lambda t: ad.sum_all(ad.mul(t, ad.constant([1.2, -0.8, 0.5]))), (3,)),
-        "neg": (lambda t: ad.sum_all(ad.neg(t)), (3,)),
-        "scale": (lambda t: ad.sum_all(ad.scale(t, -2.5)), (3,)),
-        "recip": (lambda t: ad.sum_all(ad.recip(ad.add_scalar(ad.mul(t, t), 1.0))), (3,)),
-        "log": (lambda t: ad.sum_all(ad.log(ad.add_scalar(ad.mul(t, t), 0.5))), (3,)),
-        "sigmoid": (lambda t: ad.sum_all(ad.sigmoid(t)), (3,)),
-        "log_sigmoid": (lambda t: ad.sum_all(ad.log_sigmoid(t)), (3,)),
-        "tanh": (lambda t: ad.sum_all(ad.tanh(t)), (3,)),
-        "relu": (lambda t: ad.sum_all(ad.relu(ad.add_scalar(t, 5.0))), (3,)),
-        "clip_interior": (lambda t: ad.sum_all(ad.clip(t, -50.0, 50.0)), (3,)),
-        "matmul": (lambda t: ad.sum_all(ad.matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
-        "matvec": (lambda t: ad.sum_all(ad.matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
-        "transpose": (lambda t: ad.sum_all(ad.mul(ad.transpose(t), ad.transpose(t))), m34),
+        "add": (lambda t: sum_all(ad.add(t, ad.constant([0.2, -0.4, 1.0]))), (3,)),
+        "add_scalar_broadcast": (lambda t: sum_all(ad.add(t, ad.constant(0.3))), (3,)),
+        "mul": (lambda t: sum_all(mul(t, ad.constant([1.2, -0.8, 0.5]))), (3,)),
+        "neg": (lambda t: sum_all(ad.neg(t)), (3,)),
+        "scale": (lambda t: sum_all(ad.scale(t, -2.5)), (3,)),
+        "recip": (lambda t: sum_all(ad.recip(ad.add_scalar(mul(t, t), 1.0))), (3,)),
+        "log": (lambda t: sum_all(ad.log(ad.add_scalar(mul(t, t), 0.5))), (3,)),
+        "sigmoid": (lambda t: sum_all(ad.sigmoid(t)), (3,)),
+        "log_sigmoid": (lambda t: sum_all(ad.log_sigmoid(t)), (3,)),
+        "tanh": (lambda t: sum_all(ad.tanh(t)), (3,)),
+        "clip_interior": (lambda t: sum_all(ad.clip(t, -50.0, 50.0)), (3,)),
+        "matmul": (lambda t: sum_all(ad.matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
+        "matvec": (lambda t: sum_all(ad.matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
+        "transpose": (lambda t: sum_all(mul(ad.transpose(t), ad.transpose(t))), m34),
         "dot": (lambda t: ad.dot(t, ad.constant(w)), (3,)),
-        "sum_all": (lambda t: ad.sum_all(t), m34),
+        "sum_all": (lambda t: sum_all(t), m34),
         "mean_all": (lambda t: ad.mean_all(t), m34),
-        "scale_rows": (lambda t: ad.sum_all(ad.scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
-        "scale_cols": (lambda t: ad.sum_all(ad.scale_cols(t, ad.constant([1.0, -1.0, 2.0, 0.5]))), m34),
-        "add_rowvec": (lambda t: ad.sum_all(ad.mul(ad.add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
-        "add_colvec": (lambda t: ad.sum_all(ad.mul(ad.add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),
-        "rows_l2norm": (lambda t: ad.sum_all(ad.rows_l2norm(ad.add_scalar(t, 3.0))), m34),
-        "softmax_columns": (lambda t: ad.sum_all(ad.mul(ad.softmax_columns(t), ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
-        "softmax_masked": (lambda t: ad.sum_all(ad.mul(
+        "scale_rows": (lambda t: sum_all(ad.scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
+        "scale_cols": (lambda t: sum_all(ad.scale_cols(t, ad.constant([1.0, -1.0, 2.0, 0.5]))), m34),
+        "add_rowvec": (lambda t: sum_all(mul(ad.add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
+        "add_colvec": (lambda t: sum_all(mul(ad.add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),
+        "rows_l2norm": (lambda t: sum_all(ad.rows_l2norm(ad.add_scalar(t, 3.0))), m34),
+        "softmax_columns": (lambda t: sum_all(mul(ad.softmax_columns(t), ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
+        "softmax_masked": (lambda t: sum_all(mul(
             ad.softmax_columns(t, support=np.array([True, False, True])),
             ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
-        "row_max": (lambda t: ad.sum_all(ad.row_max_with_arg(t)[0]), m34),
+        "row_max": (lambda t: sum_all(ad.row_max_with_arg(t)[0]), m34),
         "topk": (lambda t: ad.dot(ad.topk(t, 4)[0], ad.constant([1.0, 2.0, 3.0, 4.0])), (3,)),
-        "element": (lambda t: ad.element(t, 1, 2), m34),
-        "stack": (lambda t: ad.mean_all(ad.stack(
-            [ad.element(t, 0, 0), ad.element(t, 1, 1), ad.element(t, 2, 3),
-             ad.element(t, 0, 2)], (2, 2))), m34),
+        "stack": (lambda t: sum_all(mul(ad.stack(
+            [ad.mean_all(t), ad.mean_all(ad.tanh(t)), sum_all(mul(t, t)),
+             ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, -2.0], [0.5, 3.0]]))), m34),
+        "triplet_loss": (lambda t: triplet_loss(t, TRIPLET_MARGIN), _square_scores),
+        "ratio_loss": (lambda t: ratio_loss(([ad.dot(t, e) for e in eye[:3]],
+                                             [ad.dot(t, e) for e in eye[3:]]), ratio_cfg), (6,)),
     }
 
 
@@ -295,6 +332,52 @@ def test_fd_sweep_public_ops(name):
     fn, shape = _fd_cases()[name]
     rng = np.random.default_rng(zlib.crc32(name.encode()))  # stable across runs
     for _ in range(100):
-        data = _away_from_ties(rng, (3, 4) if shape == "m34" else shape)
-        point = ad.tensor(data, requires_grad=True)
+        point = ad.tensor(_draw(rng, shape), requires_grad=True)
         assert ad.finite_difference_check(fn, point) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# every hand-written vjp in the library is reached by the sweep
+
+# ops whose backward is not the derivative of their forward by design
+FD_EXEMPT = {"straight_through": "forwards a constant; its identity backward is an estimator"}
+
+
+def _argument(call, index, keyword):
+    if len(call.args) > index:
+        return call.args[index]
+    return next((kw.value for kw in call.keywords if kw.arg == keyword), None)
+
+
+def _vjp_functions():
+    """(function, node name) for every function in src/seps that records a
+    tape node through `node` with a vjp it defines itself."""
+    found = []
+    for path in sorted(Path(seps.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            local = {f.name for f in ast.walk(fn) if isinstance(f, ast.FunctionDef)}
+            for call in ast.walk(fn):
+                callee = getattr(call, "func", None)
+                if getattr(callee, "id", getattr(callee, "attr", None)) != "node":
+                    continue
+                vjp = _argument(call, 2, "vjp")
+                if isinstance(vjp, ast.Lambda) or (isinstance(vjp, ast.Name) and vjp.id in local):
+                    tag = _argument(call, 3, "name")
+                    found.append((f"{path.stem}.{fn.name}", getattr(tag, "value", None)))
+    return found
+
+
+def test_every_library_vjp_has_a_finite_difference_sweep_entry():
+    ops = _vjp_functions()
+    assert {"autodiff.add", "objective.triplet_loss", "objective.ratio_loss"} <= {
+        fn for fn, _ in ops}
+    tags = [tag for _, tag in ops]
+    assert None not in tags and len(set(tags)) == len(tags), ops  # tags name one op each
+    swept = set()
+    for fn, shape in _fd_cases().values():
+        probe = ad.tensor(_draw(np.random.default_rng(0), shape), requires_grad=True)
+        swept |= {n.name for n in ad.Graph(fn(probe)).nodes}
+    missing = [fn for fn, tag in ops if tag not in swept and fn.split(".")[1] not in FD_EXEMPT]
+    assert not missing, f"no finite-difference sweep entry reaches {missing}"

@@ -6,6 +6,7 @@ import pytest
 from seps.bank import (FeatureBank, Sample, SynthConfig, generate_synthetic,
                        global_embedding, read_bank, write_bank)
 from seps.errors import BankFormatError, BankInvariantError, ConfigError
+from seps.trainer import TrainConfig
 
 
 def random_bank(rng: np.random.Generator) -> FeatureBank:
@@ -208,3 +209,12 @@ def test_synthetic_rejects_too_many_relevant():
     cfg = SynthConfig(n_patches=4, n_relevant_patches=5)
     with pytest.raises(ConfigError):
         generate_synthetic(cfg)
+
+
+@pytest.mark.parametrize("field", ["dim", "n_patches"])
+def test_synthetic_and_training_share_the_shape_rule(field):
+    with pytest.raises(ConfigError) as synth:
+        generate_synthetic(SynthConfig(**{field: 0}))
+    with pytest.raises(ConfigError) as train:
+        TrainConfig(**{field: 0})
+    assert str(synth.value) == str(train.value) == "dim and n_patches must be >= 1"

@@ -56,6 +56,14 @@ def test_gen_unwritable_path(tmp_path):
                      "--concepts", "6"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--dim", "--n-patches", "--samples"])
+def test_gen_rejects_zero_size_before_writing(flag, tmp_path, capsys):
+    out = tmp_path / "x.sepb"
+    assert cli.main(["gen", "--out", str(out), flag, "0"]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         cli.main(["unknown-command"])

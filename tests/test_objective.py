@@ -1,4 +1,4 @@
-"""Batch scores, triplet loss vs brute force, ratio loss, total loss."""
+"""Batch scores, triplet loss vs brute force, ratio loss, the batch loss."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,8 @@ from seps import objective, selection
 from seps.alignment import align_score
 from seps.bank import Sample, SynthConfig, generate_synthetic
 from seps.errors import ConfigError
-from seps.objective import (ObjectiveConfig, batch_similarity, ratio_loss,
-                            total_loss, triplet_loss)
+from seps.objective import (BatchScores, ObjectiveConfig, batch_loss, batch_similarity,
+                            ratio_loss, triplet_loss)
 
 
 def brute_force_triplet(s: np.ndarray, margin: float) -> float:
@@ -147,6 +147,74 @@ def test_triplet_stays_zero_in_clamped_regime(rng):
             assert triplet_loss(ad.constant(perturbed), margin).item() == 0.0
 
 
+def triplet_gradient_oracle(s: np.ndarray, margin: float) -> np.ndarray:
+    """Subgradient of the summed hinges by a plain double loop: +1 at the
+    first-occurrence hardest negative and -1 at the diagonal for every
+    strictly positive hinge."""
+    b = s.shape[0]
+    grad = np.zeros((b, b))
+    for i in range(b):
+        caption = image = None
+        for j in range(b):
+            if j != i and (caption is None or s[i, j] > s[i, caption]):
+                caption = j
+            if j != i and (image is None or s[j, i] > s[image, i]):
+                image = j
+        for hard in ((i, caption), (image, i)):
+            if (s[hard] + -s[i, i]) + margin > 0.0:
+                grad[hard] += 1.0
+                grad[i, i] -= 1.0
+    return grad
+
+
+def triplet_gradient(s: np.ndarray, margin: float) -> np.ndarray:
+    scores = ad.tensor(s, requires_grad=True)
+    return ad.gradient(triplet_loss(scores, margin), [scores])[scores].data
+
+
+def test_triplet_gradient_equals_oracle_on_random_matrices(rng):
+    for b in range(2, 17):
+        for _ in range(5):
+            s = rng.normal(size=(b, b))
+            margin = float(rng.uniform(0.05, 0.5))
+            assert np.array_equal(triplet_gradient(s, margin), triplet_gradient_oracle(s, margin))
+
+
+def test_triplet_gradient_ties_route_to_first_occurrence(rng):
+    # integer scores on a small range tie off the diagonal in almost every row
+    for b in range(2, 17):
+        for _ in range(5):
+            s = rng.integers(0, 3, size=(b, b)).astype(np.float64)
+            got = triplet_gradient(s, 0.5)
+            assert np.array_equal(got, triplet_gradient_oracle(s, 0.5))
+    # every off-diagonal entry ties: each row and column picks its first
+    s = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    np.testing.assert_array_equal(triplet_gradient(s, 0.2),
+                                  [[-2.0, 2.0, 1.0], [2.0, -2.0, 0.0], [1.0, 0.0, -2.0]])
+
+
+def test_triplet_gradient_all_inactive_and_all_active(rng):
+    for b in range(2, 17):
+        s = rng.normal(size=(b, b))
+        dominant = s.copy()
+        np.fill_diagonal(dominant, np.abs(s).max() + 1.0)  # every hinge below 0
+        assert not triplet_gradient(dominant, 0.2).any()
+        buried = s.copy()
+        np.fill_diagonal(buried, -np.abs(s).max() - 1.0)  # every hinge above 0
+        got = triplet_gradient(buried, 0.2)
+        np.testing.assert_array_equal(np.diag(got), np.full(b, -2.0))
+        assert got.sum() == 0.0
+        assert np.array_equal(got, triplet_gradient_oracle(buried, 0.2))
+    # a hinge of exactly 0 is inactive
+    assert not triplet_gradient(np.array([[1.0, 0.75], [0.75, 1.0]]), 0.25).any()
+
+
+def test_triplet_loss_is_one_tape_node():
+    scores = ad.tensor([[0.5, 0.6, 0.1], [0.4, 0.7, 0.2], [0.1, 0.3, 0.4]],
+                       requires_grad=True)
+    assert ad.Graph(triplet_loss(scores, 0.2)).nodes[:-1] == [scores]
+
+
 # ---------------------------------------------------------------------------
 # ratio loss
 
@@ -205,29 +273,63 @@ def test_ratio_gradient_step_shrinks_gap(rng):
         assert after < before
 
 
+def test_ratio_gradient_matches_closed_form(rng):
+    for b in range(1, 9):
+        cfg = ObjectiveConfig(rho=float(rng.uniform(0.1, 1.0)),
+                              lambda1=float(rng.uniform(0.0, 2.0)),
+                              lambda2=float(rng.uniform(0.0, 2.0)))
+        keep_s = [ad.tensor(v, requires_grad=True) for v in rng.random(b)]
+        keep_d = [ad.tensor(v, requires_grad=True) for v in rng.random(b)]
+        grads = ad.gradient(ratio_loss((keep_s, keep_d), cfg), keep_s + keep_d)
+        for ps, pd in zip(keep_s, keep_d):
+            gap = cfg.rho - cfg.lambda1 * ps.item() - cfg.lambda2 * pd.item()
+            assert grads[ps].item() == pytest.approx(-2.0 * cfg.lambda1 * gap / b,
+                                                     rel=1e-12, abs=1e-15)
+            assert grads[pd].item() == pytest.approx(-2.0 * cfg.lambda2 * gap / b,
+                                                     rel=1e-12, abs=1e-15)
+
+
+def test_ratio_loss_is_one_tape_node():
+    keep_s = [ad.tensor(0.3, requires_grad=True), ad.tensor(0.6, requires_grad=True)]
+    keep_d = [ad.tensor(0.2, requires_grad=True), ad.tensor(0.1, requires_grad=True)]
+    graph = ad.Graph(ratio_loss((keep_s, keep_d), ObjectiveConfig()))
+    assert graph.nodes[:-1] == keep_s + keep_d
+
+
 # ---------------------------------------------------------------------------
-# total loss
+# batch loss: the sum of both terms
+
+
+def test_batch_loss_adds_three_nodes_to_the_tape():
+    bank = small_bank(seed=2)
+    params = make_params(dim=6, n_keep=2, seed=3)
+    batch = batch_similarity(bank.samples, params.selection, params.alignment, "train")
+    upstream = {id(n) for t in (batch.scores, *batch.keep_sparse, *batch.keep_dense)
+                for n in ad.Graph(t).nodes}
+    nodes = ad.Graph(batch_loss(batch, ObjectiveConfig())).nodes
+    assert [n.name for n in nodes if id(n) not in upstream] == [
+        "triplet_loss", "ratio_loss", "add"]
 
 
 def test_total_loss_reduces_to_triplet_when_ratio_zero():
     cfg = ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     s = ad.constant([[0.5, 0.6], [0.4, 0.7]])
     stats = stats_of([0.25, 0.25], [0.25, 0.25])
-    assert total_loss(s, stats, cfg).item() == triplet_loss(s, 0.2).item()
+    assert batch_loss(BatchScores(s, *stats), cfg).item() == triplet_loss(s, 0.2).item()
 
 
 def test_total_loss_reduces_to_ratio_when_margin_satisfied():
     cfg = ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     s = ad.constant([[0.9, 0.1], [0.2, 0.8]])
     stats = stats_of([0.3], [0.1])
-    assert total_loss(s, stats, cfg).item() == ratio_loss(stats, cfg).item()
+    assert batch_loss(BatchScores(s, *stats), cfg).item() == ratio_loss(stats, cfg).item()
 
 
 def test_total_loss_is_exact_component_sum(rng):
     cfg = ObjectiveConfig(margin=0.3, rho=0.4, lambda1=0.8, lambda2=1.2)
     s = ad.constant(rng.normal(size=(3, 3)))
     stats = stats_of(rng.random(3).tolist(), rng.random(3).tolist())
-    assert total_loss(s, stats, cfg).item() == (
+    assert batch_loss(BatchScores(s, *stats), cfg).item() == (
         triplet_loss(s, 0.3).item() + ratio_loss(stats, cfg).item())
 
 

@@ -7,7 +7,7 @@ from conftest import basis_sample, make_params, zero_params
 
 from seps import autodiff as ad
 from seps import selection
-from seps.autodiff import CONSTANTS
+from seps.autodiff import EPS_LOG
 from seps.bank import Sample, SynthConfig, generate_synthetic
 from seps.errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
 from seps.selection import (DecisionMask, ScoreBundle, aggregate, attention_scores,
@@ -119,9 +119,17 @@ def test_gumbel_rejects_bad_tau():
         gumbel_decision(ad.constant([0.5]), tau=0.0, noise_enabled=False)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0])
+def test_knobs_and_gumbel_share_the_tau_rule(tau):
+    with pytest.raises(ConfigError, match="tau must be > 0"):
+        gumbel_decision(ad.constant([0.5]), tau=tau, noise_enabled=False)
+    with pytest.raises(ConfigError, match="tau must be > 0"):
+        make_params(dim=4, tau=tau)
+
+
 def test_gumbel_keep_rate_matches_monte_carlo_oracle():
     s = 0.6
-    eps = CONSTANTS.eps_log
+    eps = EPS_LOG
     oracle_rng = np.random.default_rng(777)
     draws = 10**6
     gap = oracle_rng.gumbel(size=draws) - oracle_rng.gumbel(size=draws)

@@ -1,6 +1,7 @@
 """Initialization, AdamW updates, the fit loop, SEPC checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from conftest import make_params
 
 from seps import autodiff as ad
-from seps import objective
-from seps.bank import SynthConfig, generate_synthetic
+from seps import cli, objective
+from seps.bank import SynthConfig, generate_synthetic, text_chunk
 from seps.errors import BankFormatError, ConfigError, DivergenceError
 from seps.trainer import (EpochStats, OptimizerState, TrainConfig, fit,
                           init_params, load_checkpoint, optimizer_step,
@@ -241,4 +242,49 @@ def test_checkpoint_version_gate(tmp_path):
     blob[4] = 9
     path.write_bytes(bytes(blob))
     with pytest.raises(BankFormatError, match="unsupported version"):
+        load_checkpoint(path)
+
+
+# a checkpoint whose hyperparameters contradict its tensors: each case
+# byte-edits one hyper value of a re-saved, otherwise valid checkpoint
+# (dim 6, n_keep 2, k_top 3, head_hidden 0 or 4)
+CONTRADICTIONS = {
+    "dim_vs_pred_w1_rows": (0, "dim", 7.0),
+    "n_keep_vs_agg_columns": (0, "n_keep", 3.0),
+    "k_top_vs_linear_head_width": (0, "k_top", 5.0),
+    "k_top_vs_hidden_layer_rows": (4, "k_top", 5.0),
+    "head_hidden_vs_hidden_layer_width": (4, "head_hidden", 3.0),
+    "head_hidden_zero_with_hidden_layer": (4, "head_hidden", 0.0),
+    "head_hidden_without_hidden_layer": (0, "head_hidden", 4.0),
+}
+
+
+def _set_hyper(path, key: str, value: float) -> None:
+    blob = path.read_bytes()
+    label = text_chunk(f"hyper.{key}")
+    at = blob.index(label) + len(label) + 4  # past the name and the rank-0 word
+    path.write_bytes(blob[:at] + struct.pack("<f", value) + blob[at + 4:])
+
+
+@pytest.mark.parametrize("case", sorted(CONTRADICTIONS))
+def test_checkpoint_contradicting_hyperparameter_is_corrupt(case, tmp_path, capsys):
+    head_hidden, key, value = CONTRADICTIONS[case]
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, make_params(dim=6, n_keep=2, k_top=3, head_hidden=head_hidden))
+    load_checkpoint(path)  # consistent as saved
+    _set_hyper(path, key, value)
+    with pytest.raises(BankFormatError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+    bank = tmp_path / "b.sepb"
+    assert cli.main(["gen", "--out", str(bank), "--samples", "4", "--dim", "6"]) == 0
+    assert cli.main(["eval", "--bank", str(bank), "--checkpoint", str(path)]) == 2
+    assert "corrupt checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_tensors_contradicting_each_other_are_corrupt(tmp_path):
+    params = make_params(dim=6, n_keep=2, k_top=3)
+    params.selection.pred_b1 = ad.tensor(np.zeros(5), requires_grad=True)
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, params)
+    with pytest.raises(BankFormatError, match="corrupt checkpoint"):
         load_checkpoint(path)
