@@ -5,9 +5,9 @@ a Graph is the topologically ordered tape rooted at one output node.  All
 kernels are deterministic, reject non-finite results, and use fixed
 accumulation order so two identical runs are bitwise identical.
 
-Subgradient conventions: max/topk route to the first-occurrence winner,
-clip passes gradient only strictly inside the interval's closure, and
-straight_through forwards a constant while backpropagating as identity.
+Subgradient conventions: clip passes gradient only strictly inside the
+interval's closure, and straight_through forwards a constant while
+backpropagating as identity.
 """
 
 from __future__ import annotations
@@ -98,6 +98,14 @@ def constant(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=False, name=name)
 
 
+def finite(what: str, *arrays: np.ndarray) -> np.ndarray:
+    """Raise NonFiniteError, as a Tensor holding any of `arrays` would;
+    returns the first array."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NonFiniteError(f"non-finite values in {what}")
+    return arrays[0]
+
+
 def node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable, name: str) -> Tensor:
     """An op's output: recorded on the tape with `vjp` when a parent is
     tracked and gradients are enabled, a plain constant otherwise."""
@@ -134,16 +142,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     return node(a.data + float(c), (a,), lambda g: (g,), "add_scalar")
-
-
-def recip(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore"):  # zero input surfaces as NonFiniteError
-        out = 1.0 / a.data
-
-    def vjp(g):
-        return (-g * out * out,)
-
-    return node(out, (a,), vjp, "recip")
 
 
 def log(a: Tensor) -> Tensor:
@@ -243,18 +241,6 @@ def transpose(a: Tensor) -> Tensor:
     return node(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 1 or ad.shape != bd.shape:
-        raise ShapeError(f"dot shapes {ad.shape} vs {bd.shape}")
-    out = ad @ bd
-
-    def vjp(g):
-        return g * bd, g * ad
-
-    return node(out, (a, b), vjp, "dot")
-
-
 def mean_all(a: Tensor) -> Tensor:
     if a.size == 0:
         raise ShapeError("mean of empty tensor")
@@ -276,18 +262,6 @@ def scale_rows(a: Tensor, s: Tensor) -> Tensor:
         return g * sd[:, None], np.sum(g * ad, axis=1)
 
     return node(out, (a, s), vjp, "scale_rows")
-
-
-def scale_cols(a: Tensor, s: Tensor) -> Tensor:
-    ad, sd = a.data, s.data
-    if ad.ndim != 2 or sd.shape != (ad.shape[1],):
-        raise ShapeError(f"scale_cols shapes {ad.shape} vs {sd.shape}")
-    out = ad * sd[None, :]
-
-    def vjp(g):
-        return g * sd[None, :], np.sum(g * ad, axis=0)
-
-    return node(out, (a, s), vjp, "scale_cols")
 
 
 def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
@@ -312,19 +286,6 @@ def add_colvec(a: Tensor, v: Tensor) -> Tensor:
         return g, np.sum(g, axis=1)
 
     return node(ad + vd[:, None], (a, v), vjp, "add_colvec")
-
-
-def rows_l2norm(a: Tensor) -> Tensor:
-    """Euclidean norm of each row; rows must be nonzero for a finite vjp."""
-    ad = a.data
-    if ad.ndim != 2:
-        raise ShapeError("rows_l2norm expects a matrix")
-    out = np.sqrt(np.sum(ad * ad, axis=1))
-
-    def vjp(g):
-        return ((g / out)[:, None] * ad,)
-
-    return node(out, (a,), vjp, "rows_l2norm")
 
 
 # ---------------------------------------------------------------------------
@@ -369,54 +330,6 @@ def _softmax_columns_np(xd: np.ndarray, keep: np.ndarray) -> np.ndarray:
     out = np.zeros_like(xd)
     out[keep] = w
     return out
-
-
-def row_max_with_arg(x: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Per-row maximum and first-occurrence argmax.
-
-    The subgradient routes entirely to the argmax entry of each row.
-    """
-    xd = x.data
-    if xd.ndim != 2 or xd.size == 0:
-        raise ShapeError("row_max_with_arg expects a non-empty matrix")
-    arg = np.argmax(xd, axis=1)
-    rows = np.arange(xd.shape[0])
-    values = xd[rows, arg]
-
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        gx[rows, arg] = g
-        return (gx,)
-
-    return node(values, (x,), vjp, "row_max"), arg
-
-
-def topk(x: Tensor, k: int) -> tuple[Tensor, np.ndarray]:
-    """k largest entries in descending order, with their source indices.
-
-    When k exceeds the length, the output is padded with the minimum value;
-    padded slots route gradient to the (first-occurrence) argmin position.
-    Ties order by first occurrence.
-    """
-    xd = x.data
-    if xd.ndim != 1 or xd.size == 0:
-        raise ShapeError("topk expects a non-empty vector")
-    if k < 1:
-        raise ShapeError("topk needs k >= 1")
-    order = np.argsort(-xd, kind="stable")
-    if k <= xd.size:
-        idx = order[:k]
-    else:
-        pad = np.full(k - xd.size, np.argmin(xd))
-        idx = np.concatenate([order, pad])
-    values = xd[idx]
-
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        np.add.at(gx, idx, g)
-        return (gx,)
-
-    return node(values, (x,), vjp, "topk"), idx
 
 
 def stack(parts: Sequence[Tensor], shape: tuple[int, ...]) -> Tensor:
@@ -525,19 +438,3 @@ def central_difference(loss: Callable[[], float], tensor: Tensor, index: int,
     finally:
         tensor.data = original
     return (hi - lo) / (2.0 * step)
-
-
-def finite_difference_check(f: Callable[[Tensor], Tensor], point: Tensor,
-                            step: float = FD_STEP) -> float:
-    """Max over coordinates of |analytic - central| / max(1, |analytic|).
-
-    Large errors are reported, never masked; a non-finite evaluation raises
-    in the Tensor constructor.
-    """
-    probe = tensor(point.data.copy(), requires_grad=True)
-    analytic = gradient(f(probe), [probe])[probe].data
-    with no_grad():
-        numeric = np.array([central_difference(lambda: f(probe).item(), probe, i, step)
-                            for i in range(probe.size)]).reshape(probe.shape)
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0

@@ -63,7 +63,12 @@ class RetrievalReport:
 
 
 def recall_at_k(scores: np.ndarray, gt: GroundTruth, k: int) -> float:
-    """Percentage of queries whose ground truth appears in the top-k list."""
+    """Percentage of queries whose ground truth appears in the top-k list.
+
+    A positive's rank is the count of strictly higher scores plus the count
+    of equal scores at a lower gallery index; a query hits when any of its
+    positives ranks below k.
+    """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 1:
         raise ConfigError("scores must be a Q x G matrix")
@@ -72,14 +77,18 @@ def recall_at_k(scores: np.ndarray, gt: GroundTruth, k: int) -> float:
         raise ConfigError("ground truth size does not match query count")
     if k < 1 or k > gallery:
         raise ConfigError(f"k={k} outside gallery size {gallery}")
-    hits = 0
-    indices = np.arange(gallery)
-    for q in range(queries):
-        # lexsort: descending score, then ascending index for ties
-        order = np.lexsort((indices, -scores[q]))
-        if not gt.positives[q].isdisjoint(order[:k].tolist()):
-            hits += 1
-    return 100.0 * hits / queries
+    if not np.isfinite(scores).all():
+        raise ConfigError("scores must be finite")
+    query = np.repeat(np.arange(queries), [len(p) for p in gt.positives])
+    item = np.array([g for p in gt.positives for g in sorted(p)], dtype=np.intp)
+    if item.min() < 0 or item.max() >= gallery:
+        raise ConfigError("ground truth index outside the gallery")
+    row, own = scores[query], scores[query, item][:, None]
+    rank = (np.count_nonzero(row > own, axis=1)
+            + np.count_nonzero((row == own) & (np.arange(gallery) < item[:, None]), axis=1))
+    hit = np.zeros(queries, dtype=bool)
+    np.logical_or.at(hit, query, rank < k)
+    return 100.0 * int(np.count_nonzero(hit)) / queries
 
 
 def rsum(recalls: Sequence[float]) -> float:

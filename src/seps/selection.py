@@ -15,6 +15,7 @@ run against.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -23,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import EPS_LOG, EPS_NORM, Tensor
 from .bank import Sample, global_embedding, stable_id_hash
-from .errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
+from .errors import ConfigError, NoPatchesSelectedError, ShapeError
 
 MODES = ("train", "eval", "soft")
 
@@ -117,12 +118,17 @@ class DecisionMask:
         """Per-patch multiplier used downstream: hard forward in train/eval,
         with the straight-through backward in train mode only."""
         if mode == "train":
-            return ad.straight_through(self.soft, self.hard)
+            return self._train_gate
         if mode == "eval":
             return ad.constant(self.hard)
         if mode == "soft":
             return self.soft
         raise ConfigError(f"unknown mode: {mode}")
+
+    @functools.cached_property
+    def _train_gate(self) -> Tensor:
+        # one straight-through node per mask, however many consumers read it
+        return ad.straight_through(self.soft, self.hard)
 
     @property
     def kept(self) -> np.ndarray:
@@ -286,23 +292,18 @@ def attention_views(sample: Sample, params: SelectionParams) -> tuple[np.ndarray
     return s_st, s_dt, s_im
 
 
-def _finite(*arrays: np.ndarray) -> np.ndarray:
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteError("non-finite values in the sparse-branch score")
-    return arrays[0]
-
-
 def sparse_eval_scores(sample: Sample, params: SelectionParams) -> np.ndarray:
     """Eval-mode sparse-branch score of every patch without the tape, bitwise
     equal to `branch_scores(...)[0]` after `score_and_decide(..., "eval")`;
     it raises NonFiniteError wherever that path's Tensor checks would."""
     s_st, s_dt, s_im = attention_views(sample, params)
     patches = _patch_matrix(sample.patches, params)
-    pre = _finite(patches @ params.pred_w1.data + params.pred_b1.data[None, :])
-    logits = _finite(np.tanh(pre) @ params.pred_w2.data + params.pred_b2.data)
+    what = "the sparse-branch score"
+    pre = ad.finite(what, patches @ params.pred_w1.data + params.pred_b1.data[None, :])
+    logits = ad.finite(what, np.tanh(pre) @ params.pred_w2.data + params.pred_b2.data)
     pred = ad.sigmoid_np(logits) * (1.0 - 2.0 * params.beta)
     scores = np.clip(pred + _attention_part(params.beta, s_st, s_im), 0.0, CLIP_HI)
-    return _finite(scores, s_dt)  # the taped path holds s_dt in a Tensor too
+    return ad.finite(what, scores, s_dt)  # the taped path holds s_dt in a Tensor too
 
 
 def score_and_decide(

@@ -29,9 +29,34 @@ def sum_all(a: ad.Tensor) -> ad.Tensor:
                      vjp=lambda g: (np.full(a.shape, g),), name="sum_all")
 
 
+def finite_difference_check(f, point: ad.Tensor, step: float = ad.FD_STEP) -> float:
+    """Max over coordinates of |analytic - central| / max(1, |analytic|) for
+    the scalar `f(probe)`, probe a fresh leaf holding `point`'s data.
+
+    Large errors are reported, never masked; a non-finite evaluation raises
+    in the Tensor constructor.
+    """
+    probe = ad.tensor(point.data.copy(), requires_grad=True)
+    analytic = ad.gradient(f(probe), [probe])[probe].data
+    with ad.no_grad():
+        numeric = np.array([ad.central_difference(lambda: f(probe).item(), probe, i, step)
+                            for i in range(probe.size)]).reshape(probe.shape)
+    denom = np.maximum(1.0, np.abs(analytic))
+    return float(np.max(np.abs(analytic - numeric) / denom)) if analytic.size else 0.0
+
+
 def zero_params(params: ModelParams) -> ModelParams:
     for _, t in params.named():
         t.data = np.zeros_like(t.data)
+    return params
+
+
+def perturb_params(params: ModelParams, seed: int) -> ModelParams:
+    """Add N(0, 0.3^2) noise to every tensor, so zero-initialised heads and
+    biases carry gradients of their own."""
+    rng = np.random.default_rng(seed)
+    for _, t in params.named():
+        t.data = t.data + 0.3 * rng.normal(size=t.shape)
     return params
 
 

@@ -1,14 +1,18 @@
-"""Patch-word alignment: cosine matrix, relevance pooling, total score."""
+"""Patch-word alignment: cosine matrix, relevance pooling, total score,
+and bitwise parity of the two fused nodes with the composed path."""
 
 import numpy as np
 import pytest
 
-from conftest import make_params
+import composed_alignment as composed
+from conftest import finite_difference_check, make_params, perturb_params
 
+from seps import alignment, evaluator
 from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, align_score,
-                            relevance_pool, score_from_similarity, similarity_matrix)
-from seps.errors import DegenerateVectorError
+                            score_from_similarity, similarity_matrix)
+from seps.bank import SynthConfig, generate_synthetic
+from seps.errors import DegenerateVectorError, NonFiniteError, ShapeError
 from seps.trainer import ModelParams
 
 
@@ -63,21 +67,39 @@ def test_cosine_rejects_zero_norm():
         similarity_matrix(np.ones((1, 3)), np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize("side", ["patches", "words"])
+def test_cosine_rejects_an_overflowing_norm(side):
+    # the product stays finite, the norm does not: the composed path's
+    # rows_l2norm tensor raised here, so the fused node must too
+    big, small = np.full((1, 2), 1e200), np.full((1, 2), 1e-150)
+    patches, words = (big, small) if side == "patches" else (small, big)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        similarity_matrix(patches, words)
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        composed.similarity_matrix(patches, words)
+
+
+def test_similarity_is_one_tape_node_with_no_word_gradient(rng):
+    patches = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    sim = similarity_matrix(patches, rng.normal(size=(2, 4)))
+    assert sim.name == "similarity" and sim.parents == (patches, patches)
+
+
 # ---------------------------------------------------------------------------
 # relevance pooling
 
 
 def test_pool_identity_zero_head():
-    mean, head = relevance_pool(sim_of(np.eye(2)), "patch_to_word", head_params(2))
-    assert mean.item() == 1.0
-    assert head.item() == 0.0
+    score = score_from_similarity(sim_of(np.eye(2)), head_params(2))
+    assert score.mean_p2w.item() == 1.0
+    assert score.head_p2w.item() == 0.0
 
 
 def test_pool_passthrough_head():
     params = head_params(1, w_p2w=[1.0])
-    mean, head = relevance_pool(sim_of([[0.9, 0.1]]), "patch_to_word", params)
-    assert head.item() == pytest.approx(0.9, abs=1e-15)
-    assert mean.item() == pytest.approx(0.9, abs=1e-15)
+    score = score_from_similarity(sim_of([[0.9, 0.1]]), params)
+    assert score.head_p2w.item() == pytest.approx(0.9, abs=1e-15)
+    assert score.mean_p2w.item() == pytest.approx(0.9, abs=1e-15)
 
 
 def test_pool_matches_bruteforce_oracle(rng):
@@ -87,23 +109,77 @@ def test_pool_matches_bruteforce_oracle(rng):
     w_w2p = rng.normal(size=k)
     params = AlignmentParams(k_top=k, p2w=linear_head(w_p2w, 0.3),
                              w2p=linear_head(w_w2p, -0.2))
+    score = score_from_similarity(sim_of(a), params)
 
-    mean_p, head_p = relevance_pool(sim_of(a), "patch_to_word", params)
     maxima = sorted((max(row) for row in a), reverse=True)
-    assert mean_p.item() == pytest.approx(np.mean([max(r) for r in a]), abs=1e-12)
-    assert head_p.item() == pytest.approx(np.dot(w_p2w, maxima[:k]) + 0.3, abs=1e-12)
+    assert score.mean_p2w.item() == pytest.approx(np.mean([max(r) for r in a]), abs=1e-12)
+    assert score.head_p2w.item() == pytest.approx(np.dot(w_p2w, maxima[:k]) + 0.3, abs=1e-12)
 
-    mean_w, head_w = relevance_pool(sim_of(a), "word_to_patch", params)
     col_maxima = sorted((max(a[:, j]) for j in range(3)), reverse=True)
-    assert mean_w.item() == pytest.approx(np.mean([max(a[:, j]) for j in range(3)]), abs=1e-12)
-    assert head_w.item() == pytest.approx(np.dot(w_w2p, col_maxima[:k]) - 0.2, abs=1e-12)
+    assert score.mean_w2p.item() == pytest.approx(
+        np.mean([max(a[:, j]) for j in range(3)]), abs=1e-12)
+    assert score.head_w2p.item() == pytest.approx(
+        np.dot(w_w2p, col_maxima[:k]) - 0.2, abs=1e-12)
 
 
 def test_pool_pads_short_inputs():
     # one row but k_top=3: padding repeats the minimum row maximum
     params = head_params(3, w_p2w=[1.0, 1.0, 1.0])
-    _, head = relevance_pool(sim_of([[0.4, 0.2]]), "patch_to_word", params)
-    assert head.item() == pytest.approx(1.2, abs=1e-12)
+    score = score_from_similarity(sim_of([[0.4, 0.2]]), params)
+    assert score.head_p2w.item() == pytest.approx(1.2, abs=1e-12)
+
+
+def test_score_rejects_an_empty_matrix():
+    with pytest.raises(ShapeError):
+        score_from_similarity(sim_of(np.zeros((0, 2))), head_params(2))
+
+
+def test_score_only_total_is_on_the_tape():
+    sim = ad.tensor([[0.3, 0.9], [0.8, 0.1]], requires_grad=True)
+    score = score_from_similarity(sim, head_params(2, w_p2w=[0.5, 0.1]))
+    assert score.total.name == "pair_score" and score.total.parents[0] is sim
+    assert all(not t.tracked() for t in (score.mean_p2w, score.head_p2w,
+                                         score.mean_w2p, score.head_w2p))
+
+
+# ---------------------------------------------------------------------------
+# first-occurrence subgradients of the maxima and the padded top-k
+
+
+def sim_gradient(matrix, params):
+    sim = ad.tensor(np.asarray(matrix, dtype=float), requires_grad=True)
+    return ad.gradient(score_from_similarity(sim, params).total, [sim])[sim].data
+
+
+def test_row_max_tie_routes_to_the_first_column():
+    # row 0 ties across both words; column maxima sit in row 0 as well
+    grad = sim_gradient([[0.5, 0.5], [0.1, 0.2]], head_params(2))
+    np.testing.assert_array_equal(grad, [[0.5 + 0.5, 0.5], [0.0, 0.5]])
+
+
+def test_column_max_tie_routes_to_the_first_row():
+    # column 0 ties across both patches; each row's maximum is in column 0
+    grad = sim_gradient([[0.3, 0.1], [0.3, 0.2]], head_params(2))
+    np.testing.assert_array_equal(grad, [[0.5 + 0.5, 0.0], [0.5, 0.5]])
+
+
+def test_padded_topk_ties_route_to_the_first_minimum():
+    # two tied row maxima, k_top=3: slots take rows 0, 1, then the padded
+    # minimum, which is row 0 again; the single column maximum is row 0
+    params = head_params(3, w_p2w=[1.0, 2.0, 4.0])
+    score = score_from_similarity(sim_of([[0.2], [0.2]]), params)
+    assert score.head_p2w.item() == (1.0 * 0.2 + 2.0 * 0.2) + 4.0 * 0.2
+    grad = sim_gradient([[0.2], [0.2]], params)
+    np.testing.assert_array_equal(grad, [[(0.5 + 5.0) + 1.0], [0.5 + 2.0]])
+
+
+def test_topk_orders_descending_with_ties_by_first_occurrence():
+    # row maxima 0.4, 0.9, 0.4: slots hold rows 1, 0, 2 in that order
+    params = head_params(3, w_p2w=[1.0, 10.0, 100.0])
+    grad = sim_gradient([[0.4], [0.9], [0.4]], params)
+    # mean share, plus the slot weight, plus row 1's column-maximum share
+    expected = (np.full(3, 1.0 / 3.0) + [10.0, 1.0, 100.0]) + [0.0, 1.0, 0.0]
+    np.testing.assert_array_equal(grad[:, 0], expected)
 
 
 # ---------------------------------------------------------------------------
@@ -200,13 +276,7 @@ def test_align_gradient_matches_finite_differences(rng):
 
     patches0 = rng.normal(size=(4, 4)) + np.arange(16).reshape(4, 4) * 0.13
     point = ad.tensor(patches0, requires_grad=True)
-    assert ad.finite_difference_check(wrt_patches, point) < 1e-4
-
-    def wrt_words(t):
-        return align_score(patches0, t, params).total
-
-    word_point = ad.tensor(words.copy(), requires_grad=True)
-    assert ad.finite_difference_check(wrt_words, word_point) < 1e-4
+    assert finite_difference_check(wrt_patches, point) < 1e-4
 
 
 def test_hidden_head_config(rng):
@@ -218,3 +288,40 @@ def test_hidden_head_config(rng):
     score = align_score(patches, words, params.alignment)
     assert score.head_p2w.item() == 0.0
     assert score.head_w2p.item() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the fused nodes against the composed path, bit for bit
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("head_hidden", [0, 4])
+@pytest.mark.parametrize("n_patches, n_words", [(8, 2), (3, 5)])
+def test_pair_score_matches_the_composed_path_bitwise(head_hidden, n_patches, n_words):
+    # k_top=8 pads both directions in the second shape, the word side in the first
+    params = perturb_params(make_params(dim=6, k_top=8, head_hidden=head_hidden), n_patches)
+    rng = np.random.default_rng(head_hidden)
+    patches = ad.tensor(rng.normal(size=(n_patches, 6)), requires_grad=True)
+    words = rng.normal(size=(n_words, 6))
+    wrt = [patches, *(t for _, t in params.alignment.named())]
+    fused = align_score(patches, words, params.alignment)
+    oracle = composed.align_score(patches, words, params.alignment)
+    assert fused.components() == oracle.components()
+    assert bits(fused.total.data) == bits(oracle.total.data)
+    assert bits(similarity_matrix(patches, words).data) == bits(
+        composed.similarity_matrix(patches, words).data)
+    got = ad.gradient(fused.total, wrt)
+    want = ad.gradient(oracle.total, wrt)
+    for t in wrt:
+        assert bits(got[t].data) == bits(want[t].data)
+
+
+def test_pairwise_scores_match_the_composed_path_bitwise(monkeypatch):
+    bank = generate_synthetic(SynthConfig(n_samples=6, dim=8, n_patches=6, seed=3))
+    params = perturb_params(make_params(dim=8, n_keep=8, k_top=8, head_hidden=3), 5)
+    fused = evaluator.pairwise_scores(bank, params)
+    monkeypatch.setattr(alignment, "align_score", composed.align_score)
+    assert bits(fused) == bits(evaluator.pairwise_scores(bank, params))

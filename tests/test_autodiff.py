@@ -1,16 +1,20 @@
 """Numeric substrate: op examples, gradient checks, determinism."""
 
 import ast
+import functools
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import mul, sum_all
+from composed_alignment import row_max_with_arg, topk
+from conftest import finite_difference_check, mul, sum_all
 
 import seps
 from seps import autodiff as ad
+from seps.alignment import (AlignmentParams, RelevanceHead, score_from_similarity,
+                            similarity_matrix)
 from seps.objective import ObjectiveConfig, ratio_loss, triplet_loss
 from seps.errors import EmptySupportError, GraphError, NonFiniteError, ShapeError
 
@@ -28,7 +32,7 @@ def test_sigmoid_gradient_matches_central_difference():
     y = ad.sigmoid(x)
     grad = ad.gradient(y, [x])[x].item()
     assert grad == pytest.approx(0.25, abs=1e-12)
-    err = ad.finite_difference_check(lambda t: ad.sigmoid(t), x)
+    err = finite_difference_check(lambda t: ad.sigmoid(t), x)
     assert err < 1e-7
 
 
@@ -67,53 +71,58 @@ def test_softmax_columns_sum_to_one():
         assert np.all(out[~support] == 0.0)
 
 
+# ---------------------------------------------------------------------------
+# max and top-k of the composed pair-score oracle (tests/composed_alignment.py),
+# whose first-occurrence and padding rules the fused pair_score node keeps
+
+
 def test_row_max_identity():
-    values, args = ad.row_max_with_arg(ad.constant([[1.0, 0.0], [0.0, 1.0]]))
+    values, args = row_max_with_arg(ad.constant([[1.0, 0.0], [0.0, 1.0]]))
     np.testing.assert_array_equal(values.data, [1.0, 1.0])
     np.testing.assert_array_equal(args, [0, 1])
 
 
 def test_row_max_tie_breaks_first():
-    values, args = ad.row_max_with_arg(ad.constant([[2.0, 2.0]]))
+    values, args = row_max_with_arg(ad.constant([[2.0, 2.0]]))
     np.testing.assert_array_equal(values.data, [2.0])
     np.testing.assert_array_equal(args, [0])
 
 
 def test_row_max_empty_raises():
     with pytest.raises(ShapeError):
-        ad.row_max_with_arg(ad.constant(np.zeros((0, 3))))
+        row_max_with_arg(ad.constant(np.zeros((0, 3))))
 
 
 def test_row_max_gradient_away_from_ties():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(3, 4)) + np.arange(12).reshape(3, 4) * 0.31
     point = ad.tensor(x, requires_grad=True)
-    err = ad.finite_difference_check(
-        lambda t: sum_all(ad.row_max_with_arg(t)[0]), point)
+    err = finite_difference_check(
+        lambda t: sum_all(row_max_with_arg(t)[0]), point)
     assert err < 1e-7
 
 
 def test_topk_sorts_descending():
-    values, _ = ad.topk(ad.constant([0.1, 0.9, 0.5]), 2)
+    values, _ = topk(ad.constant([0.1, 0.9, 0.5]), 2)
     np.testing.assert_array_equal(values.data, [0.9, 0.5])
 
 
 def test_topk_pads_with_minimum():
-    values, _ = ad.topk(ad.constant([0.3]), 3)
+    values, _ = topk(ad.constant([0.3]), 3)
     np.testing.assert_array_equal(values.data, [0.3, 0.3, 0.3])
 
 
 def test_topk_empty_raises():
     with pytest.raises(ShapeError):
-        ad.topk(ad.constant(np.zeros(0)), 1)
+        topk(ad.constant(np.zeros(0)), 1)
 
 
 def test_topk_gradient_away_from_ties():
     x = np.array([0.4, -1.2, 2.2, 0.9, -0.3, 1.5])
     point = ad.tensor(x, requires_grad=True)
     weights = ad.constant([1.0, 2.0, 3.0])
-    err = ad.finite_difference_check(
-        lambda t: ad.dot(ad.topk(t, 3)[0], weights), point)
+    err = finite_difference_check(
+        lambda t: sum_all(mul(topk(t, 3)[0], weights)), point)
     assert err < 1e-7
 
 
@@ -160,13 +169,13 @@ def test_gradient_unreached_leaf_is_zero():
 def test_fd_check_linear_is_near_exact():
     x = ad.tensor([1.0, -2.0, 0.5], requires_grad=True)
     coeff = ad.constant([3.0, 1.0, -2.0])
-    err = ad.finite_difference_check(lambda t: ad.dot(t, coeff), x)
+    err = finite_difference_check(lambda t: sum_all(mul(t, coeff)), x)
     assert err < 1e-10
 
 
 def test_fd_check_sigmoid_composite():
     x = ad.tensor([0.3, -0.7], requires_grad=True)
-    err = ad.finite_difference_check(
+    err = finite_difference_check(
         lambda t: ad.mean_all(ad.sigmoid(mul(t, t))), x)
     assert err < 1e-6
 
@@ -179,7 +188,7 @@ def test_fd_check_reports_discontinuity():
         return sum_all(ad.straight_through(ad.scale(t, 0.0), hard))
 
     x = ad.tensor([1e-7], requires_grad=True)
-    err = ad.finite_difference_check(step, x)
+    err = finite_difference_check(step, x)
     assert err > 1e3
 
 
@@ -223,7 +232,7 @@ def test_forward_determinism_bitwise():
     def run():
         t = ad.constant(x)
         out = ad.softmax_columns(ad.matmul(t, ad.constant(rng_w)))
-        return ad.mean_all(ad.rows_l2norm(out)).item()
+        return ad.mean_all(mul(out, out)).item()
 
     rng_w = np.random.default_rng(4).normal(size=(3, 5))
     assert run() == run()
@@ -241,7 +250,7 @@ def test_straight_through_forwards_hard_values():
     hard = np.array([1.0, 0.0])
     out = ad.straight_through(soft, hard)
     np.testing.assert_array_equal(out.data, hard)
-    grads = ad.gradient(ad.dot(out, ad.constant([2.0, 3.0])), [soft])
+    grads = ad.gradient(sum_all(mul(out, ad.constant([2.0, 3.0]))), [soft])
     np.testing.assert_array_equal(grads[soft].data, [2.0, 3.0])
 
 
@@ -284,10 +293,43 @@ def _draw(rng, shape):
     return _away_from_ties(rng, (3, 4) if shape == "m34" else shape)
 
 
+PAIR_K_TOP = 3  # above the two words of the probed 3x2 similarity, so word_to_patch pads
+
+
+def _pair_score_cases():
+    """pair_score of a 3x2 similarity with linear or tanh-hidden heads, one
+    entry per probed input: the similarity or one head tensor."""
+    cases = {}
+    for hidden in (0, 2):
+        rng = np.random.default_rng(hidden)
+        shapes = {"w": (hidden or PAIR_K_TOP,), "b": ()}
+        if hidden:
+            shapes = {"hid_w": (PAIR_K_TOP, hidden), "hid_b": (hidden,), **shapes}
+        fixed = {f"{side}.{name}": rng.normal(size=shape)
+                 for side in ("p2w", "w2p") for name, shape in shapes.items()}
+        fixed["sim"] = _away_from_ties(rng, (3, 2))
+
+        def fn(t, wrt, fixed=fixed, hidden=hidden):
+            value = {key: ad.constant(data) for key, data in fixed.items()} | {wrt: t}
+
+            def head(side):
+                return RelevanceHead(out_w=value[f"{side}.w"], out_b=value[f"{side}.b"],
+                                     hid_w=value.get(f"{side}.hid_w"),
+                                     hid_b=value.get(f"{side}.hid_b"))
+
+            params = AlignmentParams(PAIR_K_TOP, head("p2w"), head("w2p"))
+            return score_from_similarity(value["sim"], params).total
+
+        kind = "hidden" if hidden else "linear"
+        for wrt, data in fixed.items():
+            cases[f"pair_score_{kind}.{wrt}"] = (functools.partial(fn, wrt=wrt), data.shape)
+    return cases
+
+
 def _fd_cases():
-    w = np.array([0.7, -1.3, 0.4])
     m34 = "m34"  # marker: 3x4 matrix input
-    eye = [ad.constant(row) for row in np.eye(6)]  # dot(t, e_i) picks t[i]
+    words = np.array([[0.3, -1.0, 0.8, 0.1], [1.2, 0.4, -0.5, 0.9]])
+    eye = [ad.constant(row) for row in np.eye(6)]  # sum_all(mul(t, e_i)) picks t[i]
     ratio_cfg = ObjectiveConfig(rho=0.4, lambda1=0.7, lambda2=1.3)
     return {
         "add": (lambda t: sum_all(ad.add(t, ad.constant([0.2, -0.4, 1.0]))), (3,)),
@@ -295,7 +337,6 @@ def _fd_cases():
         "mul": (lambda t: sum_all(mul(t, ad.constant([1.2, -0.8, 0.5]))), (3,)),
         "neg": (lambda t: sum_all(ad.neg(t)), (3,)),
         "scale": (lambda t: sum_all(ad.scale(t, -2.5)), (3,)),
-        "recip": (lambda t: sum_all(ad.recip(ad.add_scalar(mul(t, t), 1.0))), (3,)),
         "log": (lambda t: sum_all(ad.log(ad.add_scalar(mul(t, t), 0.5))), (3,)),
         "sigmoid": (lambda t: sum_all(ad.sigmoid(t)), (3,)),
         "log_sigmoid": (lambda t: sum_all(ad.log_sigmoid(t)), (3,)),
@@ -304,26 +345,25 @@ def _fd_cases():
         "matmul": (lambda t: sum_all(ad.matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
         "matvec": (lambda t: sum_all(ad.matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
         "transpose": (lambda t: sum_all(mul(ad.transpose(t), ad.transpose(t))), m34),
-        "dot": (lambda t: ad.dot(t, ad.constant(w)), (3,)),
         "sum_all": (lambda t: sum_all(t), m34),
         "mean_all": (lambda t: ad.mean_all(t), m34),
         "scale_rows": (lambda t: sum_all(ad.scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
-        "scale_cols": (lambda t: sum_all(ad.scale_cols(t, ad.constant([1.0, -1.0, 2.0, 0.5]))), m34),
         "add_rowvec": (lambda t: sum_all(mul(ad.add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
         "add_colvec": (lambda t: sum_all(mul(ad.add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),
-        "rows_l2norm": (lambda t: sum_all(ad.rows_l2norm(ad.add_scalar(t, 3.0))), m34),
         "softmax_columns": (lambda t: sum_all(mul(ad.softmax_columns(t), ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
         "softmax_masked": (lambda t: sum_all(mul(
             ad.softmax_columns(t, support=np.array([True, False, True])),
             ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
-        "row_max": (lambda t: sum_all(ad.row_max_with_arg(t)[0]), m34),
-        "topk": (lambda t: ad.dot(ad.topk(t, 4)[0], ad.constant([1.0, 2.0, 3.0, 4.0])), (3,)),
         "stack": (lambda t: sum_all(mul(ad.stack(
             [ad.mean_all(t), ad.mean_all(ad.tanh(t)), sum_all(mul(t, t)),
              ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, -2.0], [0.5, 3.0]]))), m34),
         "triplet_loss": (lambda t: triplet_loss(t, TRIPLET_MARGIN), _square_scores),
-        "ratio_loss": (lambda t: ratio_loss(([ad.dot(t, e) for e in eye[:3]],
-                                             [ad.dot(t, e) for e in eye[3:]]), ratio_cfg), (6,)),
+        "ratio_loss": (lambda t: ratio_loss(([sum_all(mul(t, e)) for e in eye[:3]],
+                                             [sum_all(mul(t, e)) for e in eye[3:]]), ratio_cfg), (6,)),
+        "similarity": (lambda t: sum_all(mul(similarity_matrix(t, words),
+                                             ad.constant(np.arange(6.0).reshape(3, 2) - 2.0))),
+                       m34),
+        **_pair_score_cases(),
     }
 
 
@@ -333,7 +373,7 @@ def test_fd_sweep_public_ops(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))  # stable across runs
     for _ in range(100):
         point = ad.tensor(_draw(rng, shape), requires_grad=True)
-        assert ad.finite_difference_check(fn, point) < 1e-4
+        assert finite_difference_check(fn, point) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -381,3 +421,35 @@ def test_every_library_vjp_has_a_finite_difference_sweep_entry():
         swept |= {n.name for n in ad.Graph(fn(probe)).nodes}
     missing = [fn for fn, tag in ops if tag not in swept and fn.split(".")[1] not in FD_EXEMPT]
     assert not missing, f"no finite-difference sweep entry reaches {missing}"
+
+
+# ---------------------------------------------------------------------------
+# every public autodiff function has a caller in the library
+
+
+def _autodiff_references(path: Path) -> set[str]:
+    """Names of autodiff functions that `path` reads: `ad.<name>` and
+    `from .autodiff import <name>` anywhere, plus, inside autodiff itself,
+    any name used outside its own top-level definition."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set()
+    for top in tree.body:
+        own = getattr(top, "name", None)
+        for n in ast.walk(top):
+            if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "ad":
+                found.add(n.attr)
+            elif isinstance(n, ast.ImportFrom) and n.module == "autodiff":
+                found |= {alias.name for alias in n.names}
+            elif path.stem == "autodiff" and isinstance(n, ast.Name) and n.id != own:
+                found.add(n.id)
+    return found
+
+
+def test_every_public_autodiff_function_has_a_library_caller():
+    package = Path(seps.__file__).parent
+    tree = ast.parse((package / "autodiff.py").read_text(encoding="utf-8"))
+    public = {fn.name for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
+    assert {"node", "gradient", "matmul"} <= public
+    used = set().union(*(_autodiff_references(path) for path in package.glob("*.py")))
+    assert not public - used, f"no caller in src/seps for {sorted(public - used)}"

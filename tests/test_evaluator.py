@@ -75,6 +75,43 @@ def test_recall_supports_multiple_positives():
     assert recall_at_k(scores, gt, 2) == 100.0
 
 
+def lexsort_recall(scores: np.ndarray, gt: GroundTruth, k: int) -> float:
+    """The per-query loop recall_at_k replaced: sort each row by descending
+    score, ties toward the lower index, and look for a positive in the top k."""
+    indices = np.arange(scores.shape[1])
+    hits = 0
+    for q in range(scores.shape[0]):
+        order = np.lexsort((indices, -scores[q]))
+        if not gt.positives[q].isdisjoint(order[:k].tolist()):
+            hits += 1
+    return 100.0 * hits / scores.shape[0]
+
+
+def test_recall_matches_the_lexsort_loop_on_tie_heavy_matrices(rng):
+    for _ in range(200):
+        q, g = rng.integers(1, 9), rng.integers(1, 9)
+        # few distinct values, signed zeros among them, so ties are common
+        scores = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0], size=(q, g))
+        gt = GroundTruth(tuple(
+            frozenset(rng.choice(g, size=rng.integers(1, g + 1), replace=False).tolist())
+            for _ in range(q)))
+        for k in range(1, g + 1):
+            got = recall_at_k(scores, gt, k)
+            assert type(got) is float and got == lexsort_recall(scores, gt, k)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_recall_rejects_non_finite_scores(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        recall_at_k(np.array([[0.5, bad]]), diag_gt(1), 1)
+
+
+@pytest.mark.parametrize("index", [-1, 2])
+def test_recall_rejects_positives_outside_the_gallery(index):
+    with pytest.raises(ConfigError, match="outside the gallery"):
+        recall_at_k(np.array([[0.5, 0.1]]), GroundTruth((frozenset((index,)),)), 1)
+
+
 def test_groundtruth_rejects_empty_query():
     with pytest.raises(ConfigError):
         GroundTruth((frozenset(),))

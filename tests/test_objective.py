@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import make_params
+import composed_alignment as composed
+from conftest import make_params, perturb_params
 
 from seps import autodiff as ad
 from seps import objective, selection
@@ -79,6 +80,39 @@ def test_batch_keep_stats_match_hard_fraction():
             sample, params.selection, "eval")
         assert ks.item() == mask_s.hard.mean()
         assert kd.item() == mask_d.hard.mean()
+
+
+def test_train_batch_tapes_one_gate_per_mask_and_two_nodes_per_pair():
+    bank = small_bank(seed=4)
+    params = make_params(dim=6, n_keep=2, seed=5)
+    batch = batch_similarity(bank.samples, params.selection, params.alignment, "train")
+    names = [n.name for n in ad.Graph(batch_loss(batch, ObjectiveConfig())).nodes]
+    b = len(bank.samples)
+    assert names.count("straight_through") == 2 * b
+    assert names.count("similarity") == names.count("pair_score") == b * b
+
+
+@pytest.mark.parametrize("head_hidden", [0, 4])
+@pytest.mark.parametrize("mode", ["train", "soft"])
+def test_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hidden,
+                                                                  monkeypatch):
+    # a desk-shaped batch: B=8, 16 patches, 8 kept vectors, k_top=8 over 2 words
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=head_hidden))
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
+                                        head_hidden=head_hidden, seed=1), 2)
+
+    def run():
+        batch = batch_similarity(bank.samples, params.selection, params.alignment,
+                                 mode, seed=3, step=4)
+        loss = batch_loss(batch, ObjectiveConfig())
+        grads = ad.gradient(loss, params.tensors())
+        return [loss.data.tobytes(), batch.scores.data.tobytes(),
+                *(np.ascontiguousarray(grads[t].data).tobytes() for t in params.tensors())]
+
+    fused = run()
+    monkeypatch.setattr(objective, "similarity_matrix", composed.similarity_matrix)
+    monkeypatch.setattr(objective, "score_from_similarity", composed.score_from_similarity)
+    assert fused == run()
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import basis_sample, make_params, zero_params
+from conftest import (basis_sample, finite_difference_check, make_params, mul, sum_all,
+                      zero_params)
 
 from seps import autodiff as ad
 from seps import selection
@@ -400,17 +401,17 @@ def test_straight_through_gradient_equals_soft_path():
 
     def soft_loss(t):
         mask = gumbel_decision(t, tau, noise_enabled=False)
-        return ad.dot(mask.soft, ad.constant(readout))
+        return sum_all(mul(mask.soft, ad.constant(readout)))
 
     point = ad.tensor(scores0, requires_grad=True)
     mask = gumbel_decision(point, tau, noise_enabled=False)
-    st_loss = ad.dot(mask.gate("train"), ad.constant(readout))
+    st_loss = sum_all(mul(mask.gate("train"), ad.constant(readout)))
     st_grad = ad.gradient(st_loss, [point])[point].data
 
     soft_point = ad.tensor(scores0, requires_grad=True)
     soft_grad = ad.gradient(soft_loss(soft_point), [soft_point])[soft_point].data
     np.testing.assert_allclose(st_grad, soft_grad, atol=1e-12)
-    assert ad.finite_difference_check(soft_loss, point) < 1e-4
+    assert finite_difference_check(soft_loss, point) < 1e-4
 
 
 def test_permutation_equivariance(rng):
