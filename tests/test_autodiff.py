@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from composed_alignment import row_max_with_arg, topk
+from composed_alignment import dot, recip, row_max_with_arg, rows_l2norm, scale_cols, topk
 from conftest import finite_difference_check, mul, sum_all
 
 import seps
@@ -364,6 +364,21 @@ def _fd_cases():
                                              ad.constant(np.arange(6.0).reshape(3, 2) - 2.0))),
                        m34),
         **_pair_score_cases(),
+        **_oracle_op_cases(m34),
+    }
+
+
+def _oracle_op_cases(m34):
+    """The six ops the composed pair path in tests/composed_alignment.py
+    keeps for itself: their vjps make the gradients the fused nodes are
+    held bitwise equal to, so they are swept like the library's."""
+    return {
+        "recip": (lambda t: sum_all(recip(ad.add_scalar(mul(t, t), 1.0))), (3,)),
+        "dot": (lambda t: dot(t, ad.constant([0.7, -1.3, 0.4])), (3,)),
+        "scale_cols": (lambda t: sum_all(scale_cols(t, ad.constant([1.0, -1.0, 2.0, 0.5]))), m34),
+        "rows_l2norm": (lambda t: sum_all(rows_l2norm(ad.add_scalar(t, 3.0))), m34),
+        "row_max": (lambda t: sum_all(row_max_with_arg(t)[0]), m34),
+        "topk": (lambda t: dot(topk(t, 4)[0], ad.constant([1.0, 2.0, 3.0, 4.0])), (3,)),
     }
 
 
