@@ -63,17 +63,16 @@ class AlignmentParams:
 
 @dataclass
 class AlignmentScore:
-    """Total image-text score and its four summands (all scalar tensors)."""
+    """Total image-text score, a scalar tensor, and its four summands."""
 
-    mean_p2w: Tensor
-    head_p2w: Tensor
-    mean_w2p: Tensor
-    head_w2p: Tensor
+    mean_p2w: float
+    head_p2w: float
+    mean_w2p: float
+    head_w2p: float
     total: Tensor
 
     def components(self) -> tuple[float, float, float, float]:
-        return (self.mean_p2w.item(), self.head_p2w.item(),
-                self.mean_w2p.item(), self.head_w2p.item())
+        return self.mean_p2w, self.head_p2w, self.mean_w2p, self.head_w2p
 
 
 def similarity_matrix(patches: Tensor | np.ndarray, words: np.ndarray) -> Tensor:
@@ -87,7 +86,7 @@ def similarity_matrix(patches: Tensor | np.ndarray, words: np.ndarray) -> Tensor
     """
     if not isinstance(patches, Tensor):
         patches = ad.constant(patches)
-    p, w = patches.data, ad.constant(words).data
+    p, w = patches.data, np.ascontiguousarray(words, dtype=np.float64)
     if p.ndim != 2 or w.ndim != 2 or p.shape[1] != w.shape[1]:
         raise ShapeError(f"incompatible shapes {p.shape} vs {w.shape}")
     norm_p = np.sqrt(np.sum(p * p, axis=1))
@@ -145,7 +144,7 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
     patch_to_word pools the row maxima (best word per patch), word_to_patch
     the column maxima; each contributes their mean plus its head over the
     padded top-k_top.  Only `total` is on the tape; the summands are
-    constants, read by `seps score`.
+    floats, read by `seps score`.
     """
     s = sim.data
     if s.ndim != 2 or s.size == 0:
@@ -166,9 +165,8 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
     heads = [t for head in (params.p2w, params.w2p) for _, t in head.named("")]
     total = ad.node(((mean_p2w + head_p2w) + mean_w2p) + head_w2p, (sim, *heads), vjp,
                     "pair_score")
-    return AlignmentScore(mean_p2w=ad.constant(mean_p2w), head_p2w=ad.constant(head_p2w),
-                          mean_w2p=ad.constant(mean_w2p), head_w2p=ad.constant(head_w2p),
-                          total=total)
+    return AlignmentScore(mean_p2w=float(mean_p2w), head_p2w=float(head_p2w),
+                          mean_w2p=float(mean_w2p), head_w2p=float(head_w2p), total=total)
 
 
 def align_score(patches: Tensor | np.ndarray, words: np.ndarray,

@@ -3,11 +3,9 @@
 Tensors are immutable value holders that record their producing operation;
 a Graph is the topologically ordered tape rooted at one output node.  All
 kernels are deterministic, reject non-finite results, and use fixed
-accumulation order so two identical runs are bitwise identical.
-
-Subgradient conventions: clip passes gradient only strictly inside the
-interval's closure, and straight_through forwards a constant while
-backpropagating as identity.
+accumulation order so two identical runs are bitwise identical.  Most ops
+live next to the model code that uses them, as one `node` each with a
+hand-written vjp; this module keeps the few generic ones.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptySupportError, GraphError, NonFiniteError, ShapeError
+from .errors import GraphError, NonFiniteError, ShapeError
 
 
 EPS_NORM = 1e-8   # degenerate-range guard for min-max normalization
@@ -58,7 +56,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  parents: tuple["Tensor", ...] = (), vjp: Callable | None = None):
         self.data = _as_f64(data)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NonFiniteError(f"non-finite values in tensor {name or '<anon>'}")
         self.parents = parents
         self.vjp = vjp
@@ -131,28 +129,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return node(out, (a, b), vjp, "add")
 
 
-def neg(a: Tensor) -> Tensor:
-    return node(-a.data, (a,), lambda g: (-g,), "neg")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return node(a.data * c, (a,), lambda g: (g * c,), "scale")
-
-
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    return node(a.data + float(c), (a,), lambda g: (g,), "add_scalar")
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    with np.errstate(divide="ignore", invalid="ignore"):  # -> NonFiniteError
-        out = np.log(ad)
-
-    def vjp(g):
-        return (g / ad,)
-
-    return node(out, (a,), vjp, "log")
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -175,38 +154,6 @@ def sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_sigmoid(a: Tensor) -> Tensor:
-    """log(sigmoid(x)) computed without underflow to -inf."""
-    ad = a.data
-    out = -np.logaddexp(0.0, -ad)
-
-    def vjp(g):
-        return (g * sigmoid_np(-ad),)
-
-    return node(out, (a,), vjp, "log_sigmoid")
-
-
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-
-    def vjp(g):
-        return (g * (1.0 - out * out),)
-
-    return node(out, (a,), vjp, "tanh")
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient passes on the closed interval interior."""
-    ad = a.data
-    out = np.clip(ad, lo, hi)
-    gate = (ad >= lo) & (ad <= hi)
-
-    def vjp(g):
-        return (g * gate,)
-
-    return node(out, (a,), vjp, "clip")
-
-
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
     """Forward the constant `hard`, backpropagate as identity into `soft`."""
     hard = _as_f64(hard)
@@ -216,29 +163,7 @@ def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim not in (1, 2) or ad.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul shapes {ad.shape} vs {bd.shape}")
-    out = ad @ bd
-
-    if bd.ndim == 2:
-        def vjp(g):
-            return g @ bd.T, ad.T @ g
-    else:
-        def vjp(g):
-            return np.outer(g, bd), ad.T @ g
-
-    return node(out, (a, b), vjp, "matmul")
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError("transpose expects a matrix")
-    return node(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
+# reductions
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -252,84 +177,8 @@ def mean_all(a: Tensor) -> Tensor:
     return node(np.mean(a.data), (a,), vjp, "mean_all")
 
 
-def scale_rows(a: Tensor, s: Tensor) -> Tensor:
-    ad, sd = a.data, s.data
-    if ad.ndim != 2 or sd.shape != (ad.shape[0],):
-        raise ShapeError(f"scale_rows shapes {ad.shape} vs {sd.shape}")
-    out = ad * sd[:, None]
-
-    def vjp(g):
-        return g * sd[:, None], np.sum(g * ad, axis=1)
-
-    return node(out, (a, s), vjp, "scale_rows")
-
-
-def add_rowvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add v to every row of a (bias over the trailing axis)."""
-    ad, vd = a.data, v.data
-    if ad.ndim != 2 or vd.shape != (ad.shape[1],):
-        raise ShapeError(f"add_rowvec shapes {ad.shape} vs {vd.shape}")
-
-    def vjp(g):
-        return g, np.sum(g, axis=0)
-
-    return node(ad + vd[None, :], (a, v), vjp, "add_rowvec")
-
-
-def add_colvec(a: Tensor, v: Tensor) -> Tensor:
-    """Add v_i to every entry of row i."""
-    ad, vd = a.data, v.data
-    if ad.ndim != 2 or vd.shape != (ad.shape[0],):
-        raise ShapeError(f"add_colvec shapes {ad.shape} vs {vd.shape}")
-
-    def vjp(g):
-        return g, np.sum(g, axis=1)
-
-    return node(ad + vd[:, None], (a, v), vjp, "add_colvec")
-
-
 # ---------------------------------------------------------------------------
 # structured ops
-
-
-def softmax_columns(x: Tensor, support: np.ndarray | None = None) -> Tensor:
-    """Column-wise softmax over the rows listed in `support`.
-
-    Rows outside the support are exactly zero in the output and receive no
-    gradient.  Raises if the support is empty.
-    """
-    xd = x.data
-    if xd.ndim != 2:
-        raise ShapeError("softmax_columns expects a matrix")
-    n, m = xd.shape
-    if n == 0 or m == 0:
-        raise ShapeError("softmax_columns on empty matrix")
-    if support is None:
-        keep = np.ones(n, dtype=bool)
-    else:
-        keep = np.asarray(support, dtype=bool)
-        if keep.shape != (n,):
-            raise ShapeError(f"support shape {keep.shape} for {xd.shape} matrix")
-    if not keep.any():
-        raise EmptySupportError("empty softmax support")
-
-    out = _softmax_columns_np(xd, keep)
-
-    def vjp(g):
-        inner = np.sum(g * out, axis=0, keepdims=True)
-        return (out * (g - inner),)
-
-    return node(out, (x,), vjp, "softmax_columns")
-
-
-def _softmax_columns_np(xd: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    rows = xd[keep]
-    shifted = rows - np.max(rows, axis=0, keepdims=True)
-    e = np.exp(shifted)
-    w = e / np.sum(e, axis=0, keepdims=True)
-    out = np.zeros_like(xd)
-    out[keep] = w
-    return out
 
 
 def stack(parts: Sequence[Tensor], shape: tuple[int, ...]) -> Tensor:

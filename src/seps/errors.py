@@ -18,10 +18,6 @@ class GraphError(SepsError):
     """Invalid use of the compute graph (e.g. gradient of a non-scalar)."""
 
 
-class EmptySupportError(SepsError):
-    """Softmax asked to normalize over an empty support."""
-
-
 class BankFormatError(SepsError):
     """Feature-bank file is malformed or not a bank at all."""
 

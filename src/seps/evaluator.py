@@ -115,7 +115,7 @@ def pairwise_scores(bank: FeatureBank, params) -> np.ndarray:
             agg, _, _ = selection.select_and_aggregate(image, params.selection, "eval")
             for j, caption in enumerate(bank.samples):
                 scores[i, j] = alignment.align_score(
-                    agg.vectors.data, caption.sparse_tokens, params.alignment).total.item()
+                    agg.vectors, caption.sparse_tokens, params.alignment).total.item()
     return scores
 
 

@@ -11,6 +11,17 @@ Modes: "train" samples Gumbel noise and uses hard decisions with soft
 backward; "eval" is deterministic and hard; "soft" disables noise and keeps
 the smooth relaxation end to end, which is what finite-difference audits
 run against.
+
+Each stage is one tape node with a plain-numpy forward and a hand-written
+vjp: the prediction head, each branch's clipped score, each decision
+logit, each branch's aggregation weights and the fused vectors.  A tensor
+read by two nodes sums their adjoints, and a two-term sum does not depend
+on order, so gradients are reproducible bit for bit.  Subgradient
+conventions: the clip passes gradient on the closed interval [0, CLIP_HI];
+the train-mode gate forwards the hard decision and backpropagates as
+identity into the keep probability (straight-through); rows outside a
+branch's survivors are exactly zero in its column softmax and receive no
+gradient.
 """
 
 from __future__ import annotations
@@ -153,12 +164,28 @@ def _patch_matrix(patches: np.ndarray, params: SelectionParams) -> np.ndarray:
     return np.ascontiguousarray(patches)  # the layout a Tensor stores
 
 
+def _predict_forward(v: np.ndarray, params: SelectionParams, what: str):
+    """Hidden activations and sigmoid outputs of the prediction head."""
+    pre = ad.finite(what, v @ params.pred_w1.data + params.pred_b1.data[None, :])
+    hidden = np.tanh(pre)
+    logits = ad.finite(what, hidden @ params.pred_w2.data + params.pred_b2.data)
+    return hidden, ad.sigmoid_np(logits)
+
+
 def predict_scores(patches: np.ndarray, params: SelectionParams) -> Tensor:
-    """Learned significance in (0,1) for every patch."""
-    v = ad.constant(_patch_matrix(patches, params))
-    hidden = ad.tanh(ad.add_rowvec(ad.matmul(v, params.pred_w1), params.pred_b1))
-    logits = ad.add(ad.matmul(hidden, params.pred_w2), params.pred_b2)
-    return ad.sigmoid(logits)
+    """Learned significance in (0,1) for every patch, as one `predict` node;
+    the patches are data and get no gradient."""
+    v = _patch_matrix(patches, params)
+    hidden, out = _predict_forward(v, params, "the predicted scores")
+    w2 = params.pred_w2.data
+
+    def vjp(g):
+        g_logits = g * out * (1.0 - out)
+        g_pre = np.outer(g_logits, w2) * (1.0 - hidden * hidden)
+        return v.T @ g_pre, np.sum(g_pre, axis=0), hidden.T @ g_logits, np.sum(g_logits)
+
+    parents = (params.pred_w1, params.pred_b1, params.pred_w2, params.pred_b2)
+    return ad.node(out, parents, vjp, "predict")
 
 
 def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np.ndarray:
@@ -179,19 +206,23 @@ def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndar
     return beta * (2.0 * text + 2.0 * image)
 
 
+def _clipped_score(pred: Tensor, fixed: np.ndarray) -> Tensor:
+    """pred + fixed clipped to [0, CLIP_HI], as one node."""
+    x = ad.finite("the branch score", pred.data + fixed)
+    inside = (x >= 0.0) & (x <= CLIP_HI)
+    return ad.node(np.clip(x, 0.0, CLIP_HI), (pred,), lambda g: (g * inside,), "branch_score")
+
+
 def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[Tensor, Tensor]:
     """Per-branch decision scores, clipped to [0, 1) for the log domain.
 
     Each branch fills the missing modality's slot with its own attention
     score, so sparse and dense branches see the same total weight mass.
+    Both branches read one scaled prediction node.
     """
-    coeff = 1.0 - 2.0 * beta
-    sparse_fixed = _attention_part(beta, bundle.sparse_text, bundle.image_self)
-    dense_fixed = _attention_part(beta, bundle.dense_text, bundle.image_self)
-    pred = ad.scale(bundle.predicted, coeff)
-    s_sparse = ad.clip(ad.add(pred, ad.constant(sparse_fixed)), 0.0, CLIP_HI)
-    s_dense = ad.clip(ad.add(pred, ad.constant(dense_fixed)), 0.0, CLIP_HI)
-    return s_sparse, s_dense
+    pred = ad.scale(bundle.predicted, 1.0 - 2.0 * beta)
+    return (_clipped_score(pred, _attention_part(beta, bundle.sparse_text, bundle.image_self)),
+            _clipped_score(pred, _attention_part(beta, bundle.dense_text, bundle.image_self)))
 
 
 def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
@@ -201,35 +232,91 @@ def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
     keep = log(s + eps), drop = log(1 - s + eps); i.i.d. Gumbel noise is
     added to both logits when enabled; the keep probability is the softmax
     of the pair at temperature tau.  A patch is kept iff that probability
-    strictly exceeds 0.5, so an exactly ambivalent score drops.
+    strictly exceeds 0.5, so an exactly ambivalent score drops.  The logit
+    is one `decision_logit` node.
     """
     validate_tau(tau)
-    keep = ad.log(ad.add_scalar(scores, EPS_LOG))
+    s = scores.data
+    keep_in = s + EPS_LOG
     # 1-s formed as -(s-1) so an exact 0.5 yields bitwise-equal logits
-    one_minus = ad.neg(ad.add_scalar(scores, -1.0))
-    drop = ad.log(ad.add_scalar(one_minus, EPS_LOG))
-    diff = ad.add(keep, ad.neg(drop))
+    drop_in = -(s + -1.0) + EPS_LOG
+    with np.errstate(divide="ignore", invalid="ignore"):  # -> NonFiniteError
+        diff = ad.finite("the decision logit", np.log(keep_in) + -np.log(drop_in))
     if noise_enabled:
         if rng is None:
             raise ConfigError("noise requires an rng")
         g_keep = rng.gumbel(size=scores.shape)
         g_drop = rng.gumbel(size=scores.shape)
-        diff = ad.add(diff, ad.constant(g_keep - g_drop))
-    logit = ad.scale(diff, 1.0 / tau)
+        diff = diff + (g_keep - g_drop)
+    inv_tau = float(1.0 / tau)
+
+    def vjp(g):
+        g_diff = g * inv_tau
+        return (g_diff / keep_in + -(-g_diff / drop_in),)
+
+    logit = ad.node(diff * inv_tau, (scores,), vjp, "decision_logit")
     soft = ad.sigmoid(logit)
     hard = (soft.data > 0.5).astype(np.float64)
     return DecisionMask(hard=hard, soft=soft, logit=logit, score=scores)
 
 
-def _branch_weights(logits: Tensor, mask: DecisionMask, mode: str) -> Tensor | None:
-    """Column-softmax aggregation weights for one branch, or None if empty."""
+def column_softmax(x: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Softmax of each column over the rows in the boolean `support`; the
+    other rows are exactly zero."""
+    rows = x[support]
+    shifted = rows - np.max(rows, axis=0, keepdims=True)
+    e = np.exp(shifted)
+    w = e / np.sum(e, axis=0, keepdims=True)
+    out = np.zeros_like(x)
+    out[support] = w
+    return out
+
+
+def _branch_weights(v: np.ndarray, weight: Tensor, bias: Tensor, mask: DecisionMask,
+                    mode: str) -> Tensor | None:
+    """Column-softmax aggregation weights for one branch as one node, or
+    None if the branch kept nothing.  Soft mode adds the log keep
+    probability to every row's logits and normalises over all rows."""
+    logits = ad.finite("the aggregation logits", v @ weight.data + bias.data[None, :])
     if mode == "soft":
-        log_gate = ad.log_sigmoid(mask.logit)
-        return ad.softmax_columns(ad.add_colvec(logits, log_gate))
+        logit = mask.logit.data
+        x = ad.finite("the aggregation logits",
+                      logits + (-np.logaddexp(0.0, -logit))[:, None])
+        out = column_softmax(x, np.ones(len(x), dtype=bool))
+
+        def soft_vjp(g):
+            g_x = out * (g - np.sum(g * out, axis=0, keepdims=True))
+            return v.T @ g_x, np.sum(g_x, axis=0), np.sum(g_x, axis=1) * ad.sigmoid_np(-logit)
+
+        return ad.node(out, (weight, bias, mask.logit), soft_vjp, "soft_branch_weights")
     support = mask.kept
     if not support.any():
         return None
-    return ad.softmax_columns(logits, support)
+    out = column_softmax(logits, support)
+
+    def vjp(g):
+        g_logits = out * (g - np.sum(g * out, axis=0, keepdims=True))
+        return v.T @ g_logits, np.sum(g_logits, axis=0)
+
+    return ad.node(out, (weight, bias), vjp, "branch_weights")
+
+
+def _fuse(v: np.ndarray, branches: list[tuple[Tensor, Tensor]], n_keep: int) -> Tensor:
+    """Sum over branches of (weights * gate[:, None]).T @ v, as one node
+    whose parents are each non-empty branch's weights and gate; an empty
+    branch (weights None) adds the zero matrix."""
+    live = [(w, gate) for w, gate in branches if w is not None]
+    parts = [np.zeros((n_keep, v.shape[1])) if w is None
+             else (w.data * gate.data[:, None]).T.copy() @ v for w, gate in branches]
+
+    def vjp(g):
+        g_gated = (g @ v.T).T
+        return tuple(grad for w, gate in live
+                     for grad in (g_gated * gate.data[:, None],
+                                  np.sum(g_gated * w.data, axis=1)))
+
+    return ad.node(parts[0] + parts[1], tuple(t for pair in live for t in pair), vjp,
+                   "aggregate")
 
 
 def aggregate(patches: np.ndarray, mask_s: DecisionMask, mask_d: DecisionMask,
@@ -240,26 +327,16 @@ def aggregate(patches: np.ndarray, mask_s: DecisionMask, mask_d: DecisionMask,
     every used column sums to one; a branch that kept nothing contributes
     the zero vector and is flagged.  Raises when both branches are empty.
     """
-    patches = np.asarray(patches, dtype=np.float64)
-    n = patches.shape[0]
+    v = _patch_matrix(patches, params)
+    n = v.shape[0]
     if mask_s.hard.shape != (n,) or mask_d.hard.shape != (n,):
         raise ShapeError("mask length does not match patch count")
-    v = ad.constant(patches)
-    logits_s = ad.add_rowvec(ad.matmul(v, params.agg_sparse_w), params.agg_sparse_b)
-    logits_d = ad.add_rowvec(ad.matmul(v, params.agg_dense_w), params.agg_dense_b)
-
-    w_s = _branch_weights(logits_s, mask_s, mode)
-    w_d = _branch_weights(logits_d, mask_d, mode)
+    w_s = _branch_weights(v, params.agg_sparse_w, params.agg_sparse_b, mask_s, mode)
+    w_d = _branch_weights(v, params.agg_dense_w, params.agg_dense_b, mask_d, mode)
     if w_s is None and w_d is None:
         raise NoPatchesSelectedError("no patches selected")
-
-    def contribution(weights: Tensor | None, mask: DecisionMask) -> Tensor:
-        if weights is None:
-            return ad.constant(np.zeros((params.n_keep, params.dim)))
-        gated = ad.scale_rows(weights, mask.gate(mode))
-        return ad.matmul(ad.transpose(gated), v)
-
-    vectors = ad.add(contribution(w_s, mask_s), contribution(w_d, mask_d))
+    vectors = _fuse(v, [(w, None if w is None else mask.gate(mode))
+                        for w, mask in ((w_s, mask_s), (w_d, mask_d))], params.n_keep)
     return AggregatedPatches(
         vectors=vectors,
         weights_sparse=w_s,
@@ -297,13 +374,12 @@ def sparse_eval_scores(sample: Sample, params: SelectionParams) -> np.ndarray:
     equal to `branch_scores(...)[0]` after `score_and_decide(..., "eval")`;
     it raises NonFiniteError wherever that path's Tensor checks would."""
     s_st, s_dt, s_im = attention_views(sample, params)
-    patches = _patch_matrix(sample.patches, params)
     what = "the sparse-branch score"
-    pre = ad.finite(what, patches @ params.pred_w1.data + params.pred_b1.data[None, :])
-    logits = ad.finite(what, np.tanh(pre) @ params.pred_w2.data + params.pred_b2.data)
-    pred = ad.sigmoid_np(logits) * (1.0 - 2.0 * params.beta)
-    scores = np.clip(pred + _attention_part(params.beta, s_st, s_im), 0.0, CLIP_HI)
-    return ad.finite(what, scores, s_dt)  # the taped path holds s_dt in a Tensor too
+    _, pred = _predict_forward(_patch_matrix(sample.patches, params), params, what)
+    pred = pred * (1.0 - 2.0 * params.beta)
+    # the taped path checks the dense branch's unclipped score too
+    x = ad.finite(what, pred + _attention_part(params.beta, s_st, s_im), s_dt)
+    return np.clip(x, 0.0, CLIP_HI)
 
 
 def score_and_decide(

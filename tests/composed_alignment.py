@@ -2,13 +2,16 @@
 
 `alignment.similarity_matrix` and `alignment.score_from_similarity` are one
 tape node each.  This module keeps the path they replaced, built from
-`seps.autodiff` ops plus six ops that only this path needs, so tests can
-hold the fused nodes to bitwise-equal values and gradients.  Its operand
+`seps.autodiff` ops, the generic ops of tests/composed_selection.py and six
+ops that only this path needs, so tests can hold the fused nodes to
+bitwise-equal values and gradients.  Its operand
 order (Wt as a contiguous copy, then 1/|p| on rows, then 1/|w| on columns;
 hid_wt likewise) is the one the fused forward keeps.
 """
 
 import numpy as np
+
+from composed_selection import matmul, scale_rows, tanh, transpose
 
 from seps import autodiff as ad
 from seps.alignment import AlignmentParams, AlignmentScore, RelevanceHead
@@ -84,15 +87,15 @@ def similarity_matrix(patches, words) -> ad.Tensor:
     if (np.any(np.linalg.norm(words.data, axis=1) == 0.0)
             or np.any(np.linalg.norm(patches.data, axis=1) == 0.0)):
         raise DegenerateVectorError("degenerate vector in alignment")
-    raw = ad.matmul(patches, ad.transpose(words))
-    return scale_cols(ad.scale_rows(raw, recip(rows_l2norm(patches))),
+    raw = matmul(patches, transpose(words))
+    return scale_cols(scale_rows(raw, recip(rows_l2norm(patches))),
                       recip(rows_l2norm(words)))
 
 
 def apply_head(head: RelevanceHead, pooled: ad.Tensor) -> ad.Tensor:
     x = pooled
     if head.hid_w is not None:
-        x = ad.tanh(ad.add(ad.matmul(ad.transpose(head.hid_w), x), head.hid_b))
+        x = tanh(ad.add(matmul(transpose(head.hid_w), x), head.hid_b))
     return ad.add(dot(head.out_w, x), head.out_b)
 
 
@@ -100,7 +103,7 @@ def relevance_pool(sim: ad.Tensor, direction: str,
                    params: AlignmentParams) -> tuple[ad.Tensor, ad.Tensor]:
     """Mean and head terms: patch_to_word pools row maxima, word_to_patch
     column maxima."""
-    matrix = sim if direction == "patch_to_word" else ad.transpose(sim)
+    matrix = sim if direction == "patch_to_word" else transpose(sim)
     maxima, _ = row_max_with_arg(matrix)
     pooled, _ = topk(maxima, params.k_top)
     head = params.p2w if direction == "patch_to_word" else params.w2p
@@ -111,8 +114,8 @@ def score_from_similarity(sim: ad.Tensor, params: AlignmentParams) -> AlignmentS
     mean_p2w, head_p2w = relevance_pool(sim, "patch_to_word", params)
     mean_w2p, head_w2p = relevance_pool(sim, "word_to_patch", params)
     total = ad.add(ad.add(ad.add(mean_p2w, head_p2w), mean_w2p), head_w2p)
-    return AlignmentScore(mean_p2w=mean_p2w, head_p2w=head_p2w,
-                          mean_w2p=mean_w2p, head_w2p=head_w2p, total=total)
+    return AlignmentScore(mean_p2w=mean_p2w.item(), head_p2w=head_p2w.item(),
+                          mean_w2p=mean_w2p.item(), head_w2p=head_w2p.item(), total=total)
 
 
 def align_score(patches, words, params: AlignmentParams) -> AlignmentScore:

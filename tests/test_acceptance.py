@@ -18,10 +18,10 @@ from test_bank import banks_equal, random_bank
 from seps import autodiff as ad
 from seps import evaluator, objective, selection
 from seps.alignment import align_score, similarity_matrix
-from seps.autodiff import softmax_columns
 from seps.bank import Sample, SynthConfig, generate_synthetic, read_bank, write_bank
 from seps.evaluator import GroundTruth, recall_at_k, rsum
 from seps.objective import ObjectiveConfig
+from seps.selection import column_softmax
 from seps.trainer import (OptimizerState, TrainConfig, fit, init_params,
                           optimizer_step, save_checkpoint)
 
@@ -342,7 +342,7 @@ def test_criterion_7b_softmax_column_sums(rng):
         support = rng.random(6) > 0.4
         if not support.any():
             support[0] = True
-        out = softmax_columns(ad.constant(x), support=support).data
+        out = column_softmax(x, support)
         worst = max(worst, float(np.max(np.abs(out.sum(axis=0) - 1.0))))
     report("7b softmax-column-sums", worst <= 1e-12, f"max |sum-1| {worst:.2e}")
 

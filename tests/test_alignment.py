@@ -91,15 +91,15 @@ def test_similarity_is_one_tape_node_with_no_word_gradient(rng):
 
 def test_pool_identity_zero_head():
     score = score_from_similarity(sim_of(np.eye(2)), head_params(2))
-    assert score.mean_p2w.item() == 1.0
-    assert score.head_p2w.item() == 0.0
+    assert score.mean_p2w == 1.0
+    assert score.head_p2w == 0.0
 
 
 def test_pool_passthrough_head():
     params = head_params(1, w_p2w=[1.0])
     score = score_from_similarity(sim_of([[0.9, 0.1]]), params)
-    assert score.head_p2w.item() == pytest.approx(0.9, abs=1e-15)
-    assert score.mean_p2w.item() == pytest.approx(0.9, abs=1e-15)
+    assert score.head_p2w == pytest.approx(0.9, abs=1e-15)
+    assert score.mean_p2w == pytest.approx(0.9, abs=1e-15)
 
 
 def test_pool_matches_bruteforce_oracle(rng):
@@ -112,13 +112,13 @@ def test_pool_matches_bruteforce_oracle(rng):
     score = score_from_similarity(sim_of(a), params)
 
     maxima = sorted((max(row) for row in a), reverse=True)
-    assert score.mean_p2w.item() == pytest.approx(np.mean([max(r) for r in a]), abs=1e-12)
-    assert score.head_p2w.item() == pytest.approx(np.dot(w_p2w, maxima[:k]) + 0.3, abs=1e-12)
+    assert score.mean_p2w == pytest.approx(np.mean([max(r) for r in a]), abs=1e-12)
+    assert score.head_p2w == pytest.approx(np.dot(w_p2w, maxima[:k]) + 0.3, abs=1e-12)
 
     col_maxima = sorted((max(a[:, j]) for j in range(3)), reverse=True)
-    assert score.mean_w2p.item() == pytest.approx(
+    assert score.mean_w2p == pytest.approx(
         np.mean([max(a[:, j]) for j in range(3)]), abs=1e-12)
-    assert score.head_w2p.item() == pytest.approx(
+    assert score.head_w2p == pytest.approx(
         np.dot(w_w2p, col_maxima[:k]) - 0.2, abs=1e-12)
 
 
@@ -126,7 +126,7 @@ def test_pool_pads_short_inputs():
     # one row but k_top=3: padding repeats the minimum row maximum
     params = head_params(3, w_p2w=[1.0, 1.0, 1.0])
     score = score_from_similarity(sim_of([[0.4, 0.2]]), params)
-    assert score.head_p2w.item() == pytest.approx(1.2, abs=1e-12)
+    assert score.head_p2w == pytest.approx(1.2, abs=1e-12)
 
 
 def test_score_rejects_an_empty_matrix():
@@ -138,8 +138,8 @@ def test_score_only_total_is_on_the_tape():
     sim = ad.tensor([[0.3, 0.9], [0.8, 0.1]], requires_grad=True)
     score = score_from_similarity(sim, head_params(2, w_p2w=[0.5, 0.1]))
     assert score.total.name == "pair_score" and score.total.parents[0] is sim
-    assert all(not t.tracked() for t in (score.mean_p2w, score.head_p2w,
-                                         score.mean_w2p, score.head_w2p))
+    assert all(type(v) is float for v in (score.mean_p2w, score.head_p2w,
+                                          score.mean_w2p, score.head_w2p))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +168,7 @@ def test_padded_topk_ties_route_to_the_first_minimum():
     # minimum, which is row 0 again; the single column maximum is row 0
     params = head_params(3, w_p2w=[1.0, 2.0, 4.0])
     score = score_from_similarity(sim_of([[0.2], [0.2]]), params)
-    assert score.head_p2w.item() == (1.0 * 0.2 + 2.0 * 0.2) + 4.0 * 0.2
+    assert score.head_p2w == (1.0 * 0.2 + 2.0 * 0.2) + 4.0 * 0.2
     grad = sim_gradient([[0.2], [0.2]], params)
     np.testing.assert_array_equal(grad, [[(0.5 + 5.0) + 1.0], [0.5 + 2.0]])
 
@@ -221,8 +221,8 @@ def test_align_total_is_exact_component_sum(rng):
     words = rng.normal(size=(2, 4))
     params = head_params(2, w_p2w=[0.3, -0.1], w_w2p=[0.2, 0.5])
     s = align_score(patches, words, params)
-    assert s.total.item() == ((s.mean_p2w.item() + s.head_p2w.item())
-                              + s.mean_w2p.item()) + s.head_w2p.item()
+    assert s.total.item() == ((s.mean_p2w + s.head_p2w)
+                              + s.mean_w2p) + s.head_w2p
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +286,8 @@ def test_hidden_head_config(rng):
     words = rng.normal(size=(2, 4))
     # zero output layer keeps the hidden head at the mean baseline
     score = align_score(patches, words, params.alignment)
-    assert score.head_p2w.item() == 0.0
-    assert score.head_w2p.item() == 0.0
+    assert score.head_p2w == 0.0
+    assert score.head_w2p == 0.0
 
 
 # ---------------------------------------------------------------------------

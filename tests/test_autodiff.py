@@ -1,6 +1,7 @@
 """Numeric substrate: op examples, gradient checks, determinism."""
 
 import ast
+import dataclasses
 import functools
 import zlib
 from pathlib import Path
@@ -9,14 +10,19 @@ import numpy as np
 import pytest
 
 from composed_alignment import dot, recip, row_max_with_arg, rows_l2norm, scale_cols, topk
-from conftest import finite_difference_check, mul, sum_all
+from composed_selection import (EmptySupportError, add_colvec, add_rowvec, add_scalar, clip,
+                                log, log_sigmoid, matmul, neg, scale_rows, softmax_columns,
+                                tanh, transpose)
+from conftest import finite_difference_check, make_params, mul, sum_all
 
 import seps
 from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, score_from_similarity,
                             similarity_matrix)
 from seps.objective import ObjectiveConfig, ratio_loss, triplet_loss
-from seps.errors import EmptySupportError, GraphError, NonFiniteError, ShapeError
+from seps.selection import (DecisionMask, ScoreBundle, aggregate, branch_scores,
+                            gumbel_decision, predict_scores)
+from seps.errors import GraphError, NonFiniteError, ShapeError
 
 
 def test_sigmoid_symmetry_point():
@@ -36,27 +42,32 @@ def test_sigmoid_gradient_matches_central_difference():
     assert err < 1e-7
 
 
+# ---------------------------------------------------------------------------
+# the column softmax of the composed selection oracle (tests/composed_selection.py),
+# whose masked kernel `selection.column_softmax` the weights nodes share
+
+
 def test_softmax_uniform_column():
-    out = ad.softmax_columns(ad.constant([[0.0], [0.0]]))
+    out = softmax_columns(ad.constant([[0.0], [0.0]]))
     np.testing.assert_allclose(out.data, [[0.5], [0.5]], rtol=0, atol=0)
 
 
 def test_softmax_single_support_row():
-    out = ad.softmax_columns(ad.constant([[0.0], [0.0]]),
+    out = softmax_columns(ad.constant([[0.0], [0.0]]),
                              support=np.array([True, False]))
     np.testing.assert_array_equal(out.data, [[1.0], [0.0]])
 
 
 def test_softmax_against_direct_exponentiation():
     column = np.array([1.0, 2.0, 3.0])
-    out = ad.softmax_columns(ad.constant(column[:, None])).data[:, 0]
+    out = softmax_columns(ad.constant(column[:, None])).data[:, 0]
     expected = np.exp(column) / np.exp(column).sum()
     np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_softmax_empty_support_raises():
     with pytest.raises(EmptySupportError, match="empty softmax support"):
-        ad.softmax_columns(ad.constant([[1.0], [2.0]]), support=np.array([False, False]))
+        softmax_columns(ad.constant([[1.0], [2.0]]), support=np.array([False, False]))
 
 
 def test_softmax_columns_sum_to_one():
@@ -66,7 +77,7 @@ def test_softmax_columns_sum_to_one():
         support = rng.random(5) > 0.3
         if not support.any():
             support[0] = True
-        out = ad.softmax_columns(ad.constant(x), support=support).data
+        out = softmax_columns(ad.constant(x), support=support).data
         np.testing.assert_allclose(out.sum(axis=0), np.ones(4), atol=1e-12)
         assert np.all(out[~support] == 0.0)
 
@@ -222,7 +233,7 @@ def test_central_difference_restores_tensor_when_loss_raises():
 
 def test_non_finite_result_raises():
     with pytest.raises(NonFiniteError):
-        ad.log(ad.constant([0.0]))
+        log(ad.constant([0.0]))
 
 
 def test_forward_determinism_bitwise():
@@ -231,7 +242,7 @@ def test_forward_determinism_bitwise():
 
     def run():
         t = ad.constant(x)
-        out = ad.softmax_columns(ad.matmul(t, ad.constant(rng_w)))
+        out = softmax_columns(matmul(t, ad.constant(rng_w)))
         return ad.mean_all(mul(out, out)).item()
 
     rng_w = np.random.default_rng(4).normal(size=(3, 5))
@@ -326,6 +337,60 @@ def _pair_score_cases():
     return cases
 
 
+def _selection_cases():
+    """The selection pass's nodes on 5 patches of dim 3 with 2 columns, one
+    entry per probed input: a head weight, the predicted score, the branch
+    score, a decision logit or a soft-mode gate."""
+    sel = make_params(dim=3, n_keep=2, seed=4).selection
+    rng = np.random.default_rng(9)
+    patches = rng.normal(size=(5, 3))
+    readout = ad.constant(rng.normal(size=5))
+    columns = ad.constant(rng.normal(size=(2, 3)))
+    hard_s, hard_d = np.array([1.0, 0, 1, 1, 0]), np.array([0.0, 1, 0, 1, 1])
+    fixed_logit = ad.constant(rng.normal(size=5))
+    fixed_soft = ad.constant(ad.sigmoid_np(fixed_logit.data))
+
+    def mask(hard, soft=fixed_soft, logit=fixed_logit):
+        return DecisionMask(hard=hard, soft=soft, logit=logit, score=soft)
+
+    def vectors(mode, mask_s=None, **weights):
+        params = dataclasses.replace(sel, **weights)
+        mask_s = mask(hard_s) if mask_s is None else mask_s
+        return sum_all(mul(aggregate(patches, mask_s, mask(hard_d), params, mode).vectors,
+                           columns))
+
+    def predicted(t, name):
+        return sum_all(mul(predict_scores(patches, dataclasses.replace(sel, **{name: t})),
+                           readout))
+
+    def branches(t):
+        # beta 0.25 and both views at 1 clip the third patch at CLIP_HI
+        views = np.array([0.1, 0.3, 1.0, 0.2, 0.0]), np.array([0.2, 0.1, 1.0, 0.3, 0.0])
+        bundle = ScoreBundle(t, views[0], views[1][::-1].copy(), views[1])
+        s_sparse, s_dense = branch_scores(bundle, 0.25)
+        return ad.add(sum_all(mul(s_sparse, readout)), sum_all(mul(s_dense, fixed_logit)))
+
+    def unit(low, high):
+        return lambda rng: rng.uniform(low, high, size=5)
+
+    cases = {f"predict.{name}": (functools.partial(predicted, name=f"pred_{name}"),
+                                 getattr(sel, f"pred_{name}").shape)
+             for name in ("w1", "b1", "w2", "b2")}
+    for mode, tag in (("eval", "branch_weights"), ("soft", "soft_branch_weights")):
+        for name in ("w", "b"):
+            field = f"agg_sparse_{name}"
+            cases[f"{tag}.{name}"] = (
+                functools.partial(lambda t, mode, field: vectors(mode, **{field: t}),
+                                  mode=mode, field=field), getattr(sel, field).shape)
+    cases["soft_branch_weights.logit"] = (lambda t: vectors("soft", mask(hard_s, logit=t)),
+                                          (5,))
+    cases["aggregate.gate"] = (lambda t: vectors("soft", mask(hard_s, soft=t)), unit(0.1, 0.9))
+    cases["branch_score"] = (branches, unit(0.1, 0.5))
+    cases["decision_logit"] = (lambda t: sum_all(mul(gumbel_decision(
+        t, 0.7, True, np.random.default_rng(3)).logit, readout)), unit(0.05, 0.95))
+    return cases
+
+
 def _fd_cases():
     m34 = "m34"  # marker: 3x4 matrix input
     words = np.array([[0.3, -1.0, 0.8, 0.1], [1.2, 0.4, -0.5, 0.9]])
@@ -335,27 +400,27 @@ def _fd_cases():
         "add": (lambda t: sum_all(ad.add(t, ad.constant([0.2, -0.4, 1.0]))), (3,)),
         "add_scalar_broadcast": (lambda t: sum_all(ad.add(t, ad.constant(0.3))), (3,)),
         "mul": (lambda t: sum_all(mul(t, ad.constant([1.2, -0.8, 0.5]))), (3,)),
-        "neg": (lambda t: sum_all(ad.neg(t)), (3,)),
+        "neg": (lambda t: sum_all(neg(t)), (3,)),
         "scale": (lambda t: sum_all(ad.scale(t, -2.5)), (3,)),
-        "log": (lambda t: sum_all(ad.log(ad.add_scalar(mul(t, t), 0.5))), (3,)),
+        "log": (lambda t: sum_all(log(add_scalar(mul(t, t), 0.5))), (3,)),
         "sigmoid": (lambda t: sum_all(ad.sigmoid(t)), (3,)),
-        "log_sigmoid": (lambda t: sum_all(ad.log_sigmoid(t)), (3,)),
-        "tanh": (lambda t: sum_all(ad.tanh(t)), (3,)),
-        "clip_interior": (lambda t: sum_all(ad.clip(t, -50.0, 50.0)), (3,)),
-        "matmul": (lambda t: sum_all(ad.matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
-        "matvec": (lambda t: sum_all(ad.matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
-        "transpose": (lambda t: sum_all(mul(ad.transpose(t), ad.transpose(t))), m34),
+        "log_sigmoid": (lambda t: sum_all(log_sigmoid(t)), (3,)),
+        "tanh": (lambda t: sum_all(tanh(t)), (3,)),
+        "clip_interior": (lambda t: sum_all(clip(t, -50.0, 50.0)), (3,)),
+        "matmul": (lambda t: sum_all(matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
+        "matvec": (lambda t: sum_all(matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
+        "transpose": (lambda t: sum_all(mul(transpose(t), transpose(t))), m34),
         "sum_all": (lambda t: sum_all(t), m34),
         "mean_all": (lambda t: ad.mean_all(t), m34),
-        "scale_rows": (lambda t: sum_all(ad.scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
-        "add_rowvec": (lambda t: sum_all(mul(ad.add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
-        "add_colvec": (lambda t: sum_all(mul(ad.add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),
-        "softmax_columns": (lambda t: sum_all(mul(ad.softmax_columns(t), ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
+        "scale_rows": (lambda t: sum_all(scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
+        "add_rowvec": (lambda t: sum_all(mul(add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
+        "add_colvec": (lambda t: sum_all(mul(add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),
+        "softmax_columns": (lambda t: sum_all(mul(softmax_columns(t), ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
         "softmax_masked": (lambda t: sum_all(mul(
-            ad.softmax_columns(t, support=np.array([True, False, True])),
+            softmax_columns(t, support=np.array([True, False, True])),
             ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
         "stack": (lambda t: sum_all(mul(ad.stack(
-            [ad.mean_all(t), ad.mean_all(ad.tanh(t)), sum_all(mul(t, t)),
+            [ad.mean_all(t), ad.mean_all(tanh(t)), sum_all(mul(t, t)),
              ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, -2.0], [0.5, 3.0]]))), m34),
         "triplet_loss": (lambda t: triplet_loss(t, TRIPLET_MARGIN), _square_scores),
         "ratio_loss": (lambda t: ratio_loss(([sum_all(mul(t, e)) for e in eye[:3]],
@@ -364,6 +429,7 @@ def _fd_cases():
                                              ad.constant(np.arange(6.0).reshape(3, 2) - 2.0))),
                        m34),
         **_pair_score_cases(),
+        **_selection_cases(),
         **_oracle_op_cases(m34),
     }
 
@@ -373,10 +439,10 @@ def _oracle_op_cases(m34):
     keeps for itself: their vjps make the gradients the fused nodes are
     held bitwise equal to, so they are swept like the library's."""
     return {
-        "recip": (lambda t: sum_all(recip(ad.add_scalar(mul(t, t), 1.0))), (3,)),
+        "recip": (lambda t: sum_all(recip(add_scalar(mul(t, t), 1.0))), (3,)),
         "dot": (lambda t: dot(t, ad.constant([0.7, -1.3, 0.4])), (3,)),
         "scale_cols": (lambda t: sum_all(scale_cols(t, ad.constant([1.0, -1.0, 2.0, 0.5]))), m34),
-        "rows_l2norm": (lambda t: sum_all(rows_l2norm(ad.add_scalar(t, 3.0))), m34),
+        "rows_l2norm": (lambda t: sum_all(rows_l2norm(add_scalar(t, 3.0))), m34),
         "row_max": (lambda t: sum_all(row_max_with_arg(t)[0]), m34),
         "topk": (lambda t: dot(topk(t, 4)[0], ad.constant([1.0, 2.0, 3.0, 4.0])), (3,)),
     }
@@ -465,6 +531,6 @@ def test_every_public_autodiff_function_has_a_library_caller():
     tree = ast.parse((package / "autodiff.py").read_text(encoding="utf-8"))
     public = {fn.name for fn in tree.body
               if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")}
-    assert {"node", "gradient", "matmul"} <= public
+    assert {"node", "gradient", "straight_through"} <= public
     used = set().union(*(_autodiff_references(path) for path in package.glob("*.py")))
     assert not public - used, f"no caller in src/seps for {sorted(public - used)}"

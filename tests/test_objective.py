@@ -92,6 +92,21 @@ def test_train_batch_tapes_one_gate_per_mask_and_two_nodes_per_pair():
     assert names.count("similarity") == names.count("pair_score") == b * b
 
 
+def test_desk_train_step_builds_264_tape_nodes():
+    # 12 weights, then per sample: predict, its scale, two branch scores, two
+    # decision logits, two sigmoids, two gates, two weights nodes, the fused
+    # vectors and two keep means (15 x 8); two per pair (2 x 64); the stacked
+    # scores and three loss nodes
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
+    params = make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5)
+    batch = batch_similarity(bank.samples, params.selection, params.alignment, "train",
+                             seed=5)
+    nodes = ad.Graph(batch_loss(batch, ObjectiveConfig())).nodes
+    names = [n.name for n in nodes]
+    assert names.count("branch_weights") == 16  # no branch is empty
+    assert len(nodes) == 264
+
+
 @pytest.mark.parametrize("head_hidden", [0, 4])
 @pytest.mark.parametrize("mode", ["train", "soft"])
 def test_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hidden,

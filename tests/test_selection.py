@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from conftest import (basis_sample, finite_difference_check, make_params, mul, sum_all,
-                      zero_params)
+import composed_selection as composed
+from conftest import (basis_sample, finite_difference_check, make_params, mul,
+                      perturb_params, sum_all, zero_params)
 
 from seps import autodiff as ad
 from seps import selection
 from seps.autodiff import EPS_LOG
 from seps.bank import Sample, SynthConfig, generate_synthetic
 from seps.errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
+from seps.objective import ObjectiveConfig, batch_loss, batch_similarity
 from seps.selection import (DecisionMask, ScoreBundle, aggregate, attention_scores,
                             branch_scores, gumbel_decision, predict_scores,
                             score_and_decide, select_and_aggregate, sparse_eval_scores)
@@ -360,6 +362,108 @@ def test_sparse_eval_scores_raises_non_finite_like_the_taped_path(where, rng):
             taped_sparse_scores(sample, params)
         with pytest.raises(NonFiniteError):
             sparse_eval_scores(sample, params)
+
+
+# ---------------------------------------------------------------------------
+# the fused nodes against the composed path (tests/composed_selection.py), bit for bit
+
+
+def bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=np.float64).tobytes()
+
+
+def use_composed(monkeypatch):
+    for name in composed.FUNCTIONS:
+        monkeypatch.setattr(selection, name, getattr(composed, name))
+
+
+def one_empty_case():
+    """Sparse tokens orthogonal to every patch and a low prediction: in eval
+    mode the sparse branch keeps nothing and the dense one keeps patch 0."""
+    eye = np.eye(4)
+    sample = Sample("one-empty", eye[:3].copy(), eye[3:].copy(), eye[:1].copy())
+    params = perturb_params(make_params(dim=4, n_keep=2, seed=3), 1).selection
+    params.pred_b2.data = np.asarray(-3.0)
+    return sample, params
+
+
+def selection_case(case):
+    if case == "one_empty":
+        return one_empty_case()
+    sample = generate_synthetic(SynthConfig(n_samples=1, seed=21, **DESK)).samples[0]
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, seed=2), 3).selection
+    params.zero_dense_attention = case == "zero_dense_attention"
+    return sample, params
+
+
+def selection_pass_bits(sample, params, mode):
+    """Every value of one selection pass, and the gradient of a readout of
+    the vectors and both keep means, as bytes."""
+    rng = np.random.default_rng(4) if mode == "train" else None  # seed 4: sparse empty
+    agg, bundle, masks = select_and_aggregate(sample, params, mode, rng)
+    readout = sum_all(mul(agg.vectors, ad.constant(np.cos(np.arange(agg.vectors.size))
+                                                   .reshape(agg.vectors.shape))))
+    for mask in masks:
+        readout = ad.add(readout, ad.mean_all(mask.gate(mode)))
+    tensors = [t for _, t in params.named()]
+    grads = ad.gradient(readout, tensors)
+    empty = (agg.empty_sparse, agg.empty_dense)
+    values = [agg.vectors.data, bundle.predicted.data, readout.data,
+              *(w.data for w in (agg.weights_sparse, agg.weights_dense) if w is not None),
+              *(a for m in masks for a in (m.hard, m.soft.data, m.logit.data, m.score.data)),
+              *(grads[t].data for t in tensors)]
+    return empty, [bits(v) for v in values]
+
+
+@pytest.mark.parametrize("case", ["desk", "zero_dense_attention", "one_empty"])
+@pytest.mark.parametrize("mode", selection.MODES)
+def test_selection_pass_matches_the_composed_path_bitwise(mode, case, monkeypatch):
+    sample, params = selection_case(case)
+    empty, fused = selection_pass_bits(sample, params, mode)
+    if case == "one_empty" and mode != "soft":
+        assert empty == (True, False)
+    use_composed(monkeypatch)
+    assert selection_pass_bits(sample, params, mode) == (empty, fused)
+
+
+@pytest.mark.parametrize("head_hidden", [0, 4])
+@pytest.mark.parametrize("mode", selection.MODES)
+def test_batch_matches_the_composed_selection_bitwise(mode, head_hidden, monkeypatch):
+    # a desk-shaped batch: B=8, 16 patches, 8 kept vectors, k_top=8 over 2 words
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=head_hidden + 1))
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
+                                        head_hidden=head_hidden, seed=1), 4)
+
+    def run():
+        batch = batch_similarity(bank.samples, params.selection, params.alignment,
+                                 mode, seed=5, step=2)
+        loss = batch_loss(batch, ObjectiveConfig())
+        grads = ad.gradient(loss, params.tensors())
+        return [bits(loss.data), bits(batch.scores.data),
+                *(bits(grads[t].data) for t in params.tensors())]
+
+    fused = run()
+    use_composed(monkeypatch)
+    assert run() == fused
+
+
+@pytest.mark.parametrize("layer", ["pred.w1 pred.b1", "pred.w2 pred.b2",
+                                   "agg_sparse.w agg_sparse.b", "agg_dense.w agg_dense.b"])
+@pytest.mark.parametrize("mode", selection.MODES)
+def test_non_finite_raises_where_the_composed_path_raises(layer, mode, monkeypatch):
+    # a layer's weight and bias at 1e308 overflow its pre-activation to inf,
+    # which the composed path held in a Tensor; no input is non-finite
+    sample, params = selection_case("desk")
+    tensors = dict(params.named())
+    for name in layer.split():
+        tensors[name].data = np.full_like(tensors[name].data, 1e308)
+    rng = np.random.default_rng(0) if mode == "train" else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError):
+            select_and_aggregate(sample, params, mode, rng)
+        use_composed(monkeypatch)
+        with pytest.raises(NonFiniteError):
+            select_and_aggregate(sample, params, mode, rng)
 
 
 def test_forward_unknown_mode_rejected():
