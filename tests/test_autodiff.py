@@ -53,8 +53,7 @@ def test_softmax_uniform_column():
 
 
 def test_softmax_single_support_row():
-    out = softmax_columns(ad.constant([[0.0], [0.0]]),
-                             support=np.array([True, False]))
+    out = softmax_columns(ad.constant([[0.0], [0.0]]), support=np.array([True, False]))
     np.testing.assert_array_equal(out.data, [[1.0], [0.0]])
 
 
@@ -359,6 +358,9 @@ def _selection_cases():
         return sum_all(mul(aggregate(patches, mask_s, mask(hard_d), params, mode).vectors,
                            columns))
 
+    def agg_weight(t, mode, field):
+        return vectors(mode, **{field: t})
+
     def predicted(t, name):
         return sum_all(mul(predict_scores(patches, dataclasses.replace(sel, **{name: t})),
                            readout))
@@ -379,9 +381,8 @@ def _selection_cases():
     for mode, tag in (("eval", "branch_weights"), ("soft", "soft_branch_weights")):
         for name in ("w", "b"):
             field = f"agg_sparse_{name}"
-            cases[f"{tag}.{name}"] = (
-                functools.partial(lambda t, mode, field: vectors(mode, **{field: t}),
-                                  mode=mode, field=field), getattr(sel, field).shape)
+            cases[f"{tag}.{name}"] = (functools.partial(agg_weight, mode=mode, field=field),
+                                      getattr(sel, field).shape)
     cases["soft_branch_weights.logit"] = (lambda t: vectors("soft", mask(hard_s, logit=t)),
                                           (5,))
     cases["aggregate.gate"] = (lambda t: vectors("soft", mask(hard_s, soft=t)), unit(0.1, 0.9))
@@ -400,25 +401,10 @@ def _fd_cases():
         "add": (lambda t: sum_all(ad.add(t, ad.constant([0.2, -0.4, 1.0]))), (3,)),
         "add_scalar_broadcast": (lambda t: sum_all(ad.add(t, ad.constant(0.3))), (3,)),
         "mul": (lambda t: sum_all(mul(t, ad.constant([1.2, -0.8, 0.5]))), (3,)),
-        "neg": (lambda t: sum_all(neg(t)), (3,)),
         "scale": (lambda t: sum_all(ad.scale(t, -2.5)), (3,)),
-        "log": (lambda t: sum_all(log(add_scalar(mul(t, t), 0.5))), (3,)),
         "sigmoid": (lambda t: sum_all(ad.sigmoid(t)), (3,)),
-        "log_sigmoid": (lambda t: sum_all(log_sigmoid(t)), (3,)),
-        "tanh": (lambda t: sum_all(tanh(t)), (3,)),
-        "clip_interior": (lambda t: sum_all(clip(t, -50.0, 50.0)), (3,)),
-        "matmul": (lambda t: sum_all(matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
-        "matvec": (lambda t: sum_all(matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
-        "transpose": (lambda t: sum_all(mul(transpose(t), transpose(t))), m34),
         "sum_all": (lambda t: sum_all(t), m34),
         "mean_all": (lambda t: ad.mean_all(t), m34),
-        "scale_rows": (lambda t: sum_all(scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
-        "add_rowvec": (lambda t: sum_all(mul(add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
-        "add_colvec": (lambda t: sum_all(mul(add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),
-        "softmax_columns": (lambda t: sum_all(mul(softmax_columns(t), ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
-        "softmax_masked": (lambda t: sum_all(mul(
-            softmax_columns(t, support=np.array([True, False, True])),
-            ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
         "stack": (lambda t: sum_all(mul(ad.stack(
             [ad.mean_all(t), ad.mean_all(tanh(t)), sum_all(mul(t, t)),
              ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, -2.0], [0.5, 3.0]]))), m34),
@@ -435,10 +421,26 @@ def _fd_cases():
 
 
 def _oracle_op_cases(m34):
-    """The six ops the composed pair path in tests/composed_alignment.py
-    keeps for itself: their vjps make the gradients the fused nodes are
-    held bitwise equal to, so they are swept like the library's."""
+    """The ops the composed paths in tests/composed_selection.py and
+    tests/composed_alignment.py keep for themselves: their vjps make the
+    gradients the fused nodes are held bitwise equal to, so they are swept
+    like the library's."""
     return {
+        "neg": (lambda t: sum_all(neg(t)), (3,)),
+        "log": (lambda t: sum_all(log(add_scalar(mul(t, t), 0.5))), (3,)),
+        "log_sigmoid": (lambda t: sum_all(log_sigmoid(t)), (3,)),
+        "tanh": (lambda t: sum_all(tanh(t)), (3,)),
+        "clip_interior": (lambda t: sum_all(clip(t, -50.0, 50.0)), (3,)),
+        "matmul": (lambda t: sum_all(matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
+        "matvec": (lambda t: sum_all(matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
+        "transpose": (lambda t: sum_all(mul(transpose(t), transpose(t))), m34),
+        "scale_rows": (lambda t: sum_all(scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
+        "add_rowvec": (lambda t: sum_all(mul(add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
+        "add_colvec": (lambda t: sum_all(mul(add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),
+        "softmax_columns": (lambda t: sum_all(mul(softmax_columns(t), ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
+        "softmax_masked": (lambda t: sum_all(mul(
+            softmax_columns(t, support=np.array([True, False, True])),
+            ad.constant(np.arange(12.0).reshape(3, 4)))), m34),
         "recip": (lambda t: sum_all(recip(add_scalar(mul(t, t), 1.0))), (3,)),
         "dot": (lambda t: dot(t, ad.constant([0.7, -1.3, 0.4])), (3,)),
         "scale_cols": (lambda t: sum_all(scale_cols(t, ad.constant([1.0, -1.0, 2.0, 0.5]))), m34),

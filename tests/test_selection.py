@@ -102,6 +102,15 @@ def test_branch_scores_clipped_below_one():
     assert s_dn.item() == 1.0 - 1e-6
 
 
+def test_branch_score_gradient_passes_on_the_closed_interval():
+    # beta 0 makes each branch score the prediction itself: both ends of
+    # [0, CLIP_HI] pass gradient, values clipped from outside do not
+    pred = ad.tensor([0.0, selection.CLIP_HI, 1.5, -0.2, 0.3], requires_grad=True)
+    s_sp, _ = branch_scores(bundle_from(pred, *np.zeros((3, 5))), 0.0)
+    np.testing.assert_array_equal(ad.gradient(sum_all(s_sp), [pred])[pred].data,
+                                  [1.0, 1.0, 0.0, 0.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # stage 2: decisions
 
@@ -457,13 +466,15 @@ def test_non_finite_raises_where_the_composed_path_raises(layer, mode, monkeypat
     tensors = dict(params.named())
     for name in layer.split():
         tensors[name].data = np.full_like(tensors[name].data, 1e308)
-    rng = np.random.default_rng(0) if mode == "train" else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteError):
+
+    def raises():
+        rng = np.random.default_rng(0) if mode == "train" else None
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
             select_and_aggregate(sample, params, mode, rng)
-        use_composed(monkeypatch)
-        with pytest.raises(NonFiniteError):
-            select_and_aggregate(sample, params, mode, rng)
+
+    raises()
+    use_composed(monkeypatch)
+    raises()
 
 
 def test_forward_unknown_mode_rejected():
