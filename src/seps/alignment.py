@@ -7,14 +7,17 @@ two terms column-wise.  Heads are linear by default (zero-initialized so
 scoring starts as pure mean pooling) with an optional tanh hidden layer.
 
 The matrix and the score are one tape node each, with a plain-numpy
-forward and a hand-written vjp.  Subgradient conventions: a row or column
-maximum routes to its first-occurrence winner; the top-K orders ties by
-first occurrence and, when K exceeds the number of maxima, pads with the
-first-occurrence minimum, whose slots all add into that one entry.
+forward and a hand-written vjp; a side that enters many pairs (a caption,
+an image's fused vectors) is prepared once as `Rows`.  Subgradient
+conventions: a row or column maximum routes to its first-occurrence
+winner; the top-K orders ties by first occurrence and, when K exceeds the
+number of maxima, pads with the first-occurrence minimum, whose slots all
+add into that one entry.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DegenerateVectorError, ShapeError
+from .errors import ConfigError, DegenerateVectorError, NonFiniteError, ShapeError
 
 
 @dataclass
@@ -75,36 +78,69 @@ class AlignmentScore:
         return self.mean_p2w, self.head_p2w, self.mean_w2p, self.head_w2p
 
 
-def similarity_matrix(patches: Tensor | np.ndarray, words: np.ndarray) -> Tensor:
+class Rows:
+    """One side of a similarity matrix, prepared once for every pair it
+    enters: the matrix, its row norms and their reciprocals, whether a row
+    is zero and whether those terms are finite.  `tensor` is the graph
+    tensor of a patch side, None for words, which are data.
+
+    The checks are recorded, not raised, so `similarity_matrix` raises for
+    each pair exactly what it would raise on the raw arrays.
+    """
+
+    def __init__(self, matrix: Tensor | np.ndarray):
+        self.tensor = matrix if isinstance(matrix, Tensor) else None
+        data = matrix.data if self.tensor is not None else np.ascontiguousarray(
+            matrix, dtype=np.float64)
+        if data.ndim != 2:
+            raise ShapeError(f"expected a matrix, got shape {data.shape}")
+        self.data = data
+        self.norm = np.sqrt((data * data).sum(axis=1))
+        self.degenerate = not self.norm.all()
+        # a zero norm gets no reciprocal: similarity_matrix refuses it first
+        self.recip = None if self.degenerate else 1.0 / self.norm
+        self.finite = not self.degenerate and bool(
+            np.isfinite(self.norm).all() and np.isfinite(self.recip).all())
+
+    @functools.cached_property
+    def t(self) -> np.ndarray:
+        """The transposed copy a word side is multiplied by."""
+        return self.data.T.copy()
+
+
+def similarity_matrix(patches: Rows | Tensor | np.ndarray, words: Rows | np.ndarray) -> Tensor:
     """Exact cosine of every patch-word pair, patches along rows and words
     along columns, as one tape node; zero-norm vectors are refused.
 
-    Patches may be a graph tensor; words are data.  The forward is
-    `(P @ Wt) * (1/|p|)[:, None] * (1/|w|)[None, :]`, and the patch tensor
-    is listed twice as a parent so its norm-path adjoint accumulates before
-    its product-path one.
+    Patches may be a graph tensor; words are data.  Either side may come
+    prepared as `Rows`, so a side shared by many pairs pays for its norms
+    once.  The forward is `(P @ Wt) * (1/|p|)[:, None] * (1/|w|)[None, :]`,
+    and the patch tensor is listed twice as a parent so its norm-path
+    adjoint accumulates before its product-path one.
     """
-    if not isinstance(patches, Tensor):
-        patches = ad.constant(patches)
-    p, w = patches.data, np.ascontiguousarray(words, dtype=np.float64)
-    if p.ndim != 2 or w.ndim != 2 or p.shape[1] != w.shape[1]:
+    if not isinstance(patches, Rows):
+        patches = Rows(patches if isinstance(patches, Tensor) else ad.constant(patches))
+    if not isinstance(words, Rows):
+        words = Rows(words)
+    p, w = patches.data, words.data
+    if p.shape[1] != w.shape[1]:
         raise ShapeError(f"incompatible shapes {p.shape} vs {w.shape}")
-    norm_p = np.sqrt(np.sum(p * p, axis=1))
-    norm_w = np.sqrt(np.sum(w * w, axis=1))
-    if not (norm_p.all() and norm_w.all()):
+    if patches.degenerate or words.degenerate:
         raise DegenerateVectorError("degenerate vector in alignment")
-    w_t = w.T.copy()
+    w_t = words.t
     raw = p @ w_t
-    recip_p, recip_w = 1.0 / norm_p, 1.0 / norm_w
-    ad.finite("the similarity matrix", raw, norm_p, recip_p, norm_w, recip_w)
+    if not (patches.finite and words.finite and np.isfinite(raw).all()):
+        raise NonFiniteError("non-finite values in the similarity matrix")
+    norm_p, recip_p, recip_w = patches.norm, patches.recip, words.recip
     out = raw * recip_p[:, None] * recip_w[None, :]
 
     def vjp(g):
         g_rows = g * recip_w[None, :]
-        g_norm = -np.sum(g_rows * raw, axis=1) * recip_p * recip_p
+        g_norm = -(g_rows * raw).sum(axis=1) * recip_p * recip_p
         return (g_norm / norm_p)[:, None] * p, (g_rows * recip_p[:, None]) @ w_t.T
 
-    return ad.node(out, (patches, patches), vjp, "similarity")
+    parents = () if patches.tensor is None else (patches.tensor, patches.tensor)
+    return ad.node(out, parents, vjp, "similarity")
 
 
 def _pool(maxima: np.ndarray, head: RelevanceHead, k_top: int):
@@ -113,9 +149,9 @@ def _pool(maxima: np.ndarray, head: RelevanceHead, k_top: int):
     first-occurrence minimum), plus the backward of both: upstream adjoint
     -> (adjoint of the maxima, adjoints of the head tensors in `named`
     order)."""
-    order = np.argsort(-maxima, kind="stable")
+    order = (-maxima).argsort(kind="stable")
     if k_top > maxima.size:
-        order = np.concatenate([order, np.full(k_top - maxima.size, np.argmin(maxima))])
+        order = np.concatenate([order, np.full(k_top - maxima.size, maxima.argmin())])
     idx = order[:k_top]
     pooled = maxima[idx]
     out_w = head.out_w.data
@@ -131,11 +167,10 @@ def _pool(maxima: np.ndarray, head: RelevanceHead, k_top: int):
             g_pre = g_pooled * (1.0 - x * x)
             grads = (np.outer(g_pre, pooled).T, g_pre, *grads)
             g_pooled = hid_wt.T @ g_pre
-        g_top = np.zeros_like(maxima)
-        np.add.at(g_top, idx, g_pooled)  # padded slots add up at the argmin
-        return np.full(maxima.shape, g / maxima.size) + g_top, grads
+        # padded slots add up at the argmin, in slot order
+        return g / maxima.size + np.bincount(idx, g_pooled, maxima.size), grads
 
-    return np.mean(maxima), out_w @ x + head.out_b.data, backward
+    return maxima.sum() / maxima.size, out_w @ x + head.out_b.data, backward
 
 
 def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScore:
@@ -150,14 +185,14 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
     if s.ndim != 2 or s.size == 0:
         raise ShapeError("score_from_similarity expects a non-empty matrix")
     rows, cols = np.arange(s.shape[0]), np.arange(s.shape[1])
-    arg_p2w, arg_w2p = np.argmax(s, axis=1), np.argmax(s, axis=0)
+    arg_p2w, arg_w2p = s.argmax(axis=1), s.argmax(axis=0)
     mean_p2w, head_p2w, back_p2w = _pool(s[rows, arg_p2w], params.p2w, params.k_top)
     mean_w2p, head_w2p, back_w2p = _pool(s[arg_w2p, cols], params.w2p, params.k_top)
 
     def vjp(g):
         g_p2w, grads_p2w = back_p2w(g)
         g_w2p, grads_w2p = back_w2p(g)
-        g_rows, g_cols = np.zeros_like(s), np.zeros_like(s)
+        g_rows, g_cols = np.zeros(s.shape), np.zeros(s.shape)
         g_rows[rows, arg_p2w] = g_p2w
         g_cols[arg_w2p, cols] = g_w2p
         return (g_rows + g_cols, *grads_p2w, *grads_w2p)
@@ -169,7 +204,7 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
                           mean_w2p=float(mean_w2p), head_w2p=float(head_w2p), total=total)
 
 
-def align_score(patches: Tensor | np.ndarray, words: np.ndarray,
+def align_score(patches: Rows | Tensor | np.ndarray, words: Rows | np.ndarray,
                 params: AlignmentParams) -> AlignmentScore:
     """Four-term alignment score between one image's aggregated patches and
     one caption's words."""

@@ -80,9 +80,6 @@ class Tensor:
             raise ShapeError("item() on non-scalar tensor")
         return float(self.data.reshape(()))
 
-    def tracked(self) -> bool:
-        return self.requires_grad or bool(self.parents)
-
     def __repr__(self) -> str:
         tag = self.name or ("leaf" if not self.parents else "node")
         return f"Tensor({tag}, shape={self.shape})"
@@ -99,15 +96,16 @@ def constant(data, name: str | None = None) -> Tensor:
 def finite(what: str, *arrays: np.ndarray) -> np.ndarray:
     """Raise NonFiniteError, as a Tensor holding any of `arrays` would;
     returns the first array."""
-    if not all(np.isfinite(a).all() for a in arrays):
-        raise NonFiniteError(f"non-finite values in {what}")
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise NonFiniteError(f"non-finite values in {what}")
     return arrays[0]
 
 
 def node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable, name: str) -> Tensor:
     """An op's output: recorded on the tape with `vjp` when a parent is
     tracked and gradients are enabled, a plain constant otherwise."""
-    if _grad_enabled and any(p.tracked() for p in parents):
+    if _grad_enabled and any(p.requires_grad or p.parents for p in parents):
         return Tensor(data, parents=parents, vjp=vjp, name=name)
     return Tensor(data, name=name)
 
@@ -174,7 +172,7 @@ def mean_all(a: Tensor) -> Tensor:
     def vjp(g):
         return (np.full(shape, g / n),)
 
-    return node(np.mean(a.data), (a,), vjp, "mean_all")
+    return node(a.data.sum() / n, (a,), vjp, "mean_all")  # np.mean's value
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +237,11 @@ class Graph:
                 continue
             parent_grads = node.vjp(g)
             for parent, pg in zip(node.parents, parent_grads):
-                if pg is None or not parent.tracked():
+                if pg is None or not (parent.requires_grad or parent.parents):
                     continue
-                pg = np.asarray(pg, dtype=np.float64)
                 key = id(parent)
-                if key in adj:
-                    adj[key] = adj[key] + pg
-                else:
-                    adj[key] = pg
+                prev = adj.get(key)
+                adj[key] = np.asarray(pg, dtype=np.float64) if prev is None else prev + pg
         return adj
 
 

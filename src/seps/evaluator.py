@@ -107,15 +107,18 @@ def check_dims(bank: FeatureBank, params) -> None:
 
 
 def pairwise_scores(bank: FeatureBank, params) -> np.ndarray:
-    """S[i, j] = alignment score of image i against caption j, eval mode."""
+    """S[i, j] = alignment score of image i against caption j, eval mode;
+    each caption and each image's fused vectors are prepared once."""
     check_dims(bank, params)
     scores = np.zeros((len(bank.samples), len(bank.samples)))
+    captions = [alignment.Rows(caption.sparse_tokens) for caption in bank.samples]
     with ad.no_grad():
         for i, image in enumerate(bank.samples):
             agg, _, _ = selection.select_and_aggregate(image, params.selection, "eval")
-            for j, caption in enumerate(bank.samples):
-                scores[i, j] = alignment.align_score(
-                    agg.vectors, caption.sparse_tokens, params.alignment).total.item()
+            side = alignment.Rows(agg.vectors)
+            for j, caption in enumerate(captions):
+                scores[i, j] = alignment.align_score(side, caption,
+                                                     params.alignment).total.item()
     return scores
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import selection
-from .alignment import AlignmentParams, score_from_similarity, similarity_matrix
+from .alignment import AlignmentParams, Rows, score_from_similarity, similarity_matrix
 from .autodiff import Tensor
 from .bank import Sample
 from .errors import ConfigError, ShapeError
@@ -64,25 +64,31 @@ def batch_similarity(
     mode: str = "train",
     seed: int = 0,
     step: int = 0,
+    views: Sequence[tuple[np.ndarray, ...]] | None = None,
 ) -> BatchScores:
     """One selection pass per image, then alignment against every caption.
 
     Decision noise is keyed by (seed, sample id, step) so distinct samples
-    and steps draw independent, reproducible streams.
+    and steps draw independent, reproducible streams.  `views` holds each
+    sample's `selection.attention_views` when the caller has them; each
+    caption and each image's fused vectors are prepared once for all their
+    pairs.
     """
     if not samples:
         raise ShapeError("empty batch")
+    captions = [Rows(sample.sparse_tokens) for sample in samples]
     cells: list[Tensor] = []
     keep_s: list[Tensor] = []
     keep_d: list[Tensor] = []
-    for sample in samples:
+    for i, sample in enumerate(samples):
         rng = selection.decision_rng(seed, sample.sample_id, step) if mode == "train" else None
         agg, _, (mask_s, mask_d) = selection.select_and_aggregate(
-            sample, sel_params, mode, rng)
+            sample, sel_params, mode, rng, views=None if views is None else views[i])
         keep_s.append(ad.mean_all(mask_s.gate(mode)))
         keep_d.append(ad.mean_all(mask_d.gate(mode)))
-        for other in samples:
-            sim = similarity_matrix(agg.vectors, other.sparse_tokens)
+        image = Rows(agg.vectors)
+        for caption in captions:
+            sim = similarity_matrix(image, caption)
             cells.append(score_from_similarity(sim, align_params).total)
     b = len(samples)
     return BatchScores(

@@ -387,15 +387,17 @@ def score_and_decide(
     params: SelectionParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    views: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[ScoreBundle, DecisionMask, DecisionMask]:
     """Stage 1 plus the per-branch decisions, without aggregation.
 
     Gumbel noise is sampled only in train mode; the sparse branch draws
-    first so the noise stream is reproducible.
+    first so the noise stream is reproducible.  `views` is the sample's
+    `attention_views`, computed here when not given.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode: {mode}")
-    s_st, s_dt, s_im = attention_views(sample, params)
+    s_st, s_dt, s_im = attention_views(sample, params) if views is None else views
     bundle = ScoreBundle(predict_scores(sample.patches, params), s_st, s_dt, s_im)
 
     score_s, score_d = branch_scores(bundle, params.beta)
@@ -410,8 +412,9 @@ def select_and_aggregate(
     params: SelectionParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
+    views: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[AggregatedPatches, ScoreBundle, tuple[DecisionMask, DecisionMask]]:
     """Full selection pass for one sample: scoring, decisions, aggregation."""
-    bundle, mask_s, mask_d = score_and_decide(sample, params, mode, rng)
+    bundle, mask_s, mask_d = score_and_decide(sample, params, mode, rng, views)
     agg = aggregate(sample.patches, mask_s, mask_d, params, mode)
     return agg, bundle, (mask_s, mask_d)

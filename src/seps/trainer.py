@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from . import evaluator, objective
+from . import evaluator, objective, selection
 from .alignment import AlignmentParams, RelevanceHead, validate_k_top
 from .autodiff import Tensor
 from .bank import FeatureBank, Reader, text_chunk, validate_shape, write_atomic
@@ -191,7 +191,7 @@ class EpochStats:
     val_r1: float | None = None
 
 
-def _audit_gradients(samples, params: ModelParams, cfg: TrainConfig,
+def _audit_gradients(samples, views, params: ModelParams, cfg: TrainConfig,
                      rng: np.random.Generator) -> None:
     """Spot-check backprop against central differences on the smooth
     relaxation of the current batch loss, at 10 random coordinates."""
@@ -199,12 +199,12 @@ def _audit_gradients(samples, params: ModelParams, cfg: TrainConfig,
 
     def loss_value() -> float:
         with ad.no_grad():
-            batch = objective.batch_similarity(samples, params.selection,
-                                               params.alignment, "soft", cfg.seed)
+            batch = objective.batch_similarity(samples, params.selection, params.alignment,
+                                               "soft", cfg.seed, views=views)
             return objective.batch_loss(batch, obj).item()
 
     batch = objective.batch_similarity(samples, params.selection, params.alignment,
-                                       "soft", cfg.seed)
+                                       "soft", cfg.seed, views=views)
     tensors = params.tensors()
     grads = ad.gradient(objective.batch_loss(batch, obj), tensors)
     flat = [(ti, ci) for ti, t in enumerate(tensors) for ci in range(t.size)]
@@ -231,7 +231,9 @@ def fit(
 
     Records loss and keep rates per epoch (plus validation R@1 when a
     validation bank is given) and rewrites the checkpoint after each epoch,
-    so a divergent run keeps the last completed epoch on disk.
+    so a divergent run keeps the last completed epoch on disk.  Each
+    sample's attention views depend on its features alone, so they are
+    computed once per fit.
     """
     if len(bank.samples) < cfg.batch_size:
         raise ConfigError("bank smaller than batch size")
@@ -242,6 +244,7 @@ def fit(
     history: list[EpochStats] = []
     global_step = 0
     n = len(bank.samples)
+    views = [selection.attention_views(sample, params.selection) for sample in bank.samples]
 
     for epoch in range(cfg.epochs):
         shuffle = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch]))
@@ -254,15 +257,16 @@ def fit(
             if chunk.size < 2:
                 continue  # a lone sample has no in-batch negative
             samples = [bank.samples[int(i)] for i in chunk]
+            batch_views = [views[int(i)] for i in chunk]
             batch = objective.batch_similarity(
                 samples, params.selection, params.alignment, "train",
-                seed=cfg.seed, step=global_step)
+                seed=cfg.seed, step=global_step, views=batch_views)
             loss = objective.batch_loss(batch, obj)
             grads = ad.gradient(loss, params.tensors())
             if cfg.grad_check_every > 0 and global_step % cfg.grad_check_every == 0:
                 audit_rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, 13, global_step]))
-                _audit_gradients(samples, params, cfg, audit_rng)
+                _audit_gradients(samples, batch_views, params, cfg, audit_rng)
             optimizer_step(params, grads, state, cfg)
             losses.append(loss.item())
             ks, kd = batch.keep_fractions()

@@ -14,7 +14,7 @@ import numpy as np
 from composed_selection import matmul, scale_rows, tanh, transpose
 
 from seps import autodiff as ad
-from seps.alignment import AlignmentParams, AlignmentScore, RelevanceHead
+from seps.alignment import AlignmentParams, AlignmentScore, RelevanceHead, Rows
 from seps.errors import DegenerateVectorError, ShapeError
 
 
@@ -79,7 +79,16 @@ def topk(x: ad.Tensor, k: int) -> tuple[ad.Tensor, np.ndarray]:
     return ad.node(xd[idx], (x,), vjp, "topk"), idx
 
 
+def unwrap(side):
+    """The tensor or array a prepared `Rows` side holds, so the oracle can
+    stand in where the library passes prepared sides."""
+    if not isinstance(side, Rows):
+        return side
+    return side.data if side.tensor is None else side.tensor
+
+
 def similarity_matrix(patches, words) -> ad.Tensor:
+    patches, words = unwrap(patches), unwrap(words)
     if not isinstance(patches, ad.Tensor):
         patches = ad.constant(np.asarray(patches, dtype=np.float64))
     if not isinstance(words, ad.Tensor):

@@ -1,18 +1,21 @@
 """Patch-word alignment: cosine matrix, relevance pooling, total score,
 and bitwise parity of the two fused nodes with the composed path."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import composed_alignment as composed
 from conftest import finite_difference_check, make_params, perturb_params
 
-from seps import alignment, evaluator
+from seps import alignment, evaluator, selection
 from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, align_score,
                             score_from_similarity, similarity_matrix)
-from seps.bank import SynthConfig, generate_synthetic
+from seps.bank import FeatureBank, SynthConfig, generate_synthetic
 from seps.errors import DegenerateVectorError, NonFiniteError, ShapeError
+from seps.objective import batch_similarity
 from seps.trainer import ModelParams
 
 
@@ -325,3 +328,62 @@ def test_pairwise_scores_match_the_composed_path_bitwise(monkeypatch):
     fused = evaluator.pairwise_scores(bank, params)
     monkeypatch.setattr(alignment, "align_score", composed.align_score)
     assert bits(fused) == bits(evaluator.pairwise_scores(bank, params))
+
+
+# ---------------------------------------------------------------------------
+# prepared sides: the batch and the gallery against the raw per-pair path
+
+
+DESK_GALLERY = dict(n_samples=64, dim=32, n_patches=16, n_relevant_patches=4,
+                    n_sparse_words=2, n_dense_words=4, noise_sigma=0.1)
+
+
+@pytest.mark.parametrize("head_hidden", [0, 3])
+def test_pairwise_scores_match_raw_per_pair_align_score_bitwise(head_hidden):
+    bank = generate_synthetic(SynthConfig(seed=head_hidden, **DESK_GALLERY))
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
+                                        head_hidden=head_hidden, seed=1), 3)
+    scores = evaluator.pairwise_scores(bank, params)
+    want = np.empty_like(scores)
+    with ad.no_grad():
+        for i, image in enumerate(bank.samples):
+            agg, _, _ = selection.select_and_aggregate(image, params.selection, "eval")
+            for j, caption in enumerate(bank.samples):
+                want[i, j] = align_score(agg.vectors.data, caption.sparse_tokens,
+                                         params.alignment).total.item()
+    assert bits(scores) == bits(want)
+
+
+CAPTION_FAULTS = {
+    "zero": (np.zeros((2, 8)), DegenerateVectorError, "degenerate vector in alignment"),
+    "overflow": (np.full((2, 8), 1e200), NonFiniteError,
+                 "non-finite values in the similarity matrix"),
+}
+
+
+def with_captions(faults: dict[int, str]) -> list:
+    samples = generate_synthetic(SynthConfig(n_samples=4, dim=8, n_patches=6, seed=1)).samples
+    return [dataclasses.replace(s, sparse_tokens=CAPTION_FAULTS[faults[i]][0])
+            if i in faults else s for i, s in enumerate(samples)]
+
+
+def score_paths(samples, params):
+    """The batch and the gallery, each fed a list of samples."""
+    yield lambda: batch_similarity(samples, params.selection, params.alignment, "train")
+    yield lambda: evaluator.pairwise_scores(FeatureBank(dim=8, samples=samples), params)
+
+
+@pytest.mark.parametrize("faults, expected", [
+    ({2: "zero"}, "zero"),
+    ({2: "overflow"}, "overflow"),
+    # image 0 meets caption 1 first, so caption 1's fault is the one raised
+    ({1: "zero", 2: "overflow"}, "zero"),
+    ({1: "overflow", 2: "zero"}, "overflow"),
+])
+def test_a_faulty_caption_raises_through_the_batch_and_the_gallery(faults, expected):
+    _, error, message = CAPTION_FAULTS[expected]
+    samples = with_captions(faults)
+    params = make_params(dim=8, n_keep=2, k_top=2)
+    for run in score_paths(samples, params):
+        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+            run()

@@ -7,7 +7,7 @@ import composed_alignment as composed
 from conftest import make_params, perturb_params
 
 from seps import autodiff as ad
-from seps import objective, selection
+from seps import alignment, objective, selection
 from seps.alignment import align_score
 from seps.bank import Sample, SynthConfig, generate_synthetic
 from seps.errors import ConfigError
@@ -107,6 +107,36 @@ def test_desk_train_step_builds_264_tape_nodes():
     assert len(nodes) == 264
 
 
+def test_desk_train_step_prepares_each_side_once_and_scores_every_pair(monkeypatch):
+    class CountedRows(alignment.Rows):
+        images = captions = 0
+
+        def __init__(self, matrix):
+            if isinstance(matrix, ad.Tensor):
+                CountedRows.images += 1
+            else:
+                CountedRows.captions += 1
+            super().__init__(matrix)
+
+    # similarity_matrix would wrap an unprepared side through alignment.Rows
+    monkeypatch.setattr(alignment, "Rows", CountedRows)
+    monkeypatch.setattr(objective, "Rows", CountedRows)
+    pairs = []
+    score = objective.score_from_similarity
+
+    def counted_score(sim, params):
+        pairs.append(sim)
+        return score(sim, params)
+
+    monkeypatch.setattr(objective, "score_from_similarity", counted_score)
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
+    params = make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5)
+    batch_similarity(bank.samples, params.selection, params.alignment, "train", seed=5)
+    assert (CountedRows.images, CountedRows.captions) == (8, 8)
+    # perfbench counts one alignment pair per call
+    assert len(pairs) == 64
+
+
 @pytest.mark.parametrize("head_hidden", [0, 4])
 @pytest.mark.parametrize("mode", ["train", "soft"])
 def test_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hidden,
@@ -125,6 +155,7 @@ def test_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hid
                 *(np.ascontiguousarray(grads[t].data).tobytes() for t in params.tensors())]
 
     fused = run()
+    # the oracle unwraps the prepared sides the batch hands it
     monkeypatch.setattr(objective, "similarity_matrix", composed.similarity_matrix)
     monkeypatch.setattr(objective, "score_from_similarity", composed.score_from_similarity)
     assert fused == run()

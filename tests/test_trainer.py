@@ -9,7 +9,7 @@ import pytest
 from conftest import make_params
 
 from seps import autodiff as ad
-from seps import cli, objective
+from seps import cli, objective, selection
 from seps.bank import SynthConfig, generate_synthetic, text_chunk
 from seps.errors import BankFormatError, ConfigError, DivergenceError
 from seps.trainer import (EpochStats, OptimizerState, TrainConfig, fit,
@@ -143,6 +143,54 @@ def test_fit_gradient_audit_passes_on_smooth_path():
     bank = tiny_bank(seed=8)
     cfg = tiny_cfg(lr=1e-3, epochs=1, grad_check_every=2, seed=3)
     fit(bank, cfg)  # raises NumericalError if any audited coordinate fails
+
+
+DESK_BANK = dict(n_samples=64, dim=32, n_patches=16, n_relevant_patches=4,
+                 n_sparse_words=2, n_dense_words=4, noise_sigma=0.1)
+
+
+def count_attention_views(monkeypatch) -> list:
+    # score_and_decide looks the name up in the module, as the trainer does
+    calls = []
+    views = selection.attention_views
+
+    def counted(sample, params):
+        calls.append(sample.sample_id)
+        return views(sample, params)
+
+    monkeypatch.setattr(selection, "attention_views", counted)
+    return calls
+
+
+def test_desk_fit_computes_each_sample_views_once(monkeypatch):
+    bank = generate_synthetic(SynthConfig(seed=1, **DESK_BANK))
+    calls = count_attention_views(monkeypatch)
+    fit(bank, TrainConfig(dim=32, n_patches=16, batch_size=8, epochs=2, seed=1))
+    assert sorted(calls) == sorted(s.sample_id for s in bank.samples)
+
+
+def test_fit_audited_every_step_passes_and_reuses_the_views(monkeypatch):
+    bank = tiny_bank(seed=8)
+    calls = count_attention_views(monkeypatch)
+    fit(bank, tiny_cfg(lr=1e-3, epochs=2, grad_check_every=1, seed=3))  # NumericalError if not
+    assert len(calls) == len(bank.samples)
+
+
+def test_per_fit_views_change_no_param_history_or_checkpoint_byte(tmp_path, monkeypatch):
+    bank = generate_synthetic(SynthConfig(seed=2, **dict(DESK_BANK, n_samples=16)))
+    cfg = TrainConfig(dim=32, n_patches=16, batch_size=8, epochs=2, lr=1e-3, seed=2)
+    shared, shared_hist = fit(bank, cfg, checkpoint_path=tmp_path / "shared.ckpt")
+    batch_similarity = objective.batch_similarity
+
+    def per_step_views(*args, views=None, **kwargs):
+        return batch_similarity(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "batch_similarity", per_step_views)
+    fresh, fresh_hist = fit(bank, cfg, checkpoint_path=tmp_path / "fresh.ckpt")
+    assert [t.data.tobytes() for t in shared.tensors()] == [
+        t.data.tobytes() for t in fresh.tensors()]
+    assert shared_hist == fresh_hist
+    assert (tmp_path / "shared.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
 
 
 def test_fit_ratio_objective_moves_keep_rate_toward_target():
