@@ -37,12 +37,15 @@ class RelevanceHead:
     hid_w: Tensor | None = None   # (k, hidden) when the hidden layer is enabled
     hid_b: Tensor | None = None
 
+    def tensors(self) -> tuple[Tensor, ...]:
+        if self.hid_w is None:
+            return self.out_w, self.out_b
+        return self.hid_w, self.hid_b, self.out_w, self.out_b
+
     def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        if self.hid_w is not None:
-            yield f"{prefix}.hid_w", self.hid_w
-            yield f"{prefix}.hid_b", self.hid_b
-        yield f"{prefix}.w", self.out_w
-        yield f"{prefix}.b", self.out_b
+        tensors = self.tensors()
+        names = ("hid_w", "hid_b", "w", "b")[-len(tensors):]
+        return zip((f"{prefix}.{name}" for name in names), tensors)
 
 
 def validate_k_top(k_top: int) -> None:
@@ -52,12 +55,16 @@ def validate_k_top(k_top: int) -> None:
 
 @dataclass
 class AlignmentParams:
-    k_top: int
     p2w: RelevanceHead
     w2p: RelevanceHead
 
     def __post_init__(self) -> None:
         validate_k_top(self.k_top)
+
+    @property
+    def k_top(self) -> int:
+        # the heads' input width: the rows of hid_w, or of out_w when linear
+        return self.p2w.tensors()[0].shape[0]
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
         yield from self.p2w.named("head_p2w")
@@ -147,8 +154,7 @@ def _pool(maxima: np.ndarray, head: RelevanceHead, k_top: int):
     """Mean of one direction's maxima and its head over their top k_top in
     descending order (ties by first occurrence, padded with the
     first-occurrence minimum), plus the backward of both: upstream adjoint
-    -> (adjoint of the maxima, adjoints of the head tensors in `named`
-    order)."""
+    -> (adjoint of the maxima, adjoints of the head's `tensors()`)."""
     order = (-maxima).argsort(kind="stable")
     if k_top > maxima.size:
         order = np.concatenate([order, np.full(k_top - maxima.size, maxima.argmin())])
@@ -197,9 +203,8 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
         g_cols[arg_w2p, cols] = g_w2p
         return (g_rows + g_cols, *grads_p2w, *grads_w2p)
 
-    heads = [t for head in (params.p2w, params.w2p) for _, t in head.named("")]
-    total = ad.node(((mean_p2w + head_p2w) + mean_w2p) + head_w2p, (sim, *heads), vjp,
-                    "pair_score")
+    total = ad.node(((mean_p2w + head_p2w) + mean_w2p) + head_w2p,
+                    (sim, *params.p2w.tensors(), *params.w2p.tensors()), vjp, "pair_score")
     return AlignmentScore(mean_p2w=float(mean_p2w), head_p2w=float(head_p2w),
                           mean_w2p=float(mean_w2p), head_w2p=float(head_w2p), total=total)
 

@@ -81,7 +81,6 @@ class SelectionParams:
     agg_dense_b: Tensor
     beta: float = 0.2
     tau: float = 1.0
-    n_keep: int = 8
     rho: float = 0.5
     zero_dense_attention: bool = False  # ablation switch: s_dt forced to 0
 
@@ -91,6 +90,10 @@ class SelectionParams:
     @property
     def dim(self) -> int:
         return self.pred_w1.shape[0]
+
+    @property
+    def n_keep(self) -> int:
+        return self.agg_sparse_w.shape[1]
 
     def named(self) -> Iterator[tuple[str, Tensor]]:
         for name in TENSOR_NAMES:

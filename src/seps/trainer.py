@@ -84,51 +84,49 @@ class ModelParams:
         return [t for _, t in self.named()]
 
 
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+HYPER_KEYS = ("dim", "beta", "tau", "rho", "n_keep", "k_top", "head_hidden")
 
 
-def _param(data, name: str) -> Tensor:
-    return ad.tensor(data, requires_grad=True, name=name)
+def _layout(dim, n_keep, k_top, head_hidden) -> list[tuple[str, tuple, bool]]:
+    """Every model tensor as (name, shape, drawn), in checkpoint and
+    `named()` order, which is also the order of the init's draws."""
+    layout = [("pred.w1", (dim, dim), True), ("pred.b1", (dim,), False),
+              ("pred.w2", (dim,), True), ("pred.b2", (), False)]
+    for branch in ("agg_sparse", "agg_dense"):
+        layout += [(f"{branch}.w", (dim, n_keep), True), (f"{branch}.b", (n_keep,), False)]
+    for head in ("head_p2w", "head_w2p"):
+        if head_hidden:
+            layout += [(f"{head}.hid_w", (k_top, head_hidden), True),
+                       (f"{head}.hid_b", (head_hidden,), False)]
+        layout += [(f"{head}.w", (head_hidden or k_top,), False), (f"{head}.b", (), False)]
+    return layout
+
+
+def _assemble(tensors: dict[str, np.ndarray], hyper: dict) -> ModelParams:
+    """The model from its named tensors and the beta, tau and rho in `hyper`;
+    a head has hid_* entries iff it has a hidden layer."""
+    p = {name: ad.tensor(data, requires_grad=True, name=name) for name, data in tensors.items()}
+
+    def head(prefix: str) -> RelevanceHead:
+        return RelevanceHead(out_w=p[f"{prefix}.w"], out_b=p[f"{prefix}.b"],
+                             hid_w=p.get(f"{prefix}.hid_w"), hid_b=p.get(f"{prefix}.hid_b"))
+
+    sel = SelectionParams(**{name.replace(".", "_"): p[name] for name in TENSOR_NAMES},
+                          beta=hyper["beta"], tau=hyper["tau"], rho=hyper["rho"])
+    return ModelParams(sel, AlignmentParams(head("head_p2w"), head("head_w2p")))
 
 
 def init_params(cfg: TrainConfig, rng: np.random.Generator | None = None) -> ModelParams:
-    """Fresh parameters: perceptron weights ~ U(+-1/sqrt(fan_in)), biases
-    zero, relevance heads zero so scoring starts at the mean baseline."""
+    """Fresh parameters: perceptron weights ~ U(+-1/sqrt(fan_in)), fan_in
+    being a weight's first dimension; biases and the heads' output layers
+    zero, so scoring starts at the mean baseline."""
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
-    d, h, nc, k = cfg.dim, cfg.dim, cfg.keep_count, cfg.k_top
-    sel = SelectionParams(
-        pred_w1=_param(_uniform(rng, (d, h), d), "pred.w1"),
-        pred_b1=_param(np.zeros(h), "pred.b1"),
-        pred_w2=_param(_uniform(rng, (h,), h), "pred.w2"),
-        pred_b2=_param(0.0, "pred.b2"),
-        agg_sparse_w=_param(_uniform(rng, (d, nc), d), "agg_sparse.w"),
-        agg_sparse_b=_param(np.zeros(nc), "agg_sparse.b"),
-        agg_dense_w=_param(_uniform(rng, (d, nc), d), "agg_dense.w"),
-        agg_dense_b=_param(np.zeros(nc), "agg_dense.b"),
-        beta=cfg.beta,
-        tau=cfg.tau,
-        n_keep=nc,
-        rho=cfg.rho,
-    )
-
-    def head(prefix: str) -> RelevanceHead:
-        if cfg.head_hidden > 0:
-            # hidden layer gets a live init; the output layer stays zero so
-            # the head still starts as a no-op
-            return RelevanceHead(
-                hid_w=_param(_uniform(rng, (k, cfg.head_hidden), k), f"{prefix}.hid_w"),
-                hid_b=_param(np.zeros(cfg.head_hidden), f"{prefix}.hid_b"),
-                out_w=_param(np.zeros(cfg.head_hidden), f"{prefix}.w"),
-                out_b=_param(0.0, f"{prefix}.b"),
-            )
-        return RelevanceHead(out_w=_param(np.zeros(k), f"{prefix}.w"),
-                             out_b=_param(0.0, f"{prefix}.b"))
-
-    align = AlignmentParams(k_top=k, p2w=head("head_p2w"), w2p=head("head_w2p"))
-    return ModelParams(selection=sel, alignment=align)
+    tensors = {}
+    for name, shape, drawn in _layout(cfg.dim, cfg.keep_count, cfg.k_top, cfg.head_hidden):
+        bound = 1.0 / math.sqrt(shape[0]) if drawn else 0.0
+        tensors[name] = rng.uniform(-bound, bound, size=shape) if drawn else np.zeros(shape)
+    return _assemble(tensors, vars(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -295,14 +293,12 @@ def fit(
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    head_hidden = 0
-    if params.alignment.p2w.hid_w is not None:
-        head_hidden = params.alignment.p2w.hid_w.shape[1]
-    sel = params.selection
+    sel, align = params.selection, params.alignment
+    hyper = dict(dim=sel.dim, beta=sel.beta, tau=sel.tau, rho=sel.rho, n_keep=sel.n_keep,
+                 k_top=align.k_top,
+                 head_hidden=0 if align.p2w.hid_w is None else align.p2w.hid_w.shape[1])
     entries = [(n, t.data) for n, t in params.named()] + [
-        ("hyper.dim", sel.dim), ("hyper.beta", sel.beta), ("hyper.tau", sel.tau),
-        ("hyper.rho", sel.rho), ("hyper.n_keep", sel.n_keep),
-        ("hyper.k_top", params.alignment.k_top), ("hyper.head_hidden", head_hidden)]
+        (f"hyper.{key}", hyper[key]) for key in HYPER_KEYS]
     chunks = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(entries))]
     for name, data in entries:
         arr = np.asarray(data, dtype=np.float64)
@@ -316,23 +312,6 @@ def save_checkpoint(path, params: ModelParams) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
         chunks.append(narrowed.tobytes())
     write_atomic(path, chunks)
-
-
-HYPER_KEYS = ("dim", "beta", "tau", "rho", "n_keep", "k_top", "head_hidden")
-
-
-def _expected_shapes(hyper: dict[str, float]) -> dict[str, tuple]:
-    """The shape of every entry, as the hyperparameters dictate."""
-    d, nc, k, hh = (hyper[key] for key in ("dim", "n_keep", "k_top", "head_hidden"))
-    shapes = {f"hyper.{key}": () for key in HYPER_KEYS}
-    shapes.update({"pred.w1": (d, d), "pred.b1": (d,), "pred.w2": (d,), "pred.b2": ()})
-    for branch in ("agg_sparse", "agg_dense"):
-        shapes.update({f"{branch}.w": (d, nc), f"{branch}.b": (nc,)})
-    for head in ("head_p2w", "head_w2p"):
-        if hh:
-            shapes.update({f"{head}.hid_w": (k, hh), f"{head}.hid_b": (hh,)})
-        shapes.update({f"{head}.w": (hh or k,), f"{head}.b": ()})
-    return shapes
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -354,21 +333,9 @@ def load_checkpoint(path) -> ModelParams:
         hyper = {key: tensors[f"hyper.{key}"].item() for key in HYPER_KEYS}
     except (KeyError, ValueError):  # absent, or not a single value
         raise reader.corrupt() from None
-    expected = _expected_shapes(hyper)
+    layout = _layout(hyper["dim"], hyper["n_keep"], hyper["k_top"], hyper["head_hidden"])
+    expected = {f"hyper.{key}": () for key in HYPER_KEYS} | {n: shape for n, shape, _ in layout}
     if tensors.keys() != expected.keys() or any(
             tensors[name].shape != shape for name, shape in expected.items()):
         raise reader.corrupt()
-
-    loaded = {name: _param(data, name) for name, data in tensors.items()
-              if not name.startswith("hyper.")}
-    sel = SelectionParams(**{name.replace(".", "_"): loaded[name] for name in TENSOR_NAMES},
-                          beta=hyper["beta"], tau=hyper["tau"],
-                          n_keep=int(hyper["n_keep"]), rho=hyper["rho"])
-
-    def head(prefix: str) -> RelevanceHead:  # hid_* are present iff head_hidden > 0
-        return RelevanceHead(out_w=loaded[f"{prefix}.w"], out_b=loaded[f"{prefix}.b"],
-                             hid_w=loaded.get(f"{prefix}.hid_w"),
-                             hid_b=loaded.get(f"{prefix}.hid_b"))
-
-    align = AlignmentParams(k_top=int(hyper["k_top"]), p2w=head("head_p2w"), w2p=head("head_w2p"))
-    return ModelParams(selection=sel, alignment=align)
+    return _assemble({name: tensors[name] for name, _, _ in layout}, hyper)

@@ -26,8 +26,7 @@ def linear_head(weights, bias=0.0) -> RelevanceHead:
 
 def head_params(k_top: int, w_p2w=None, w_w2p=None) -> AlignmentParams:
     zero = np.zeros(k_top)
-    return AlignmentParams(k_top=k_top,
-                           p2w=linear_head(zero if w_p2w is None else w_p2w),
+    return AlignmentParams(p2w=linear_head(zero if w_p2w is None else w_p2w),
                            w2p=linear_head(zero if w_w2p is None else w_w2p))
 
 
@@ -110,8 +109,7 @@ def test_pool_matches_bruteforce_oracle(rng):
     k = 2
     w_p2w = rng.normal(size=k)
     w_w2p = rng.normal(size=k)
-    params = AlignmentParams(k_top=k, p2w=linear_head(w_p2w, 0.3),
-                             w2p=linear_head(w_w2p, -0.2))
+    params = AlignmentParams(p2w=linear_head(w_p2w, 0.3), w2p=linear_head(w_w2p, -0.2))
     score = score_from_similarity(sim_of(a), params)
 
     maxima = sorted((max(row) for row in a), reverse=True)
@@ -207,7 +205,7 @@ def test_align_matches_whole_formula_recomputation(rng):
     words = rng.normal(size=(3, 5))
     k = 2
     w1, w2 = rng.normal(size=k), rng.normal(size=k)
-    params = AlignmentParams(k_top=k, p2w=linear_head(w1, 0.1), w2p=linear_head(w2, 0.2))
+    params = AlignmentParams(p2w=linear_head(w1, 0.1), w2p=linear_head(w2, 0.2))
     score = align_score(patches, words, params)
 
     a = np.array([[patches[i] @ words[j] / (np.linalg.norm(patches[i]) * np.linalg.norm(words[j]))

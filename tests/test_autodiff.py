@@ -327,7 +327,7 @@ def _pair_score_cases():
                                      hid_w=value.get(f"{side}.hid_w"),
                                      hid_b=value.get(f"{side}.hid_b"))
 
-            params = AlignmentParams(PAIR_K_TOP, head("p2w"), head("w2p"))
+            params = AlignmentParams(head("p2w"), head("w2p"))
             return score_from_similarity(value["sim"], params).total
 
         kind = "hidden" if hidden else "linear"

@@ -1,5 +1,6 @@
 """Initialization, AdamW updates, the fit loop, SEPC checkpoints."""
 
+import hashlib
 import math
 import struct
 
@@ -12,7 +13,7 @@ from seps import autodiff as ad
 from seps import cli, objective, selection
 from seps.bank import SynthConfig, generate_synthetic, text_chunk
 from seps.errors import BankFormatError, ConfigError, DivergenceError
-from seps.trainer import (EpochStats, OptimizerState, TrainConfig, fit,
+from seps.trainer import (EpochStats, OptimizerState, TrainConfig, _layout, fit,
                           init_params, load_checkpoint, optimizer_step,
                           save_checkpoint)
 
@@ -58,6 +59,29 @@ def test_init_weight_magnitudes_bounded():
     assert np.abs(sel.agg_sparse_w.data).max() <= 1.0 / math.sqrt(7)
     assert np.all(sel.pred_b1.data == 0.0)
     assert np.all(sel.agg_dense_b.data == 0.0)
+
+
+# SHA-256 over every named() tensor's name and float64 bytes, for the
+# models of test_init_params_bitwise_pinned in their order
+INIT_DIGEST = "06dcc55e033ca1b8e73a43643ebe92b5459a837829a78df9235ae463d308c32b"
+
+
+def test_init_params_bitwise_pinned():
+    cfgs = [TrainConfig(dim=6, n_patches=5, n_keep=2, k_top=3, head_hidden=hh, seed=s)
+            for hh in (0, 4) for s in (0, 3)] + [TrainConfig()]
+    digest = hashlib.sha256()
+    for cfg in cfgs:
+        for name, t in init_params(cfg).named():
+            digest.update(name.encode())
+            digest.update(np.asarray(t.data, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == INIT_DIGEST
+
+
+@pytest.mark.parametrize("head_hidden", [0, 4])
+def test_named_follows_layout(head_hidden):
+    params = make_params(dim=6, n_keep=2, k_top=3, head_hidden=head_hidden)
+    assert [(name, t.shape) for name, t in params.named()] == [
+        (name, shape) for name, shape, _ in _layout(6, 2, 3, head_hidden)]
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +328,9 @@ CONTRADICTIONS = {
     "head_hidden_vs_hidden_layer_width": (4, "head_hidden", 3.0),
     "head_hidden_zero_with_hidden_layer": (4, "head_hidden", 0.0),
     "head_hidden_without_hidden_layer": (0, "head_hidden", 4.0),
+    "dim_fractional": (0, "dim", 6.5),
+    "k_top_fractional_vs_linear_head_width": (0, "k_top", 3.5),
+    "n_keep_negative": (0, "n_keep", -2.0),
 }
 
 
