@@ -6,6 +6,13 @@ kernels are deterministic, reject non-finite results, and use fixed
 accumulation order so two identical runs are bitwise identical.  Most ops
 live next to the model code that uses them, as one `node` each with a
 hand-written vjp; this module keeps the few generic ones.
+
+A vjp may return None for a parent whose adjoint is exactly zero (`stack`
+does so for each ±0.0 cell): a subgraph no adjoint reaches is skipped with
+its vjps, and a leaf only skipped paths reach gets +0.0 from `gradient()`.
+Every nonzero gradient keeps its bits: a vjp is linear in its adjoint, so
+a zero adjoint yields only ±0.0 terms, and x + (±0.0) == x for x != 0.
+Only an entry whose true value is zero can differ, in its sign.
 """
 
 from __future__ import annotations
@@ -180,7 +187,11 @@ def mean_all(a: Tensor) -> Tensor:
 
 
 def stack(parts: Sequence[Tensor], shape: tuple[int, ...]) -> Tensor:
-    """Assemble scalar tensors into one array of the given shape."""
+    """Assemble scalar tensors into one array of the given shape.
+
+    The backward hands each part its cell of the upstream adjoint, or None
+    where that cell is ±0.0, so that part's subgraph is skipped.
+    """
     parts = tuple(parts)
     if any(p.size != 1 for p in parts):
         raise ShapeError("stack expects scalar tensors")
@@ -189,8 +200,7 @@ def stack(parts: Sequence[Tensor], shape: tuple[int, ...]) -> Tensor:
     data = np.array([p.data.reshape(()) for p in parts], dtype=np.float64).reshape(shape)
 
     def vjp(g):
-        flat = g.reshape(-1)
-        return tuple(flat[i] for i in range(len(parts)))
+        return tuple(None if cell == 0.0 else cell for cell in g.reshape(-1))
 
     return node(data, parts, vjp, "stack")
 
@@ -227,7 +237,8 @@ class Graph:
         return order
 
     def backward(self) -> dict[int, np.ndarray]:
-        """Accumulate adjoints in reverse topological order."""
+        """Accumulate adjoints in reverse topological order; a None vjp
+        entry adds nothing, and a node no adjoint reaches is skipped."""
         if self.output.data.shape != ():
             raise GraphError("gradient of non-scalar output")
         adj: dict[int, np.ndarray] = {id(self.output): np.ones(())}
@@ -248,7 +259,8 @@ class Graph:
 def gradient(output: Tensor, wrt: Iterable[Tensor] | None = None) -> dict[Tensor, Tensor]:
     """Reverse-mode gradients of a scalar output for every requested leaf.
 
-    Leaves not reached by any path get a zero gradient of matching shape.
+    Leaves not reached by any path, or reached only through adjoints a vjp
+    dropped as exactly zero, get a +0.0 gradient of matching shape.
     """
     graph = Graph(output)
     adj = graph.backward()

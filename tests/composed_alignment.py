@@ -7,6 +7,10 @@ ops that only this path needs, so tests can hold the fused nodes to
 bitwise-equal values and gradients.  Its operand
 order (Wt as a contiguous copy, then 1/|p| on rows, then 1/|w| on columns;
 hid_wt likewise) is the one the fused forward keeps.
+
+`dense_stack` is `ad.stack` with the dense backward it replaced, which hands
+every cell its adjoint, zero or not, so every pair's vjps run; tests swap
+it in to hold the sparse backward to the same bytes.
 """
 
 import numpy as np
@@ -16,6 +20,17 @@ from composed_selection import matmul, scale_rows, tanh, transpose
 from seps import autodiff as ad
 from seps.alignment import AlignmentParams, AlignmentScore, RelevanceHead, Rows
 from seps.errors import DegenerateVectorError, ShapeError
+
+
+def dense_stack(parts, shape) -> ad.Tensor:
+    parts = tuple(parts)
+    data = np.array([p.data.reshape(()) for p in parts], dtype=np.float64).reshape(shape)
+
+    def vjp(g):
+        flat = g.reshape(-1)
+        return tuple(flat[i] for i in range(len(parts)))
+
+    return ad.node(data, parts, vjp, "stack")
 
 
 def recip(a: ad.Tensor) -> ad.Tensor:

@@ -176,6 +176,27 @@ def test_gradient_unreached_leaf_is_zero():
     np.testing.assert_array_equal(grads[other].data, np.zeros(2))
 
 
+def test_stack_skips_parts_whose_adjoint_is_zero():
+    shared = ad.tensor([0.5, -1.5], requires_grad=True)
+    only_skipped = ad.tensor([[2.0, -3.0]], requires_grad=True)
+    ran = []
+
+    def probe(x, name):
+        def vjp(g):
+            ran.append(name)
+            return (np.full(x.shape, g),)
+        return ad.node(x.data.sum(), (x,), vjp, name)
+
+    cells = ad.stack([probe(shared, "a"), probe(only_skipped, "b"), probe(shared, "c")], (3,))
+    # -0.0 counts as zero; the shared leaf still gets 2.0 + 4.0 from its live cells
+    grads = ad.gradient(sum_all(mul(cells, ad.constant([2.0, -0.0, 4.0]))),
+                        [shared, only_skipped])
+    assert sorted(ran) == ["a", "c"]
+    np.testing.assert_array_equal(grads[shared].data, [6.0, 6.0])
+    assert grads[only_skipped].shape == (1, 2)
+    assert grads[only_skipped].data.tobytes() == np.zeros((1, 2)).tobytes()  # +0.0
+
+
 def test_fd_check_linear_is_near_exact():
     x = ad.tensor([1.0, -2.0, 0.5], requires_grad=True)
     coeff = ad.constant([3.0, 1.0, -2.0])
@@ -408,6 +429,10 @@ def _fd_cases():
         "stack": (lambda t: sum_all(mul(ad.stack(
             [ad.mean_all(t), ad.mean_all(tanh(t)), sum_all(mul(t, t)),
              ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, -2.0], [0.5, 3.0]]))), m34),
+        # zero upstream cells skip their parts, which share t with the others
+        "stack_zero_cells": (lambda t: sum_all(mul(ad.stack(
+            [ad.mean_all(t), ad.mean_all(tanh(t)), sum_all(mul(t, t)),
+             ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, 0.0], [-0.0, 3.0]]))), m34),
         "triplet_loss": (lambda t: triplet_loss(t, TRIPLET_MARGIN), _square_scores),
         "ratio_loss": (lambda t: ratio_loss(([sum_all(mul(t, e)) for e in eye[:3]],
                                              [sum_all(mul(t, e)) for e in eye[3:]]), ratio_cfg), (6,)),

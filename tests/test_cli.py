@@ -1,5 +1,10 @@
 """Command-line contract: exit codes, formats, determinism."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import basis_sample, make_params, zero_params
@@ -281,3 +286,15 @@ def test_inspect_unknown_sample_exits_two(separable_setup, capsys):
     assert cli.main(["inspect", "--bank", str(bank), "--checkpoint", str(ckpt),
                      "--sample", "nope"]) == 2
     assert "unknown sample id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["seps", "seps.cli"])
+def test_python_dash_m_runs_without_runtime_warning(module):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-W", "default", "-m", module, "--help"],
+                         env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert "usage:" in run.stdout
+    assert "RuntimeWarning" not in run.stderr, run.stderr

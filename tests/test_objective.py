@@ -137,6 +137,15 @@ def test_desk_train_step_prepares_each_side_once_and_scores_every_pair(monkeypat
     assert len(pairs) == 64
 
 
+def desk_batch_run(samples, params, mode, cfg=ObjectiveConfig()):
+    """Loss, scores and every gradient of one B=8 step, as bytes."""
+    batch = batch_similarity(samples, params.selection, params.alignment, mode, seed=3, step=4)
+    loss = batch_loss(batch, cfg)
+    grads = ad.gradient(loss, params.tensors())
+    return [loss.data.tobytes(), batch.scores.data.tobytes(),
+            *(np.ascontiguousarray(grads[t].data).tobytes() for t in params.tensors())]
+
+
 @pytest.mark.parametrize("head_hidden", [0, 4])
 @pytest.mark.parametrize("mode", ["train", "soft"])
 def test_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hidden,
@@ -146,19 +155,89 @@ def test_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hid
     params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
                                         head_hidden=head_hidden, seed=1), 2)
 
-    def run():
-        batch = batch_similarity(bank.samples, params.selection, params.alignment,
-                                 mode, seed=3, step=4)
-        loss = batch_loss(batch, ObjectiveConfig())
-        grads = ad.gradient(loss, params.tensors())
-        return [loss.data.tobytes(), batch.scores.data.tobytes(),
-                *(np.ascontiguousarray(grads[t].data).tobytes() for t in params.tensors())]
-
-    fused = run()
+    fused = desk_batch_run(bank.samples, params, mode)
     # the oracle unwraps the prepared sides the batch hands it
     monkeypatch.setattr(objective, "similarity_matrix", composed.similarity_matrix)
     monkeypatch.setattr(objective, "score_from_similarity", composed.score_from_similarity)
-    assert fused == run()
+    assert fused == desk_batch_run(bank.samples, params, mode)
+
+
+@pytest.mark.parametrize("head_hidden", [0, 3])
+@pytest.mark.parametrize("mode", ["train", "eval", "soft"])
+def test_sparse_backward_matches_the_dense_one_bitwise(mode, head_hidden, monkeypatch):
+    # margin 0.5 leaves between 5 and 16 of the 64 score cells live in each case
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=1))
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
+                                        head_hidden=head_hidden, seed=1), 2)
+    cfg = ObjectiveConfig(margin=0.5)
+    sparse = desk_batch_run(bank.samples, params, mode, cfg)
+    monkeypatch.setattr(ad, "stack", composed.dense_stack)
+    assert sparse == desk_batch_run(bank.samples, params, mode, cfg)
+
+
+def count_pair_vjps(loss: ad.Tensor) -> tuple[dict, list]:
+    """Wrap the pair vjps of `loss`'s tape to count their runs, and the
+    stack's to record the triplet adjoint it receives."""
+    runs = {"similarity": 0, "pair_score": 0}
+    adjoints = []
+
+    def counted(node):
+        vjp = node.vjp
+
+        def wrapped(g):
+            if node.name == "stack":
+                adjoints.append(g.copy())
+            else:
+                runs[node.name] += 1
+            return vjp(g)
+
+        return wrapped
+
+    for node in ad.Graph(loss).nodes:
+        if node.name in ("similarity", "pair_score", "stack"):
+            node.vjp = counted(node)
+    return runs, adjoints
+
+
+def test_desk_step_runs_one_pair_vjp_per_nonzero_score_adjoint():
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5), 6)
+    batch = batch_similarity(bank.samples, params.selection, params.alignment, "train",
+                             seed=5)
+    loss = batch_loss(batch, ObjectiveConfig())
+    runs, adjoints = count_pair_vjps(loss)
+    ad.gradient(loss, params.tensors())
+    (g,) = adjoints
+    touched = int(np.count_nonzero(g))
+    assert 0 < touched < 64  # some hinge is active, most cells are silent
+    assert runs == {"similarity": touched, "pair_score": touched}
+
+
+def orthogonal_batch(b: int = 8, dim: int = 32, n_patches: int = 16) -> list[Sample]:
+    """Sample i's patches are positive multiples of basis vector i and its
+    words equal it: each diagonal score is 2, every other score 0."""
+    eye = np.eye(dim)
+    scales = np.linspace(0.5, 2.0, n_patches)[:, None]
+    return [Sample(f"axis-{i}", scales * eye[i], eye[[i, i]], eye[[i]]) for i in range(b)]
+
+
+@pytest.mark.parametrize("head_hidden", [0, 3])
+def test_batch_with_every_hinge_inactive_runs_no_pair_vjp(head_hidden):
+    params = make_params(dim=32, n_patches=16, n_keep=8, k_top=8, head_hidden=head_hidden,
+                         seed=2)
+    batch = batch_similarity(orthogonal_batch(), params.selection, params.alignment,
+                             "train", seed=2)
+    np.testing.assert_array_equal(batch.scores.data, 2.0 * np.eye(8))
+    loss = batch_loss(batch, ObjectiveConfig())
+    runs, adjoints = count_pair_vjps(loss)
+    grads = ad.gradient(loss, params.tensors())
+    assert not adjoints[0].any()
+    assert runs == {"similarity": 0, "pair_score": 0}
+    for _, t in params.alignment.named():
+        assert grads[t].shape == t.shape
+        assert not grads[t].data.any() and not np.signbit(grads[t].data).any()
+    # the keep gates still learn through the ratio loss
+    assert grads[params.selection.pred_w2].data.any()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+import composed_alignment as composed
 from conftest import make_params
 
 from seps import autodiff as ad
@@ -215,6 +216,22 @@ def test_per_fit_views_change_no_param_history_or_checkpoint_byte(tmp_path, monk
         t.data.tobytes() for t in fresh.tensors()]
     assert shared_hist == fresh_hist
     assert (tmp_path / "shared.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("seed,head_hidden,grad_check_every", [
+    (1, 0, 0), (1, 3, 0), (2, 0, 7), (2, 3, 0)])
+def test_sparse_backward_changes_no_param_history_or_checkpoint_byte(
+        seed, head_hidden, grad_check_every, tmp_path, monkeypatch):
+    bank = generate_synthetic(SynthConfig(seed=seed, **DESK_BANK))
+    cfg = TrainConfig(dim=32, n_patches=16, batch_size=8, epochs=3, seed=seed,
+                      head_hidden=head_hidden, grad_check_every=grad_check_every)
+    sparse, sparse_hist = fit(bank, cfg, checkpoint_path=tmp_path / "sparse.ckpt")
+    monkeypatch.setattr(ad, "stack", composed.dense_stack)
+    dense, dense_hist = fit(bank, cfg, checkpoint_path=tmp_path / "dense.ckpt")
+    assert [t.data.tobytes() for t in sparse.tensors()] == [
+        t.data.tobytes() for t in dense.tensors()]
+    assert sparse_hist == dense_hist
+    assert (tmp_path / "sparse.ckpt").read_bytes() == (tmp_path / "dense.ckpt").read_bytes()
 
 
 def test_fit_ratio_objective_moves_keep_rate_toward_target():
