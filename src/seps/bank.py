@@ -27,6 +27,11 @@ MAGIC = b"SEPB"
 VERSION = 1
 
 
+def is_binary(mask: np.ndarray) -> bool:
+    """The relevance-mask rule: every value is 0 or 1."""
+    return bool(((mask == 0) | (mask == 1)).all())
+
+
 @dataclass
 class Sample:
     """One image with its co-indexed captions, as precomputed features."""
@@ -41,7 +46,7 @@ class Sample:
     def n_patches(self) -> int:
         return self.patches.shape[0]
 
-    def validate(self, dim: int) -> None:
+    def validate(self, dim: int, mask_values: bool = True) -> None:
         for name, arr in (("patches", self.patches),
                           ("sparse_tokens", self.sparse_tokens),
                           ("dense_tokens", self.dense_tokens)):
@@ -53,7 +58,7 @@ class Sample:
             mask = np.asarray(self.relevance_mask)
             if mask.shape != (self.patches.shape[0],):
                 raise BankInvariantError(f"{self.sample_id}: mask length != N")
-            if not np.isin(mask, (0, 1)).all():
+            if mask_values and not is_binary(mask):
                 raise BankInvariantError(f"{self.sample_id}: mask values outside {{0,1}}")
 
 
@@ -62,7 +67,7 @@ class FeatureBank:
     dim: int
     samples: list[Sample] = field(default_factory=list)
 
-    def validate(self) -> None:
+    def validate(self, mask_values: bool = True) -> None:
         if self.dim < 1:
             raise BankInvariantError("dim must be >= 1")
         if not self.samples:
@@ -71,7 +76,7 @@ class FeatureBank:
         if len(set(ids)) != len(ids):
             raise BankInvariantError("duplicate sample ids")
         for sample in self.samples:
-            sample.validate(self.dim)
+            sample.validate(self.dim, mask_values)
 
     def by_id(self, sample_id: str) -> Sample:
         for sample in self.samples:
@@ -139,36 +144,43 @@ def write_atomic(path, chunks: list[bytes]) -> None:
 
 
 class Reader:
-    """Cursor over a whole file; any malformed read raises BankFormatError."""
+    """Cursor over a memoryview of a whole file; any malformed read raises
+    BankFormatError. Arrays handed out own their data: one view of the
+    file's bytes would keep the whole file alive."""
 
     def __init__(self, path, kind: str):
         with open(path, "rb") as fh:
-            self.blob = fh.read()
+            self.buf = memoryview(fh.read())
         self.pos = 0
         self.kind = kind
 
     def corrupt(self) -> BankFormatError:
         return BankFormatError(f"corrupt {self.kind}")
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def skip(self, n: int) -> int:
+        """Step over n bytes; returns their offset."""
+        start = self.pos
+        if start + n > len(self.buf):
             raise self.corrupt()
-        out = self.blob[self.pos:self.pos + n]
         self.pos += n
-        return out
+        return start
+
+    def take(self, n: int) -> memoryview:
+        return self.buf[self.skip(n):self.pos]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return struct.unpack_from("<I", self.buf, self.skip(4))[0]
 
     def text(self) -> str:
         try:
-            return self.take(self.u32()).decode("utf-8")
+            return str(self.take(self.u32()), "utf-8")
         except UnicodeDecodeError:
             raise self.corrupt() from None
 
     def floats(self, shape: tuple[int, ...]) -> np.ndarray:
         """float32 block of the given shape, widened to float64; must be finite."""
-        data = np.frombuffer(self.take(4 * math.prod(shape)), dtype="<f4")
+        count = math.prod(shape)
+        data = np.frombuffer(self.buf, "<f4", count, self.skip(4 * count))
         if not np.isfinite(data).all():
             raise self.corrupt()
         try:  # a zero dim lets the size check pass for any other dims
@@ -177,7 +189,7 @@ class Reader:
             raise self.corrupt() from None
 
     def finish(self) -> None:
-        if self.pos != len(self.blob):
+        if self.pos != len(self.buf):
             raise self.corrupt()
 
 
@@ -219,12 +231,12 @@ def read_bank(path) -> FeatureBank:
         flag = reader.take(1)[0]
         if flag == 1:
             mask = np.frombuffer(reader.take(mats[0].shape[0]), dtype=np.uint8).astype(np.int8)
-        if flag > 1 or (mask is not None and not np.isin(mask, (0, 1)).all()):
+        if flag > 1 or (mask is not None and not is_binary(mask)):
             raise reader.corrupt()
         samples.append(Sample(sid, mats[0], mats[1], mats[2], mask))
     reader.finish()
     bank = FeatureBank(dim=dim, samples=samples)
-    bank.validate()
+    bank.validate(mask_values=False)  # the reader has applied is_binary to each mask
     return bank
 
 

@@ -1,5 +1,8 @@
 """Feature-bank format, global embeddings, synthetic generation."""
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -76,6 +79,20 @@ def test_write_refuses_values_not_finite_as_float32(value, tmp_path):
     bad = random_bank(np.random.default_rng(1))
     bad.samples[-1].dense_tokens[0, 0] = value
     with pytest.raises(BankInvariantError, match="not finite as float32"):
+        write_bank(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+def test_write_refuses_mask_outside_binary(tmp_path):
+    path = tmp_path / "bank.sepb"
+    write_bank(random_bank(np.random.default_rng(0)), path)
+    before = path.read_bytes()
+    bad = random_bank(np.random.default_rng(1))
+    n = bad.samples[0].n_patches
+    bad.samples[0] = replace(bad.samples[0], relevance_mask=np.array([2] + [0] * (n - 1)))
+    message = f"{bad.samples[0].sample_id}: mask values outside {{0,1}}"
+    with pytest.raises(BankInvariantError, match=f"^{re.escape(message)}$"):
         write_bank(bad, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
