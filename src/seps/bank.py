@@ -244,20 +244,20 @@ def read_bank(path) -> FeatureBank:
 # embeddings and synthesis
 
 
-def global_embedding(tokens: np.ndarray) -> tuple[np.ndarray, bool]:
-    """L2-normalized mean of the token rows.
+def global_embedding(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """L2-normalized mean of the token rows of each K x d slice.
 
-    Returns (vector, degenerate).  A (near-)zero mean is returned as the
-    exact zero vector with the degenerate flag set, never normalized.
+    Returns (vector, degenerate) per slice.  A (near-)zero mean is returned
+    as the exact zero vector with the degenerate flag set, never normalized.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim != 2 or tokens.shape[0] < 1:
-        raise BankInvariantError("global_embedding expects K x d with K >= 1")
-    mean = tokens.mean(axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm < EPS_NORM:
-        return np.zeros(tokens.shape[1]), True
-    return mean / norm, False
+    if tokens.ndim < 2 or tokens.shape[-2] < 1:
+        raise BankInvariantError("global_embedding expects [...] x K x d with K >= 1")
+    mean = tokens.mean(axis=-2)
+    norm = np.sqrt(mean[..., None, :] @ mean[..., :, None])[..., 0]
+    degenerate = norm[..., 0] < EPS_NORM
+    vector = np.divide(mean, norm, out=np.zeros_like(mean), where=~degenerate[..., None])
+    return vector, degenerate
 
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:

@@ -4,11 +4,12 @@ Recall@K counts a query as a hit when any of its ground-truth gallery
 indices ranks inside the top K, with score ties broken toward the lower
 gallery index.  rSum adds the six recalls (both directions, K in 1/5/10).
 Selection quality scores the sparse-branch ranking against the synthetic
-relevance masks as an ROC AUC.
+relevance masks as an ROC AUC, over stacks of samples that share one shape.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,14 +134,16 @@ def _six_recalls(scores: np.ndarray) -> list[float]:
 def retrieval_eval(bank: FeatureBank, params, folds: int = 1) -> RetrievalReport:
     """Evaluate retrieval in both directions over all pairs in the bank.
 
-    The bank is split into `folds` contiguous folds; each is evaluated in
-    isolation and the six recalls are averaged over folds.
+    The bank is split into `folds` contiguous folds of two or more samples;
+    each is evaluated in isolation and the six recalls are averaged.
     """
     n = len(bank.samples)
     if n < 2:
         raise ConfigError("retrieval needs at least two samples")
     if folds < 1 or n % folds != 0:
         raise ConfigError("fold count must divide the sample count")
+    if n // folds < 2:
+        raise ConfigError("fold count leaves folds of fewer than two samples")
     scores = pairwise_scores(bank, params)
     size = n // folds
     per_fold = [_six_recalls(scores[f * size:(f + 1) * size, f * size:(f + 1) * size])
@@ -157,34 +160,52 @@ def retrieval_eval(bank: FeatureBank, params, folds: int = 1) -> RetrievalReport
 # selection diagnostics
 
 
-def _auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based ROC AUC with midrank handling of ties."""
-    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
-    ends = np.cumsum(counts)
-    # a tie group spanning sorted positions i..j shares the rank (i+j)/2 + 1
-    ranks = (0.5 * (ends - counts + ends - 1) + 1.0)[inverse]
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
+def _row_aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Rank-based ROC AUC of every row (the last axis), ties at midrank;
+    midranks are half-integers, so each row's rank sum is exact in any order."""
+    order = np.argsort(scores, axis=-1)
+    ordered = np.take_along_axis(scores, order, axis=-1)
+    pos = np.take_along_axis(labels == 1, order, axis=-1)
+    n = scores.shape[-1]
+    at = np.arange(n)
+    # a tie group spanning sorted positions i..j shares the rank (i+j)/2 + 1;
+    # a group ends where the next one starts
+    starts = np.insert(ordered[..., 1:] != ordered[..., :-1], 0, True, axis=-1)
+    first = np.maximum.accumulate(np.where(starts, at, 0), axis=-1)
+    ends = np.where(np.roll(starts, -1, axis=-1), at, n - 1)
+    ranks = 0.5 * (first + np.minimum.accumulate(ends[..., ::-1], axis=-1)[..., ::-1]) + 1.0
+    n_pos = np.count_nonzero(pos, axis=-1)
+    n_neg = n - n_pos
+    if not (n_pos.all() and n_neg.all()):
         raise BankInvariantError("AUC needs both classes")
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return (np.where(pos, ranks, 0.0).sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+# a stack's patches stay under this many bytes (10 samples at 196 x 64):
+# enough to amortise per-call overhead, few enough to stay near the cache
+STACK_BYTES = 1 << 20
 
 
 def selection_quality(bank: FeatureBank, params) -> float:
     """Mean per-sample AUC of the eval-mode sparse-branch score vs the
     ground-truth relevance mask; a sample without a two-class mask is
-    skipped, one whose branches both keep nothing still counts."""
+    skipped before any scoring, one whose branches both keep nothing still
+    counts.  Each run of consecutive samples of one shape is scored in
+    stacks of at most STACK_BYTES of patches, bitwise equal to scoring one
+    sample at a time; nothing is cached across calls."""
     check_dims(bank, params)
-    aucs = []
-    for sample in bank.samples:
-        mask = sample.relevance_mask
-        if mask is None:
-            continue
-        labels = np.asarray(mask)
-        if labels.min() == labels.max():
-            continue
-        aucs.append(_auc(selection.sparse_eval_scores(sample, params.selection), labels))
-    if not aucs:
+    scored = [s for s in bank.samples if s.relevance_mask is not None
+              and (mask := np.asarray(s.relevance_mask)).min() != mask.max()]
+    if not scored:
         raise BankInvariantError("no masks")
-    return float(np.mean(aucs))
+    aucs = []
+    for _, run in itertools.groupby(scored, key=lambda s: (
+            s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)):
+        run = list(run)
+        size = max(1, STACK_BYTES // run[0].patches.nbytes)
+        for at in range(0, len(run), size):
+            stack = run[at:at + size]
+            scores = selection.sparse_eval_scores(stack, params.selection)
+            labels = np.stack([sample.relevance_mask for sample in stack])
+            aucs.append(_row_aucs(scores, labels))
+    return float(np.mean(np.concatenate(aucs)))

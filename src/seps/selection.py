@@ -21,14 +21,15 @@ conventions: the clip passes gradient on the closed interval [0, CLIP_HI];
 the train-mode gate forwards the hard decision and backpropagates as
 identity into the keep probability (straight-through); rows outside a
 branch's survivors are exactly zero in its column softmax and receive no
-gradient.
+gradient.  The tape-free eval forward scores a stack of samples at once
+(`sparse_eval_scores`), bitwise equal to the taped pass per sample.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -162,14 +163,14 @@ class AggregatedPatches:
 
 def _patch_matrix(patches: np.ndarray, params: SelectionParams) -> np.ndarray:
     patches = np.asarray(patches, dtype=np.float64)
-    if patches.ndim != 2 or patches.shape[1] != params.dim:
-        raise ShapeError(f"patches shape {patches.shape} does not match dim {params.dim}")
+    if patches.ndim < 2 or patches.shape[-1] != params.dim:
+        raise ShapeError(f"patches shape {patches.shape[-2:]} does not match dim {params.dim}")
     return np.ascontiguousarray(patches)  # the layout a Tensor stores
 
 
 def _predict_forward(v: np.ndarray, params: SelectionParams, what: str):
-    """Hidden activations and sigmoid outputs of the prediction head."""
-    pre = ad.finite(what, v @ params.pred_w1.data + params.pred_b1.data[None, :])
+    """Hidden activations and sigmoid outputs of the prediction head; stacks too."""
+    pre = ad.finite(what, v @ params.pred_w1.data + params.pred_b1.data)
     hidden = np.tanh(pre)
     logits = ad.finite(what, hidden @ params.pred_w2.data + params.pred_b2.data)
     return hidden, ad.sigmoid_np(logits)
@@ -193,16 +194,15 @@ def predict_scores(patches: np.ndarray, params: SelectionParams) -> Tensor:
 
 def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np.ndarray:
     """Scaled dot-product attention of patches against a global embedding,
-    min-max normalized to [0,1].
+    min-max normalized to [0,1]; leading stack axes give one row per slice.
 
-    The raw score divides by the embedding dimension; a degenerate range
-    (below eps_norm) maps every patch to 0.5.
+    The raw score divides by the embedding dimension; a row whose range is
+    degenerate (below eps_norm) maps every patch to 0.5.
     """
-    raw = np.asarray(patches, dtype=np.float64) @ np.asarray(embedding, dtype=np.float64) / dim
-    lo, hi = float(raw.min()), float(raw.max())
-    if hi - lo < EPS_NORM:
-        return np.full(raw.shape, 0.5)
-    return (raw - lo) / (hi - lo + EPS_NORM)
+    embedding = np.asarray(embedding, dtype=np.float64)
+    raw = (np.asarray(patches, dtype=np.float64) @ embedding[..., None])[..., 0] / dim
+    lo, hi = raw.min(axis=-1, keepdims=True), raw.max(axis=-1, keepdims=True)
+    return np.where(hi - lo < EPS_NORM, 0.5, (raw - lo) / (hi - lo + EPS_NORM))
 
 
 def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -356,29 +356,34 @@ def decision_rng(seed: int, sample_id: str, step: int = 0) -> np.random.Generato
 
 
 def attention_views(sample: Sample, params: SelectionParams) -> tuple[np.ndarray, ...]:
-    """Sparse-text, dense-text and image-self attention of every patch."""
+    """Sparse-text, dense-text and image-self attention of every patch, per
+    slice when the sample's arrays carry a leading stack axis."""
     patches = sample.patches
-    dim = patches.shape[1]
+    dim = patches.shape[-1]
     e_sparse, _ = global_embedding(sample.sparse_tokens)
     e_dense, _ = global_embedding(sample.dense_tokens)
     e_image, _ = global_embedding(patches)
 
     s_st = attention_scores(patches, e_sparse, dim)
     if params.zero_dense_attention:
-        s_dt = np.zeros(patches.shape[0])
+        s_dt = np.zeros(patches.shape[:-1])
     else:
         s_dt = attention_scores(patches, e_dense, dim)
     s_im = attention_scores(patches, e_image, dim)
     return s_st, s_dt, s_im
 
 
-def sparse_eval_scores(sample: Sample, params: SelectionParams) -> np.ndarray:
-    """Eval-mode sparse-branch score of every patch without the tape, bitwise
-    equal to `branch_scores(...)[0]` after `score_and_decide(..., "eval")`;
+def sparse_eval_scores(samples: Sequence[Sample], params: SelectionParams) -> np.ndarray:
+    """Eval-mode sparse-branch score of every patch of C samples that share
+    one shape, as a C x n matrix from one stacked pass with no tape or cache.
+    Stacked `np.matmul` runs the 2-D kernel per slice, so row c is bitwise
+    `branch_scores(...)[0]` after `score_and_decide(samples[c], ..., "eval")`;
     it raises NonFiniteError wherever that path's Tensor checks would."""
-    s_st, s_dt, s_im = attention_views(sample, params)
+    stack = Sample("stack", *(np.stack([getattr(s, name) for s in samples])
+                              for name in ("patches", "sparse_tokens", "dense_tokens")))
+    s_st, s_dt, s_im = attention_views(stack, params)
     what = "the sparse-branch score"
-    _, pred = _predict_forward(_patch_matrix(sample.patches, params), params, what)
+    _, pred = _predict_forward(_patch_matrix(stack.patches, params), params, what)
     pred = pred * (1.0 - 2.0 * params.beta)
     # the taped path checks the dense branch's unclipped score too
     x = ad.finite(what, pred + _attention_part(params.beta, s_st, s_im), s_dt)

@@ -214,7 +214,7 @@ def test_retrieval_checks_folds_before_scoring(monkeypatch):
         raise AssertionError("pairs scored before the fold check")
 
     monkeypatch.setattr(evaluator, "pairwise_scores", no_scoring)
-    for folds in (0, len(bank.samples) + 1, 5):
+    for folds in (0, len(bank.samples) + 1, 5, len(bank.samples)):
         with pytest.raises(ConfigError, match="fold count"):
             retrieval_eval(bank, params, folds=folds)
 
@@ -224,7 +224,7 @@ def test_retrieval_checks_folds_before_scoring(monkeypatch):
 
 
 def midrank_auc_loop(scores, labels):
-    """The original midrank loop, kept as the oracle for `_auc`."""
+    """The original midrank loop, kept as the oracle for `_row_aucs`."""
     order = np.argsort(scores, kind="stable")
     ranks = np.empty(len(scores))
     sorted_scores = scores[order]
@@ -243,6 +243,7 @@ def midrank_auc_loop(scores, labels):
 
 def test_auc_matches_midrank_loop_bitwise_on_ties():
     rng = np.random.default_rng(17)
+    by_length = {}
     for _ in range(2000):
         n = int(rng.integers(2, 40))
         levels = int(rng.integers(1, n + 1))  # few levels -> many ties
@@ -251,7 +252,12 @@ def test_auc_matches_midrank_loop_bitwise_on_ties():
             scores = np.where(rng.random(n) < 0.5, scores, rng.random(n))
         labels = rng.integers(0, 2, size=n).astype(np.int8)
         labels[rng.choice(n, size=2, replace=False)] = (0, 1)
-        assert evaluator._auc(scores, labels) == midrank_auc_loop(scores, labels)
+        by_length.setdefault(n, []).append((scores, labels))
+    for cases in by_length.values():
+        scores, labels = (np.stack(column) for column in zip(*cases))
+        expected = np.array([midrank_auc_loop(*case) for case in cases])
+        assert evaluator._row_aucs(scores, labels).tobytes() == expected.tobytes()
+        assert all(evaluator._row_aucs(*case) == loop for case, loop in zip(cases, expected))
 
 
 def test_selection_quality_perfect_on_separable_bank():
@@ -308,7 +314,7 @@ def taped_selection_quality(bank, params):
         with ad.no_grad():
             _, _, (mask_s, _) = selection.select_and_aggregate(
                 sample, params.selection, "eval")
-        aucs.append(evaluator._auc(mask_s.score.data, labels))
+        aucs.append(float(evaluator._row_aucs(mask_s.score.data, labels)))
     if not aucs:
         raise BankInvariantError("no masks")
     return float(np.mean(aucs))
@@ -337,6 +343,51 @@ def test_selection_quality_bitwise_equal_to_the_taped_loop(shape):
     bank = generate_synthetic(SynthConfig(seed=21, **shape))
     params = make_params(dim=shape["dim"], n_patches=shape["n_patches"], n_keep=8, seed=21)
     assert selection_quality(bank, params) == taped_selection_quality(bank, params)
+
+
+def mixed_bank() -> FeatureBank:
+    """Consecutive runs of different patch and word counts, one shape
+    recurring after others, with masks missing or single-class mid-run."""
+    runs = [dict(seed=31, n_samples=7, n_patches=9, n_sparse_words=2, n_dense_words=4),
+            dict(seed=32, n_samples=5, n_patches=12, n_sparse_words=3, n_dense_words=5),
+            dict(seed=33, n_samples=4, n_patches=9, n_sparse_words=1, n_dense_words=4),
+            dict(seed=34, n_samples=3, n_patches=9, n_sparse_words=2, n_dense_words=4)]
+    samples = []
+    for run in runs:
+        for sample in generate_synthetic(SynthConfig(dim=16, n_relevant_patches=3,
+                                                     concept_count=64, **run)).samples:
+            sample.sample_id = f"{run['seed']}-{sample.sample_id}"
+            samples.append(sample)
+    samples[2].relevance_mask = None
+    samples[4].relevance_mask = np.ones(9, dtype=np.int8)
+    samples[8].relevance_mask = np.zeros(12, dtype=np.int8)
+    samples[13].relevance_mask = None
+    return FeatureBank(dim=16, samples=samples)
+
+
+@pytest.mark.parametrize("stack_bytes", [None, 3 * 9 * 16 * 8, 1])
+def test_selection_quality_bitwise_on_a_mixed_bank(stack_bytes, monkeypatch):
+    bank = mixed_bank()
+    params = make_params(dim=16, n_patches=9, n_keep=3, seed=31)
+    if stack_bytes is not None:
+        monkeypatch.setattr(evaluator, "STACK_BYTES", stack_bytes)
+    stacks = []
+    score = selection.sparse_eval_scores
+
+    def recorded(samples, params):
+        stacks.append(samples)
+        return score(samples, params)
+
+    monkeypatch.setattr(selection, "sparse_eval_scores", recorded)
+    assert selection_quality(bank, params) == taped_selection_quality(bank, params)
+    skipped = {bank.samples[i].sample_id for i in (2, 4, 8, 13)}
+    assert [s.sample_id for stack in stacks for s in stack] == [
+        s.sample_id for s in bank.samples if s.sample_id not in skipped]
+    for stack in stacks:
+        assert len({(s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)
+                    for s in stack}) == 1
+        assert len(stack) == 1 or sum(s.patches.nbytes for s in stack) <= evaluator.STACK_BYTES
+    assert len(stacks) == {None: 4, 3 * 9 * 16 * 8: 6, 1: 15}[stack_bytes]
 
 
 def test_selection_quality_counts_samples_whose_branches_keep_nothing():
@@ -379,8 +430,10 @@ def test_selection_quality_rejects_a_wrong_dim_bank_like_the_taped_loop():
 
 
 def test_auc_needs_both_classes():
-    with pytest.raises(BankInvariantError, match="AUC needs both classes"):
-        evaluator._auc(np.array([0.2, 0.7]), np.array([1, 1]))
+    scores = np.array([[0.2, 0.7], [0.1, 0.3], [0.5, 0.4]])
+    for labels in ([[0, 1], [1, 1], [1, 0]], [[0, 1], [1, 0], [0, 0]], [[1, 1]]):
+        with pytest.raises(BankInvariantError, match="AUC needs both classes"):
+            evaluator._row_aucs(scores[:len(labels)], np.array(labels))
 
 
 def test_selection_quality_builds_no_tape_and_runs_no_decision(monkeypatch):

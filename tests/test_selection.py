@@ -292,16 +292,44 @@ def taped_sparse_scores(sample, params):
 
 
 def assert_bitwise_parity(samples, params):
-    for sample in samples:
-        fast = sparse_eval_scores(sample, params)
-        assert fast.dtype == np.float64
-        assert fast.tobytes() == taped_sparse_scores(sample, params).tobytes(), sample.sample_id
+    """Scored as one stack and each as a stack of one, every row equals the
+    taped branch score bit for bit."""
+    stacked = sparse_eval_scores(samples, params)
+    assert stacked.dtype == np.float64 and stacked.shape == (len(samples), samples[0].n_patches)
+    for row, sample in zip(stacked, samples):
+        taped = taped_sparse_scores(sample, params).tobytes()
+        assert row.tobytes() == taped, sample.sample_id
+        assert sparse_eval_scores([sample], params)[0].tobytes() == taped, sample.sample_id
 
 
 DESK = dict(dim=32, n_patches=16, n_relevant_patches=4, n_sparse_words=2,
             n_dense_words=4, noise_sigma=0.1)
 VIT = dict(dim=64, n_patches=196, n_relevant_patches=24, n_sparse_words=2,
            n_dense_words=8, concept_count=4096, noise_sigma=0.1)
+
+
+@pytest.mark.parametrize("n, d", [(16, 32), (196, 64)], ids=["desk", "vit"])
+def test_stacked_matmul_forms_equal_the_per_slice_products_bitwise(n, d):
+    # the stacked pass is bitwise only while numpy runs each slice of a
+    # stacked product through the same kernel as the unstacked one
+    rng = np.random.default_rng(n)
+    c = 12
+    patches, weight, w2 = rng.normal(size=(c, n, d)), rng.normal(size=(d, d)), rng.normal(size=d)
+    embedding, tokens = rng.normal(size=(c, d)), rng.normal(size=(c, 3, d))
+    first = patches @ weight
+    second = np.tanh(first) @ w2
+    attention = patches @ embedding[:, :, None]
+    mean = tokens.mean(axis=-2)
+    square = mean[..., None, :] @ mean[..., :, None]
+    for i in range(c):
+        m = tokens[i].mean(axis=0)
+        assert bits(first[i]) == bits(patches[i] @ weight)
+        assert bits(second[i]) == bits(np.tanh(patches[i] @ weight) @ w2)
+        assert bits(attention[i, :, 0]) == bits(patches[i] @ embedding[i])
+        assert bits((patches[i] @ embedding[i][:, None])[:, 0]) == bits(patches[i] @ embedding[i])
+        assert bits(mean[i]) == bits(m)
+        assert bits(np.sqrt(square[i])) == bits(np.linalg.norm(m))
+        assert bits(np.sqrt(m[None, :] @ m[:, None])) == bits(np.linalg.norm(m))
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.2, 0.5])
@@ -337,7 +365,8 @@ def test_sparse_eval_scores_bitwise_on_degenerate_caption_and_single_patch(rng):
     with ad.no_grad():
         bundle, _, _ = score_and_decide(flat, params, "eval")
     np.testing.assert_array_equal(bundle.sparse_text, np.full(9, 0.5))
-    assert_bitwise_parity([flat, single], params)
+    assert_bitwise_parity([flat], params)
+    assert_bitwise_parity([single], params)
 
 
 def test_sparse_eval_scores_rejects_dim_mismatch_like_the_taped_path(rng):
@@ -347,7 +376,7 @@ def test_sparse_eval_scores_rejects_dim_mismatch_like_the_taped_path(rng):
     with pytest.raises(ShapeError) as taped:
         score_and_decide(sample, params, "eval")
     with pytest.raises(ShapeError) as fast:
-        sparse_eval_scores(sample, params)
+        sparse_eval_scores([sample], params)
     assert str(fast.value) == str(taped.value)
 
 
@@ -370,7 +399,7 @@ def test_sparse_eval_scores_raises_non_finite_like_the_taped_path(where, rng):
         with pytest.raises(NonFiniteError):
             taped_sparse_scores(sample, params)
         with pytest.raises(NonFiniteError):
-            sparse_eval_scores(sample, params)
+            sparse_eval_scores([sample], params)
 
 
 # ---------------------------------------------------------------------------
