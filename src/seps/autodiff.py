@@ -150,13 +150,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
-    # Stable in both tails; never overflows.
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # never overflows: min(x, -x) is -|x|, and a NaN keeps its bits
+    e = np.exp(np.minimum(x, -x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:

@@ -107,6 +107,13 @@ def check_dims(bank: FeatureBank, params) -> None:
         raise ConfigError("dimension mismatch between bank and checkpoint")
 
 
+def check_retrieval_bank(bank: FeatureBank, params) -> None:
+    """The rules a bank must meet before `retrieval_eval` scores it."""
+    if len(bank.samples) < 2:
+        raise ConfigError("retrieval needs at least two samples")
+    check_dims(bank, params)
+
+
 def pairwise_scores(bank: FeatureBank, params) -> np.ndarray:
     """S[i, j] = alignment score of image i against caption j, eval mode;
     each caption and each image's fused vectors are prepared once."""
@@ -137,9 +144,8 @@ def retrieval_eval(bank: FeatureBank, params, folds: int = 1) -> RetrievalReport
     The bank is split into `folds` contiguous folds of two or more samples;
     each is evaluated in isolation and the six recalls are averaged.
     """
+    check_retrieval_bank(bank, params)
     n = len(bank.samples)
-    if n < 2:
-        raise ConfigError("retrieval needs at least two samples")
     if folds < 1 or n % folds != 0:
         raise ConfigError("fold count must divide the sample count")
     if n // folds < 2:
@@ -181,8 +187,8 @@ def _row_aucs(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return (np.where(pos, ranks, 0.0).sum(axis=-1) - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-# a stack's patches stay under this many bytes (10 samples at 196 x 64):
-# enough to amortise per-call overhead, few enough to stay near the cache
+# a stack's patches (10 samples at 196 x 64) and a rank block's scores stay
+# under this many bytes: enough to amortise per-call overhead, near the cache
 STACK_BYTES = 1 << 20
 
 
@@ -191,8 +197,9 @@ def selection_quality(bank: FeatureBank, params) -> float:
     ground-truth relevance mask; a sample without a two-class mask is
     skipped before any scoring, one whose branches both keep nothing still
     counts.  Each run of consecutive samples of one shape is scored in
-    stacks of at most STACK_BYTES of patches, bitwise equal to scoring one
-    sample at a time; nothing is cached across calls."""
+    stacks of at most STACK_BYTES of patches and ranked in blocks of whole
+    stacks of at most STACK_BYTES of scores (or one stack), bitwise equal to
+    one sample at a time; nothing is cached across calls."""
     check_dims(bank, params)
     scored = [s for s in bank.samples if s.relevance_mask is not None
               and (mask := np.asarray(s.relevance_mask)).min() != mask.max()]
@@ -203,9 +210,11 @@ def selection_quality(bank: FeatureBank, params) -> float:
             s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)):
         run = list(run)
         size = max(1, STACK_BYTES // run[0].patches.nbytes)
-        for at in range(0, len(run), size):
-            stack = run[at:at + size]
-            scores = selection.sparse_eval_scores(stack, params.selection)
-            labels = np.stack([sample.relevance_mask for sample in stack])
-            aucs.append(_row_aucs(scores, labels))
+        block = size * max(1, STACK_BYTES // (8 * size * len(run[0].patches)))  # float64 scores
+        for start in range(0, len(run), block):
+            part = run[start:start + block]
+            scores = [selection.sparse_eval_scores(part[at:at + size], params.selection)
+                      for at in range(0, len(part), size)]
+            labels = np.stack([sample.relevance_mask for sample in part])
+            aucs.append(_row_aucs(np.concatenate(scores), labels))
     return float(np.mean(np.concatenate(aucs)))

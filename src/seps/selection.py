@@ -170,8 +170,9 @@ def _patch_matrix(patches: np.ndarray, params: SelectionParams) -> np.ndarray:
 
 def _predict_forward(v: np.ndarray, params: SelectionParams, what: str):
     """Hidden activations and sigmoid outputs of the prediction head; stacks too."""
-    pre = ad.finite(what, v @ params.pred_w1.data + params.pred_b1.data)
-    hidden = np.tanh(pre)
+    pre = v @ params.pred_w1.data
+    pre += params.pred_b1.data
+    hidden = np.tanh(ad.finite(what, pre), out=pre)
     logits = ad.finite(what, hidden @ params.pred_w2.data + params.pred_b2.data)
     return hidden, ad.sigmoid_np(logits)
 

@@ -228,7 +228,8 @@ def fit(
     """Seeded epoch loop over shuffled mini-batches.
 
     Records loss and keep rates per epoch (plus validation R@1 when a
-    validation bank is given) and rewrites the checkpoint after each epoch,
+    validation bank is given, checked against `retrieval_eval`'s rules
+    before the first step) and rewrites the checkpoint after each epoch,
     so a divergent run keeps the last completed epoch on disk.  Each
     sample's attention views depend on its features alone, so they are
     computed once per fit.
@@ -237,6 +238,8 @@ def fit(
         raise ConfigError("bank smaller than batch size")
     if params is None:
         params = init_params(cfg)
+    if val_bank is not None:
+        evaluator.check_retrieval_bank(val_bank, params)
     obj = cfg.objective()
     state = OptimizerState()
     history: list[EpochStats] = []

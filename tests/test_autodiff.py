@@ -14,6 +14,7 @@ from composed_selection import (EmptySupportError, add_colvec, add_rowvec, add_s
                                 log, log_sigmoid, matmul, neg, scale_rows, softmax_columns,
                                 tanh, transpose)
 from conftest import finite_difference_check, make_params, mul, sum_all
+import reference_autodiff
 
 import seps
 from seps import autodiff as ad
@@ -40,6 +41,27 @@ def test_sigmoid_gradient_matches_central_difference():
     assert grad == pytest.approx(0.25, abs=1e-12)
     err = finite_difference_check(lambda t: ad.sigmoid(t), x)
     assert err < 1e-7
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-320, -1e-320, 36.0, -36.0, 709.0, -709.0, 745.0, -745.0,
+                 np.inf, -np.inf, np.nan, -np.nan]
+
+
+def test_sigmoid_np_equals_the_boolean_mask_form_bitwise():
+    # the composed oracles call ad.sigmoid_np themselves, so only a direct
+    # comparison catches a drift in its bits
+    edges = np.array(SIGMOID_EDGES)
+    rng = np.random.default_rng(29)
+    arrays = [edges, edges[::-1].reshape(2, 7), *(rng.normal(scale=40.0, size=shape)
+                                                  for shape in [(257,), (13, 17), (4, 9, 11)])]
+    with np.errstate(under="ignore"):
+        for x in arrays:
+            fast, masked = ad.sigmoid_np(x), reference_autodiff.sigmoid_np(x)
+            assert fast.shape == x.shape and fast.dtype == np.float64
+            assert fast.tobytes() == masked.tobytes()
+        for value in SIGMOID_EDGES:
+            x = np.asarray(value)
+            assert ad.sigmoid_np(x).tobytes() == reference_autodiff.sigmoid_np(x).tobytes()
 
 
 # ---------------------------------------------------------------------------

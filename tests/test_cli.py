@@ -203,6 +203,23 @@ def test_train_divergence_exits_three(tmp_path, small_bank_file, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize("flags", [["--dim", "6"], ["--samples", "1"]],
+                         ids=["wrong_dim", "one_sample"])
+def test_train_unusable_val_bank_exits_two_with_output_untouched(
+        flags, tmp_path, small_bank_file, capsys):
+    val = tmp_path / "val.sepb"
+    assert cli.main(["gen", "--out", str(val), "--samples", "8", "--dim", "8",
+                     "--n-patches", "6", "--n-relevant", "2", "--concepts", "8",
+                     "--seed", "4", *flags]) == 0
+    out = tmp_path / "kept.ckpt"
+    out.write_bytes(b"previous checkpoint")
+    capsys.readouterr()
+    assert cli.main(train_args(small_bank_file, out, val_bank=val)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert out.read_bytes() == b"previous checkpoint"
+
+
 def test_train_missing_bank_exits_two(tmp_path):
     assert cli.main(["train", "--bank", str(tmp_path / "none.sepb"),
                      "--out", str(tmp_path / "x.ckpt")]) == 2

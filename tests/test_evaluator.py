@@ -365,29 +365,59 @@ def mixed_bank() -> FeatureBank:
     return FeatureBank(dim=16, samples=samples)
 
 
-@pytest.mark.parametrize("stack_bytes", [None, 3 * 9 * 16 * 8, 1])
+# STACK_BYTES -> the sample count of each stack in each rank call: at
+# 3 * 9 * 16 * 8 a stack holds 3 nine-patch or 2 twelve-patch samples and a
+# block a whole run; at 2 * 12 * 8 a stack holds one sample and a block two
+MIXED_BLOCKS = {None: [[5], [4], [3], [3]],
+                3 * 9 * 16 * 8: [[3, 2], [2, 2], [3], [3]],
+                2 * 12 * 8: [[1, 1], [1, 1], [1], [1, 1], [1, 1], [1, 1], [1], [1, 1], [1]],
+                1: [[1]] * 15}
+
+
+@pytest.mark.parametrize("stack_bytes", list(MIXED_BLOCKS))
 def test_selection_quality_bitwise_on_a_mixed_bank(stack_bytes, monkeypatch):
     bank = mixed_bank()
     params = make_params(dim=16, n_patches=9, n_keep=3, seed=31)
     if stack_bytes is not None:
         monkeypatch.setattr(evaluator, "STACK_BYTES", stack_bytes)
-    stacks = []
-    score = selection.sparse_eval_scores
+    expected = taped_selection_quality(bank, params)  # it ranks too: run it before recording
+    stacks, ranked = [], []
+    score, rank = selection.sparse_eval_scores, evaluator._row_aucs
 
-    def recorded(samples, params):
-        stacks.append(samples)
-        return score(samples, params)
+    def scored(samples, params):
+        stacks.append((samples, score(samples, params)))
+        return stacks[-1][1]
 
-    monkeypatch.setattr(selection, "sparse_eval_scores", recorded)
-    assert selection_quality(bank, params) == taped_selection_quality(bank, params)
+    def ranks(scores, labels):
+        ranked.append((scores, labels))
+        return rank(scores, labels)
+
+    monkeypatch.setattr(selection, "sparse_eval_scores", scored)
+    monkeypatch.setattr(evaluator, "_row_aucs", ranks)
+    assert selection_quality(bank, params) == expected
     skipped = {bank.samples[i].sample_id for i in (2, 4, 8, 13)}
-    assert [s.sample_id for stack in stacks for s in stack] == [
+    assert [s.sample_id for stack, _ in stacks for s in stack] == [
         s.sample_id for s in bank.samples if s.sample_id not in skipped]
-    for stack in stacks:
+    for stack, _ in stacks:
         assert len({(s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)
                     for s in stack}) == 1
         assert len(stack) == 1 or sum(s.patches.nbytes for s in stack) <= evaluator.STACK_BYTES
-    assert len(stacks) == {None: 4, 3 * 9 * 16 * 8: 6, 1: 15}[stack_bytes]
+    # each rank call takes the next whole stacks, all of one run, in bank order
+    blocks, queue = [], list(stacks)
+    for scores, labels in ranked:
+        block = [queue.pop(0)]
+        while sum(len(stack) for stack, _ in block) < len(scores):
+            block.append(queue.pop(0))
+        samples = [s for stack, _ in block for s in stack]
+        assert len({(s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)
+                    for s in samples}) == 1
+        assert scores.tobytes() == np.concatenate([rows for _, rows in block]).tobytes()
+        assert labels.tobytes() == np.stack([s.relevance_mask for s in samples]).tobytes()
+        assert len(block) == 1 or scores.nbytes <= evaluator.STACK_BYTES
+        blocks.append([len(stack) for stack, _ in block])
+    assert not queue
+    assert blocks == MIXED_BLOCKS[stack_bytes]
+    assert len(stacks) == {None: 4, 3 * 9 * 16 * 8: 6, 2 * 12 * 8: 15, 1: 15}[stack_bytes]
 
 
 def test_selection_quality_counts_samples_whose_branches_keep_nothing():

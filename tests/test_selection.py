@@ -10,8 +10,9 @@ from conftest import (basis_sample, finite_difference_check, make_params, mul,
 from seps import autodiff as ad
 from seps import selection
 from seps.autodiff import EPS_LOG
-from seps.bank import Sample, SynthConfig, generate_synthetic
+from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic
 from seps.errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
+from seps.evaluator import selection_quality
 from seps.objective import ObjectiveConfig, batch_loss, batch_similarity
 from seps.selection import (DecisionMask, ScoreBundle, aggregate, attention_scores,
                             branch_scores, gumbel_decision, predict_scores,
@@ -400,6 +401,28 @@ def test_sparse_eval_scores_raises_non_finite_like_the_taped_path(where, rng):
             taped_sparse_scores(sample, params)
         with pytest.raises(NonFiniteError):
             sparse_eval_scores([sample], params)
+
+
+@pytest.mark.parametrize("overflow", ["product", "bias"])
+def test_head_pre_activation_overflow_raises_the_same_message(overflow, rng):
+    # the bias add and the tanh run in the product's buffer; the finite
+    # check must still see the pre-activation, not tanh's finite +-1
+    params = make_params(dim=4, seed=1)
+    patches = rng.uniform(0.5, 1.0, size=(5, 4))
+    # "bias": each product is at most 4e307, and adding 1.7e308 overflows
+    w1, b1 = {"product": (1e308, 0.0), "bias": (1e307, 1.7e308)}[overflow]
+    params.selection.pred_w1.data = np.full((4, 4), w1)
+    params.selection.pred_b1.data = np.full(4, b1)
+    mask = np.array([1, 0, 1, 0, 0], dtype=np.int8)
+    sample = Sample("hot", patches, rng.normal(size=(2, 4)), rng.normal(size=(3, 4)), mask)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="^non-finite values in the predicted scores$"):
+            predict_scores(patches, params.selection)
+        message = "^non-finite values in the sparse-branch score$"
+        with pytest.raises(NonFiniteError, match=message):
+            sparse_eval_scores([sample, sample], params.selection)
+        with pytest.raises(NonFiniteError, match=message):
+            selection_quality(FeatureBank(dim=4, samples=[sample]), params)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import composed_alignment as composed
 from conftest import make_params
 
 from seps import autodiff as ad
-from seps import cli, objective, selection
+from seps import cli, objective, selection, trainer
 from seps.bank import SynthConfig, generate_synthetic, text_chunk
 from seps.errors import BankFormatError, ConfigError, DivergenceError
 from seps.trainer import (EpochStats, OptimizerState, TrainConfig, _layout, fit,
@@ -162,6 +162,23 @@ def test_fit_records_validation_metric():
     bank = tiny_bank(seed=6)
     _, history = fit(bank, tiny_cfg(epochs=2), val_bank=bank)
     assert all(isinstance(h, EpochStats) and h.val_r1 is not None for h in history)
+
+
+@pytest.mark.parametrize("val, message", [
+    (dict(n=16, dim=8), "dimension mismatch between bank and checkpoint"),
+    (dict(n=1, dim=6), "retrieval needs at least two samples"),
+], ids=["wrong_dim", "one_sample"])
+def test_fit_refuses_an_unusable_validation_bank_before_the_first_step(
+        val, message, tmp_path, monkeypatch):
+    steps = []
+    monkeypatch.setattr(trainer, "optimizer_step", lambda *args: steps.append(args))
+    val_bank = generate_synthetic(SynthConfig(
+        n_samples=val["n"], dim=val["dim"], n_patches=5, n_relevant_patches=2,
+        n_sparse_words=2, n_dense_words=3, concept_count=8, seed=1))
+    ckpt = tmp_path / "run.ckpt"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        fit(tiny_bank(n=16), tiny_cfg(batch_size=4), val_bank=val_bank, checkpoint_path=ckpt)
+    assert steps == [] and not ckpt.exists()
 
 
 def test_fit_gradient_audit_passes_on_smooth_path():
