@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -42,11 +41,6 @@ class RelevanceHead:
             return self.out_w, self.out_b
         return self.hid_w, self.hid_b, self.out_w, self.out_b
 
-    def named(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        tensors = self.tensors()
-        names = ("hid_w", "hid_b", "w", "b")[-len(tensors):]
-        return zip((f"{prefix}.{name}" for name in names), tensors)
-
 
 def validate_k_top(k_top: int) -> None:
     if k_top < 1:
@@ -65,10 +59,6 @@ class AlignmentParams:
     def k_top(self) -> int:
         # the heads' input width: the rows of hid_w, or of out_w when linear
         return self.p2w.tensors()[0].shape[0]
-
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.p2w.named("head_p2w")
-        yield from self.w2p.named("head_w2p")
 
 
 @dataclass

@@ -244,20 +244,19 @@ def read_bank(path) -> FeatureBank:
 # embeddings and synthesis
 
 
-def global_embedding(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def global_embedding(tokens: np.ndarray) -> np.ndarray:
     """L2-normalized mean of the token rows of each K x d slice.
 
-    Returns (vector, degenerate) per slice.  A (near-)zero mean is returned
-    as the exact zero vector with the degenerate flag set, never normalized.
+    A (near-)zero mean is returned as the exact zero vector, never
+    normalized.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
     if tokens.ndim < 2 or tokens.shape[-2] < 1:
         raise BankInvariantError("global_embedding expects [...] x K x d with K >= 1")
     mean = tokens.mean(axis=-2)
     norm = np.sqrt(mean[..., None, :] @ mean[..., :, None])[..., 0]
-    degenerate = norm[..., 0] < EPS_NORM
-    vector = np.divide(mean, norm, out=np.zeros_like(mean), where=~degenerate[..., None])
-    return vector, degenerate
+    # ~(norm < eps) rather than norm >= eps, so a NaN norm is divided, not zeroed
+    return np.divide(mean, norm, out=np.zeros_like(mean), where=~(norm < EPS_NORM))
 
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from . import alignment, autodiff as ad, evaluator, selection, trainer
 from .bank import FeatureBank, SynthConfig, generate_synthetic, read_bank, write_bank
@@ -41,13 +42,14 @@ class RunConfig:
 
 
 # config keys and flags are the fields of the two sections and of RunConfig
-# itself; a field shared by both sections (dim, n_patches, seed) is one key
+# itself; a field shared by both sections (dim, n_patches, seed) is one key,
+# parsed by its declared type (int, float or str)
 _SECTIONS = {"train": trainer.TrainConfig, "synth": SynthConfig}
 _ALIASES = {"n_samples": "samples", "n_relevant_patches": "n_relevant",
             "concept_count": "concepts"}
-KEY_TYPES = {_ALIASES.get(f.name, f.name): f.type
-             for cls in (*_SECTIONS.values(), RunConfig) for f in fields(cls)
-             if f.name not in _SECTIONS}
+KEY_TYPES = {_ALIASES.get(name, name): kind
+             for cls in (*_SECTIONS.values(), RunConfig)
+             for name, kind in get_type_hints(cls).items() if name not in _SECTIONS}
 
 
 def _parse_value(key: str, raw: str):
@@ -55,11 +57,7 @@ def _parse_value(key: str, raw: str):
     if kind is None:
         raise ConfigError(f"unknown config key: {key}")
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {raw!r}") from exc
 
@@ -190,11 +188,11 @@ def cmd_score(cfg: RunConfig, image_id: str, caption_id: str) -> int:
 
 
 def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
+    """Reads only the scores and masks, so it works when both branches keep nothing."""
     bank, params = _load_model(cfg)
     sample = bank.by_id(sample_id)
     with ad.no_grad():
-        _, bundle, (mask_s, mask_d) = selection.select_and_aggregate(
-            sample, params.selection, "eval")
+        bundle, mask_s, mask_d = selection.score_and_decide(sample, params.selection, "eval")
     pred = bundle.predicted.data
     print(f"# sample {sample_id}: {sample.n_patches} patches")
     print("# idx s_p s_st s_dt s_im s_sparse s_dense keep(sd) gt")
@@ -211,16 +209,14 @@ def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
 # argument wiring
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file")
-    for name, kind in KEY_TYPES.items():
-        flag = "--" + name.replace("_", "-")
-        if kind == "int":
-            parser.add_argument(flag, dest=name, type=int)
-        elif kind == "float":
-            parser.add_argument(flag, dest=name, type=float)
-        else:
-            parser.add_argument(flag, dest=name)
+# command -> (help, its required flags, handler taking the config and those flags)
+_COMMANDS = {
+    "gen": ("generate a synthetic feature bank", (), cmd_gen),
+    "train": ("train on a bank and write a checkpoint", (), cmd_train),
+    "eval": ("retrieval metrics for a checkpoint on a bank", (), cmd_eval),
+    "score": ("score one image-caption pair", ("image", "caption"), cmd_score),
+    "inspect": ("per-patch selection dump for one sample", ("sample",), cmd_inspect),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -228,39 +224,22 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="seps",
         description="patch selection and patch-word alignment on feature banks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("gen", "generate a synthetic feature bank"),
-        ("train", "train on a bank and write a checkpoint"),
-        ("eval", "retrieval metrics for a checkpoint on a bank"),
-        ("score", "score one image-caption pair"),
-        ("inspect", "per-patch selection dump for one sample"),
-    ):
+    for name, (help_text, required, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
-        _add_config_flags(cmd)
-        if name == "score":
-            cmd.add_argument("--image", required=True)
-            cmd.add_argument("--caption", required=True)
-        if name == "inspect":
-            cmd.add_argument("--sample", required=True)
+        cmd.add_argument("--config", help="key=value config file")
+        for key, kind in KEY_TYPES.items():
+            cmd.add_argument("--" + key.replace("_", "-"), dest=key, type=kind)
+        for flag in required:
+            cmd.add_argument(f"--{flag}", required=True)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _, required, run = _COMMANDS[args.command]
     try:
-        cfg = build_config(args)
-        if args.command == "gen":
-            return cmd_gen(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "score":
-            return cmd_score(cfg, args.image, args.caption)
-        if args.command == "inspect":
-            return cmd_inspect(cfg, args.sample)
-        raise ConfigError(f"unknown command {args.command}")
+        return run(build_config(args), *(getattr(args, flag) for flag in required))
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,11 +42,6 @@ MODES = ("train", "eval", "soft")
 
 # branch scores are clipped here before entering the log-domain logits
 CLIP_HI = 1.0 - 1e-6
-
-# checkpoint names of the SelectionParams weights; "agg_sparse.w" is the
-# field agg_sparse_w, and so on
-TENSOR_NAMES = ("pred.w1", "pred.b1", "pred.w2", "pred.b2", "agg_sparse.w",
-                "agg_sparse.b", "agg_dense.w", "agg_dense.b")
 
 
 def validate_tau(tau: float) -> None:
@@ -96,9 +91,9 @@ class SelectionParams:
     def n_keep(self) -> int:
         return self.agg_sparse_w.shape[1]
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        for name in TENSOR_NAMES:
-            yield name, getattr(self, name.replace(".", "_"))
+    def tensors(self) -> tuple[Tensor, ...]:
+        return (self.pred_w1, self.pred_b1, self.pred_w2, self.pred_b2,
+                self.agg_sparse_w, self.agg_sparse_b, self.agg_dense_w, self.agg_dense_b)
 
 
 @dataclass
@@ -361,9 +356,9 @@ def attention_views(sample: Sample, params: SelectionParams) -> tuple[np.ndarray
     slice when the sample's arrays carry a leading stack axis."""
     patches = sample.patches
     dim = patches.shape[-1]
-    e_sparse, _ = global_embedding(sample.sparse_tokens)
-    e_dense, _ = global_embedding(sample.dense_tokens)
-    e_image, _ = global_embedding(patches)
+    e_sparse = global_embedding(sample.sparse_tokens)
+    e_dense = global_embedding(sample.dense_tokens)
+    e_image = global_embedding(patches)
 
     s_st = attention_scores(patches, e_sparse, dim)
     if params.zero_dense_attention:

@@ -22,7 +22,7 @@ from .autodiff import Tensor
 from .bank import FeatureBank, Reader, text_chunk, validate_shape, write_atomic
 from .errors import BankFormatError, ConfigError, DivergenceError, NumericalError
 from .objective import ObjectiveConfig
-from .selection import TENSOR_NAMES, SelectionParams, validate_knobs
+from .selection import SelectionParams, validate_knobs
 
 CKPT_MAGIC = b"SEPC"
 CKPT_VERSION = 1
@@ -76,20 +76,30 @@ class ModelParams:
     selection: SelectionParams
     alignment: AlignmentParams
 
-    def named(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.selection.named()
-        yield from self.alignment.named()
-
     def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named()]
+        """Every model tensor, in `_layout` order."""
+        return [*self.selection.tensors(), *self.alignment.p2w.tensors(),
+                *self.alignment.w2p.tensors()]
+
+    def hyper(self) -> dict:
+        """The hyperparameters a checkpoint stores, the sizes read from the shapes."""
+        sel, align = self.selection, self.alignment
+        return dict(dim=sel.dim, beta=sel.beta, tau=sel.tau, rho=sel.rho, n_keep=sel.n_keep,
+                    k_top=align.k_top,
+                    head_hidden=0 if align.p2w.hid_w is None else align.p2w.hid_w.shape[1])
+
+    def named(self) -> Iterator[tuple[str, Tensor]]:
+        return zip((name for name, _, _ in _layout(**self.hyper())), self.tensors(),
+                   strict=True)
 
 
 HYPER_KEYS = ("dim", "beta", "tau", "rho", "n_keep", "k_top", "head_hidden")
 
 
-def _layout(dim, n_keep, k_top, head_hidden) -> list[tuple[str, tuple, bool]]:
+def _layout(dim, n_keep, k_top, head_hidden, **_knobs) -> list[tuple[str, tuple, bool]]:
     """Every model tensor as (name, shape, drawn), in checkpoint and
-    `named()` order, which is also the order of the init's draws."""
+    `named()` order, which is also the order of the init's draws; the only
+    list of tensor names.  `_knobs` takes the rest of a `hyper()` dict."""
     layout = [("pred.w1", (dim, dim), True), ("pred.b1", (dim,), False),
               ("pred.w2", (dim,), True), ("pred.b2", (), False)]
     for branch in ("agg_sparse", "agg_dense"):
@@ -103,17 +113,22 @@ def _layout(dim, n_keep, k_top, head_hidden) -> list[tuple[str, tuple, bool]]:
 
 
 def _assemble(tensors: dict[str, np.ndarray], hyper: dict) -> ModelParams:
-    """The model from its named tensors and the beta, tau and rho in `hyper`;
-    a head has hid_* entries iff it has a hidden layer."""
-    p = {name: ad.tensor(data, requires_grad=True, name=name) for name, data in tensors.items()}
-
-    def head(prefix: str) -> RelevanceHead:
-        return RelevanceHead(out_w=p[f"{prefix}.w"], out_b=p[f"{prefix}.b"],
-                             hid_w=p.get(f"{prefix}.hid_w"), hid_b=p.get(f"{prefix}.hid_b"))
-
-    sel = SelectionParams(**{name.replace(".", "_"): p[name] for name in TENSOR_NAMES},
-                          beta=hyper["beta"], tau=hyper["tau"], rho=hyper["rho"])
-    return ModelParams(sel, AlignmentParams(head("head_p2w"), head("head_w2p")))
+    """The model from its tensors, named and ordered as in `_layout`, and the
+    beta, tau and rho in `hyper`.  A name "<prefix>.<leaf>" fills the
+    selection field <prefix>_<leaf>, or, under a head_* prefix, that head's
+    out_<leaf> (w, b) or <leaf> (hid_w, hid_b)."""
+    sel: dict[str, Tensor] = {}
+    heads: dict[str, dict[str, Tensor]] = {}
+    for name, data in tensors.items():
+        prefix, leaf = name.split(".")
+        tensor = ad.tensor(data, requires_grad=True, name=name)
+        if prefix.startswith("head_"):
+            heads.setdefault(prefix, {})[leaf if "_" in leaf else f"out_{leaf}"] = tensor
+        else:
+            sel[f"{prefix}_{leaf}"] = tensor
+    p2w, w2p = (RelevanceHead(**fields) for fields in heads.values())
+    return ModelParams(SelectionParams(**sel, beta=hyper["beta"], tau=hyper["tau"],
+                                       rho=hyper["rho"]), AlignmentParams(p2w, w2p))
 
 
 def init_params(cfg: TrainConfig, rng: np.random.Generator | None = None) -> ModelParams:
@@ -281,9 +296,9 @@ def fit(
             val_r1 = 0.5 * (report.i2t_r1 + report.t2i_r1)
         history.append(EpochStats(
             epoch=epoch,
-            loss=float(np.mean(losses)) if losses else float("nan"),
-            keep_sparse=float(np.mean(keeps_s)) if keeps_s else 0.0,
-            keep_dense=float(np.mean(keeps_d)) if keeps_d else 0.0,
+            loss=float(np.mean(losses)),
+            keep_sparse=float(np.mean(keeps_s)),
+            keep_dense=float(np.mean(keeps_d)),
             val_r1=val_r1,
         ))
         if checkpoint_path is not None:
@@ -296,10 +311,7 @@ def fit(
 
 
 def save_checkpoint(path, params: ModelParams) -> None:
-    sel, align = params.selection, params.alignment
-    hyper = dict(dim=sel.dim, beta=sel.beta, tau=sel.tau, rho=sel.rho, n_keep=sel.n_keep,
-                 k_top=align.k_top,
-                 head_hidden=0 if align.p2w.hid_w is None else align.p2w.hid_w.shape[1])
+    hyper = params.hyper()
     entries = [(n, t.data) for n, t in params.named()] + [
         (f"hyper.{key}", hyper[key]) for key in HYPER_KEYS]
     chunks = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(entries))]
@@ -319,8 +331,8 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Raises BankFormatError for a damaged file, and for one that lacks an
-    entry, holds an extra one, or has a tensor shaped against its
-    hyperparameters."""
+    entry, holds an extra or repeated one, or has a tensor shaped against
+    its hyperparameters."""
     reader = Reader(path, "checkpoint")
     if reader.take(4) != CKPT_MAGIC:
         raise BankFormatError("not a checkpoint")
@@ -329,6 +341,8 @@ def load_checkpoint(path) -> ModelParams:
     tensors: dict[str, np.ndarray] = {}
     for _ in range(reader.u32()):
         name = reader.text()
+        if name in tensors:
+            raise reader.corrupt()
         tensors[name] = reader.floats(tuple(reader.u32() for _ in range(reader.u32())))
     reader.finish()
 
@@ -336,7 +350,7 @@ def load_checkpoint(path) -> ModelParams:
         hyper = {key: tensors[f"hyper.{key}"].item() for key in HYPER_KEYS}
     except (KeyError, ValueError):  # absent, or not a single value
         raise reader.corrupt() from None
-    layout = _layout(hyper["dim"], hyper["n_keep"], hyper["k_top"], hyper["head_hidden"])
+    layout = _layout(**hyper)
     expected = {f"hyper.{key}": () for key in HYPER_KEYS} | {n: shape for n, shape, _ in layout}
     if tensors.keys() != expected.keys() or any(
             tensors[name].shape != shape for name, shape in expected.items()):

@@ -307,7 +307,7 @@ def test_pair_score_matches_the_composed_path_bitwise(head_hidden, n_patches, n_
     rng = np.random.default_rng(head_hidden)
     patches = ad.tensor(rng.normal(size=(n_patches, 6)), requires_grad=True)
     words = rng.normal(size=(n_words, 6))
-    wrt = [patches, *(t for _, t in params.alignment.named())]
+    wrt = [patches, *params.alignment.p2w.tensors(), *params.alignment.w2p.tensors()]
     fused = align_score(patches, words, params.alignment)
     oracle = composed.align_score(patches, words, params.alignment)
     assert fused.components() == oracle.components()

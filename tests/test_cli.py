@@ -1,10 +1,12 @@
 """Command-line contract: exit codes, formats, determinism."""
 
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import basis_sample, make_params, zero_params
@@ -288,6 +290,22 @@ def test_inspect_has_nine_columns_and_matches_mask(separable_setup, capsys):
         assert keep_sparse == cols[8]  # kept set equals ground truth
 
 
+def test_inspect_prints_a_sample_whose_branches_keep_nothing(tmp_path, capsys):
+    # beta=0 leaves only the predicted score, and pred.b2 = -50 drives it to ~0
+    bank, ckpt = tmp_path / "sep.sepb", tmp_path / "empty.ckpt"
+    write_separable_bank(bank)
+    params = zero_params(make_params(dim=12, n_keep=2, k_top=2, beta=0.0))
+    params.selection.pred_b2.data = np.asarray(-50.0)
+    save_checkpoint(ckpt, params)
+    assert cli.main(["inspect", "--bank", str(bank), "--checkpoint", str(ckpt),
+                     "--sample", "b1"]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert len(lines) == 4
+    for line in lines:
+        cols = line.split()
+        assert len(cols) == 9 and cols[7] == "00"
+
+
 def test_inspect_deterministic(separable_setup, capsys):
     bank, ckpt = separable_setup
     cli.main(["inspect", "--bank", str(bank), "--checkpoint", str(ckpt),
@@ -315,3 +333,50 @@ def test_python_dash_m_runs_without_runtime_warning(module):
     assert run.returncode == 0, run.stderr
     assert "usage:" in run.stdout
     assert "RuntimeWarning" not in run.stderr, run.stderr
+
+
+# ---------------------------------------------------------------------------
+# golden run
+
+# SHA-256 of each artefact of test_golden_run_is_byte_identical
+GOLDEN_DIGESTS = {
+    "stdout": "e63882de8f587dc2a9e08ffaae012259e6466b1ca9375af072a8e489b3523afd",
+    "h0.csv": "f65fa8b7b268f07479e34f2b3282db9478596f412304040e4182a5e6b1c9e425",
+    "h0.sepc": "a68735cbee47c0335692ae80fa417eac421bb0cd325ef56e6d3c390bc4b8715d",
+    "h3.csv": "1fb20e4a3749c2ffb1a99b70c8d15a30b26d374d6c5a796ca505e14255cce39f",
+    "h3.sepc": "a8e737afb69fcbcbc496bf12ef88a4303fc47d9a9eeaf9f6abc11f768ffde73c",
+    "train.sepb": "b6e2d190ca21db10641ba73828c4b91f0261057561fdfa9c5c2c888545bdc888",
+    "val.sepb": "7597606e9a0ed878ccedacc803807741c07cbe79898f233a9a81d14ce0dcba90",
+}
+
+
+def test_golden_run_is_byte_identical(tmp_path, monkeypatch, capsys):
+    """A seeded gen -> train -> eval/score/inspect run, pinned byte for byte:
+    the stdout of every command, both histories, both banks and both
+    checkpoints.  Training reads a validation bank, audits gradients every
+    second step, and runs once with linear and once with hidden heads.  The
+    digests were taken with one numpy and BLAS build; a change of either may
+    move them with no fault in this code."""
+    monkeypatch.chdir(tmp_path)  # relative paths keep stdout free of tmp_path
+    shape = ["--dim", "8", "--n-patches", "6", "--n-relevant", "2", "--concepts", "8"]
+    commands = [["gen", "--out", "train.sepb", "--samples", "12", "--seed", "3", *shape],
+                ["gen", "--out", "val.sepb", "--samples", "4", "--seed", "4", *shape]]
+    for hidden in ("0", "3"):
+        commands.append(["train", "--bank", "train.sepb", "--val-bank", "val.sepb",
+                         "--out", f"h{hidden}.sepc", "--history", f"h{hidden}.csv",
+                         "--epochs", "3", "--batch-size", "4", "--lr", "1e-2",
+                         "--k-top", "2", "--n-keep", "3", "--grad-check-every", "2",
+                         "--head-hidden", hidden, "--seed", "5"])
+    for hidden in ("0", "3"):
+        model = ["--bank", "val.sepb", "--checkpoint", f"h{hidden}.sepc"]
+        commands += [["eval", *model, "--folds", "2"],
+                     ["score", *model, "--image", "s00000", "--caption", "s00001"],
+                     ["inspect", *model, "--sample", "s00002"]]
+    stdout = hashlib.sha256()
+    for args in commands:
+        assert cli.main(args) == 0, args
+        stdout.update(capsys.readouterr().out.encode())
+    digests = {"stdout": stdout.hexdigest()} | {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.iterdir())}
+    assert digests == GOLDEN_DIGESTS

@@ -466,7 +466,7 @@ def selection_pass_bits(sample, params, mode):
                                                    .reshape(agg.vectors.shape))))
     for mask in masks:
         readout = ad.add(readout, ad.mean_all(mask.gate(mode)))
-    tensors = [t for _, t in params.named()]
+    tensors = params.tensors()
     grads = ad.gradient(readout, tensors)
     empty = (agg.empty_sparse, agg.empty_dense)
     values = [agg.vectors.data, bundle.predicted.data, readout.data,
@@ -515,9 +515,9 @@ def test_non_finite_raises_where_the_composed_path_raises(layer, mode, monkeypat
     # a layer's weight and bias at 1e308 overflow its pre-activation to inf,
     # which the composed path held in a Tensor; no input is non-finite
     sample, params = selection_case("desk")
-    tensors = dict(params.named())
     for name in layer.split():
-        tensors[name].data = np.full_like(tensors[name].data, 1e308)
+        tensor = getattr(params, name.replace(".", "_"))
+        tensor.data = np.full_like(tensor.data, 1e308)
 
     def raises():
         rng = np.random.default_rng(0) if mode == "train" else None

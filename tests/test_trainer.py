@@ -390,6 +390,24 @@ def test_checkpoint_contradicting_hyperparameter_is_corrupt(case, tmp_path, caps
     assert "corrupt checkpoint" in capsys.readouterr().err
 
 
+def test_checkpoint_with_a_repeated_entry_is_corrupt(tmp_path, capsys):
+    # a second pred.b1 entry, appended and counted, must not replace the first
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, make_params(dim=4))
+    blob = path.read_bytes()
+    count = struct.unpack_from("<I", blob, 8)[0]
+    extra = (text_chunk("pred.b1") + struct.pack("<II", 1, 4)
+             + np.full(4, 7.0, dtype="<f4").tobytes())
+    path.write_bytes(blob[:8] + struct.pack("<I", count + 1) + blob[12:] + extra)
+    with pytest.raises(BankFormatError, match="corrupt checkpoint"):
+        load_checkpoint(path)
+    bank = tmp_path / "b.sepb"
+    assert cli.main(["gen", "--out", str(bank), "--samples", "4", "--dim", "4",
+                     "--n-patches", "4", "--n-relevant", "2"]) == 0
+    assert cli.main(["eval", "--bank", str(bank), "--checkpoint", str(path)]) == 2
+    assert "corrupt checkpoint" in capsys.readouterr().err
+
+
 def test_checkpoint_tensors_contradicting_each_other_are_corrupt(tmp_path):
     params = make_params(dim=6, n_keep=2, k_top=3)
     params.selection.pred_b1 = ad.tensor(np.zeros(5), requires_grad=True)
