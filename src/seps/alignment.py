@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigError, DegenerateVectorError, NonFiniteError, ShapeError
+from .errors import DegenerateVectorError, NonFiniteError, ShapeError, check_range
 
 
 @dataclass
@@ -42,18 +42,13 @@ class RelevanceHead:
         return self.hid_w, self.hid_b, self.out_w, self.out_b
 
 
-def validate_k_top(k_top: int) -> None:
-    if k_top < 1:
-        raise ConfigError("k_top must be >= 1")
-
-
 @dataclass
 class AlignmentParams:
     p2w: RelevanceHead
     w2p: RelevanceHead
 
     def __post_init__(self) -> None:
-        validate_k_top(self.k_top)
+        check_range("k_top", self.k_top)
 
     @property
     def k_top(self) -> int:

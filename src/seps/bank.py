@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import EPS_NORM
-from .errors import BankFormatError, BankInvariantError, ConfigError
+from .errors import BankFormatError, BankInvariantError, ConfigError, check_fields
 
 MAGIC = b"SEPB"
 VERSION = 1
@@ -88,12 +88,6 @@ class FeatureBank:
         return len(self.samples)
 
 
-def validate_shape(dim: int, n_patches: int) -> None:
-    """The feature shape's range, for synthesis and training alike."""
-    if dim < 1 or n_patches < 1:
-        raise ConfigError("dim and n_patches must be >= 1")
-
-
 @dataclass(frozen=True)
 class SynthConfig:
     n_samples: int = 64
@@ -106,18 +100,12 @@ class SynthConfig:
     noise_sigma: float = 0.1
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.n_samples < 1:
-            raise ConfigError("n_samples must be >= 1")
-        validate_shape(self.dim, self.n_patches)
-        if not (0 <= self.n_relevant_patches <= self.n_patches):
-            raise ConfigError("n_relevant_patches <= n_patches violated")
-        if self.n_sparse_words < 1 or self.n_dense_words < self.n_sparse_words:
-            raise ConfigError("need 1 <= n_sparse_words <= n_dense_words")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        if self.concept_count < max(self.n_sparse_words, self.n_dense_words):
-            raise ConfigError("concept_count < max words per sample")
+    def __post_init__(self) -> None:
+        check_fields(self)
+        for small, large in (("n_relevant_patches", "n_patches"),
+                             ("n_sparse_words", "n_dense_words"), ("n_dense_words", "concept_count")):
+            if getattr(self, small) > getattr(self, large):
+                raise ConfigError(f"{small} <= {large} violated")
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +249,8 @@ def global_embedding(tokens: np.ndarray) -> np.ndarray:
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:
     # round-trip through float32 so the disk format preserves every bit
-    return arr.astype(np.float32).astype(np.float64)
+    with np.errstate(over="ignore"):  # an inf is refused by the writer
+        return arr.astype(np.float32).astype(np.float64)
 
 
 # distractors sit at half the concept amplitude: present, but less salient
@@ -282,7 +271,6 @@ def generate_synthetic(cfg: SynthConfig) -> FeatureBank:
     concept amplitude, and the mask marks the concept-bearing patches.
     Fully deterministic under the seed.
     """
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     concepts = rng.normal(size=(cfg.concept_count, cfg.dim))
     concepts /= np.linalg.norm(concepts, axis=1, keepdims=True)

@@ -3,10 +3,11 @@
 Commands: gen (synthetic bank), train, eval, score (one pair), inspect
 (per-patch selection dump).  Options come from a flat key=value config file
 (`#` starts a comment) with command-line flags taking precedence; unknown
-keys are rejected and the whole config is validated before any output file
-is touched.
+keys are rejected and every value is checked against `errors.RANGES` before
+any output file is touched.
 
-Exit codes: 0 success, 2 usage or input error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or input error (an out-of-range or
+non-finite value names its key), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import get_type_hints
 
 from . import alignment, autodiff as ad, evaluator, selection, trainer
 from .bank import FeatureBank, SynthConfig, generate_synthetic, read_bank, write_bank
-from .errors import ConfigError, NumericalError, SepsError
+from .errors import ConfigError, NumericalError, SepsError, check_fields
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -37,8 +38,7 @@ class RunConfig:
     history: str = ""
 
     def __post_init__(self) -> None:
-        if self.folds < 1:
-            raise ConfigError("folds must be >= 1")
+        check_fields(self)
 
 
 # config keys and flags are the fields of the two sections and of RunConfig
@@ -243,11 +243,11 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SepsError as exc:
+    except (SepsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_USAGE
 
 

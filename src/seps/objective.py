@@ -21,7 +21,7 @@ from . import selection
 from .alignment import AlignmentParams, Rows, score_from_similarity, similarity_matrix
 from .autodiff import Tensor
 from .bank import Sample
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_fields
 from .selection import SelectionParams
 
 
@@ -33,12 +33,7 @@ class ObjectiveConfig:
     lambda2: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.margin <= 0.0:
-            raise ConfigError("margin must be > 0")
-        if not 0.0 < self.rho <= 1.0:
-            raise ConfigError("rho must lie in (0, 1]")
-        if self.lambda1 < 0.0 or self.lambda2 < 0.0:
-            raise ConfigError("lambda coefficients must be >= 0")
+        check_fields(self)
 
 
 @dataclass
@@ -153,8 +148,9 @@ def ratio_loss(keep_stats: tuple[Sequence[Tensor], Sequence[Tensor]],
         half = g * inv * gaps
         return (*((half + half) * -cfg.lambda1), *((half + half) * -cfg.lambda2))
 
-    return ad.node(reduce(operator.add, gaps * gaps) * inv, (*keep_s, *keep_d), vjp,
-                   "ratio_loss")
+    with np.errstate(over="ignore"):  # -> NonFiniteError in ad.node
+        total = reduce(operator.add, gaps * gaps) * inv
+    return ad.node(total, (*keep_s, *keep_d), vjp, "ratio_loss")
 
 
 def batch_loss(batch: BatchScores, cfg: ObjectiveConfig) -> Tensor:

@@ -36,26 +36,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import EPS_LOG, EPS_NORM, Tensor
 from .bank import Sample, global_embedding, stable_id_hash
-from .errors import ConfigError, NoPatchesSelectedError, ShapeError
+from .errors import ConfigError, NoPatchesSelectedError, ShapeError, check_fields, check_range
 
 MODES = ("train", "eval", "soft")
 
 # branch scores are clipped here before entering the log-domain logits
 CLIP_HI = 1.0 - 1e-6
-
-
-def validate_tau(tau: float) -> None:
-    if tau <= 0.0:
-        raise ConfigError("tau must be > 0")
-
-
-def validate_knobs(beta: float, tau: float, n_keep: int) -> None:
-    """The selection knobs' ranges; `n_keep` is the resolved column count."""
-    if not 0.0 <= beta <= 0.5:
-        raise ConfigError("beta must lie in [0, 0.5]")
-    validate_tau(tau)
-    if n_keep < 1:
-        raise ConfigError("n_keep must be >= 1")
 
 
 @dataclass
@@ -75,13 +61,15 @@ class SelectionParams:
     agg_sparse_b: Tensor
     agg_dense_w: Tensor
     agg_dense_b: Tensor
-    beta: float = 0.2
-    tau: float = 1.0
-    rho: float = 0.5
+    beta: float
+    tau: float
+    rho: float
     zero_dense_attention: bool = False  # ablation switch: s_dt forced to 0
 
     def __post_init__(self) -> None:
-        validate_knobs(self.beta, self.tau, self.n_keep)
+        check_fields(self)
+        if self.n_keep < 1:  # the resolved column count; TrainConfig's 0 means auto
+            raise ConfigError("n_keep must be >= 1")
 
     @property
     def dim(self) -> int:
@@ -234,7 +222,7 @@ def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
     strictly exceeds 0.5, so an exactly ambivalent score drops.  The logit
     is one `decision_logit` node.
     """
-    validate_tau(tau)
+    check_range("tau", tau)
     s = scores.data
     keep_in = s + EPS_LOG
     # 1-s formed as -(s-1) so an exact 0.5 yields bitwise-equal logits

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evaluator, objective, selection
-from .alignment import AlignmentParams, RelevanceHead, validate_k_top
+from .alignment import AlignmentParams, RelevanceHead
 from .autodiff import Tensor
-from .bank import FeatureBank, Reader, text_chunk, validate_shape, write_atomic
-from .errors import BankFormatError, ConfigError, DivergenceError, NumericalError
+from .bank import FeatureBank, Reader, text_chunk, write_atomic
+from .errors import BankFormatError, ConfigError, DivergenceError, NumericalError, check_fields
 from .objective import ObjectiveConfig
-from .selection import SelectionParams, validate_knobs
+from .selection import SelectionParams
 
 CKPT_MAGIC = b"SEPC"
 CKPT_VERSION = 1
@@ -49,18 +49,7 @@ class TrainConfig:
     grad_check_every: int = 0  # steps between sampled finite-difference audits
 
     def __post_init__(self) -> None:
-        if self.lr < 0.0 or self.weight_decay < 0.0:
-            raise ConfigError("lr and weight_decay must be >= 0")
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be >= 1")
-        validate_shape(self.dim, self.n_patches)
-        if min(self.n_keep, self.head_hidden, self.grad_check_every) < 0:
-            raise ConfigError("n_keep, head_hidden and grad_check_every must be >= 0")
-        self.objective()  # margin, rho and lambdas
-        validate_knobs(self.beta, self.tau, self.keep_count)
-        validate_k_top(self.k_top)
+        check_fields(self)
 
     @property
     def keep_count(self) -> int:
@@ -184,8 +173,9 @@ def optimizer_step(params: ModelParams, grads: dict[Tensor, Tensor],
         state.m[name], state.v[name] = m, v
         m_hat = m / (1.0 - state.beta1 ** t)
         v_hat = v / (1.0 - state.beta2 ** t)
-        update = m_hat / (np.sqrt(v_hat) + state.eps) + cfg.weight_decay * param.data
-        fresh = param.data - cfg.lr * update
+        with np.errstate(over="ignore", invalid="ignore"):  # -> DivergenceError below
+            update = m_hat / (np.sqrt(v_hat) + state.eps) + cfg.weight_decay * param.data
+            fresh = param.data - cfg.lr * update
         if not np.all(np.isfinite(fresh)):
             raise DivergenceError("divergence detected")
         param.data = fresh

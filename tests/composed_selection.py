@@ -13,9 +13,9 @@ import numpy as np
 
 from seps import autodiff as ad
 from seps.autodiff import EPS_LOG
-from seps.errors import ConfigError, NoPatchesSelectedError, ShapeError
+from seps.errors import ConfigError, NoPatchesSelectedError, ShapeError, check_range
 from seps.selection import (CLIP_HI, AggregatedPatches, DecisionMask, ScoreBundle,
-                            SelectionParams, column_softmax, validate_tau)
+                            SelectionParams, column_softmax)
 
 FUNCTIONS = ("predict_scores", "branch_scores", "gumbel_decision", "aggregate")
 
@@ -155,7 +155,7 @@ def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[ad.Tensor, ad.Tenso
 
 def gumbel_decision(scores: ad.Tensor, tau: float, noise_enabled: bool,
                     rng: np.random.Generator | None = None) -> DecisionMask:
-    validate_tau(tau)
+    check_range("tau", tau)
     keep = log(add_scalar(scores, EPS_LOG))
     one_minus = neg(add_scalar(scores, -1.0))
     drop = log(add_scalar(one_minus, EPS_LOG))

@@ -215,15 +215,13 @@ def test_synthetic_distractors_near_orthogonal_on_average():
 
 
 def test_synthetic_rejects_small_concept_pool():
-    cfg = SynthConfig(concept_count=3, n_dense_words=4, n_sparse_words=2)
     with pytest.raises(ConfigError, match="concept_count"):
-        generate_synthetic(cfg)
+        SynthConfig(concept_count=3, n_dense_words=4, n_sparse_words=2)
 
 
 def test_synthetic_rejects_too_many_relevant():
-    cfg = SynthConfig(n_patches=4, n_relevant_patches=5)
     with pytest.raises(ConfigError):
-        generate_synthetic(cfg)
+        SynthConfig(n_patches=4, n_relevant_patches=5)
 
 
 @pytest.mark.parametrize("field", ["dim", "n_patches"])
@@ -232,4 +230,4 @@ def test_synthetic_and_training_share_the_shape_rule(field):
         generate_synthetic(SynthConfig(**{field: 0}))
     with pytest.raises(ConfigError) as train:
         TrainConfig(**{field: 0})
-    assert str(synth.value) == str(train.value) == "dim and n_patches must be >= 1"
+    assert str(synth.value) == str(train.value) == f"{field} must be >= 1, got 0"

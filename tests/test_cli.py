@@ -1,18 +1,26 @@
 """Command-line contract: exit codes, formats, determinism."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import basis_sample, make_params, zero_params
 
 from seps import cli
-from seps.bank import FeatureBank, read_bank, write_bank
+from seps.bank import FeatureBank, SynthConfig, read_bank, write_bank
+from seps.errors import RANGES
+from seps.objective import ObjectiveConfig
 from seps.trainer import TrainConfig, init_params, save_checkpoint
 
 
@@ -68,6 +76,17 @@ def test_gen_rejects_zero_size_before_writing(flag, tmp_path, capsys):
     out = tmp_path / "x.sepb"
     assert cli.main(["gen", "--out", str(out), flag, "0"]) == 2
     assert "must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_out_of_memory_exits_two(tmp_path, monkeypatch, capsys):
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+    out = tmp_path / "x.sepb"
+    assert cli.main(["gen", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
     assert not out.exists()
 
 
@@ -145,6 +164,37 @@ def test_config_keys_and_defaults_are_pinned(tmp_path):
     assert flat_config(cli.build_config(parser.parse_args(["gen"] + flags))) == PINNED_DEFAULTS
 
 
+def test_every_numeric_config_field_has_a_range():
+    for cls in (TrainConfig, ObjectiveConfig, SynthConfig, cli.RunConfig):
+        for name, kind in get_type_hints(cls).items():
+            if kind in (int, float):
+                assert name in RANGES, f"{cls.__name__}.{name}"
+
+
+# each probe exits 2 before any step, with its key and range in the message
+RANGE_PROBES = {
+    "train --margin nan": "margin must be > 0", "train --margin inf": "margin must be > 0",
+    "train --lambda1 nan": "lambda1 must be >= 0", "train --lambda1 inf": "lambda1 must be >= 0",
+    "train --lambda2 nan": "lambda2 must be >= 0", "train --tau nan": "tau must be > 0",
+    "train --lr nan": "lr must be >= 0", "train --lr inf": "lr must be >= 0",
+    "train --weight-decay nan": "weight_decay must be >= 0",
+    "train --beta nan": "beta must lie in [0, 0.5]", "train --rho nan": "rho must lie in (0, 1]",
+    "train --seed -3": "seed must be >= 0", "train --noise-sigma nan": "noise_sigma must be >= 0",
+    "gen --noise-sigma nan": "noise_sigma must be >= 0", "gen --seed -1": "seed must be >= 0",
+}
+
+
+@pytest.mark.parametrize("probe", RANGE_PROBES)
+def test_out_of_range_value_is_a_usage_error_naming_its_key(probe, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"previous")
+    argv = [*probe.split(), "--bank", str(tmp_path / "none.sepb"), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {RANGE_PROBES[probe]}, got ") and err.count("\n") == 1
+    assert out.read_bytes() == b"previous"
+
+
 # ---------------------------------------------------------------------------
 # train
 
@@ -205,6 +255,14 @@ def test_train_divergence_exits_three(tmp_path, small_bank_file, capsys):
     assert out.exists()
 
 
+def test_train_overflowing_step_exits_three_with_one_line(tmp_path, small_bank_file, capsys):
+    out = tmp_path / "o.ckpt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(train_args(small_bank_file, out, lr="1e300")) == 3
+    assert capsys.readouterr().err == "error: divergence detected\n"
+
+
 @pytest.mark.parametrize("flags", [["--dim", "6"], ["--samples", "1"]],
                          ids=["wrong_dim", "one_sample"])
 def test_train_unusable_val_bank_exits_two_with_output_untouched(
@@ -225,6 +283,55 @@ def test_train_unusable_val_bank_exits_two_with_output_untouched(
 def test_train_missing_bank_exits_two(tmp_path):
     assert cli.main(["train", "--bank", str(tmp_path / "none.sepb"),
                      "--out", str(tmp_path / "x.ckpt")]) == 2
+
+
+# every numeric key against every edge value, on each command that writes
+# or reads a file; argparse itself refuses an int key's "nan" or "1e300"
+EDGE_VALUES = ("nan", "inf", "-inf", "0", "-1", "1e300", "5e-324")
+NUMERIC_KEYS = sorted(key for key, kind in cli.KEY_TYPES.items() if kind in (int, float))
+
+
+@pytest.fixture(scope="module")
+def contract_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    bank, ckpt = root / "b.sepb", root / "c.sepc"
+    shape = ["--samples", "8", "--dim", "8", "--n-patches", "6", "--n-relevant", "2",
+             "--concepts", "8"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen", "--out", str(bank), *shape]) == 0
+        assert cli.main(["train", "--bank", str(bank), "--out", str(ckpt), "--epochs", "1",
+                         "--batch-size", "4", "--k-top", "2"]) == 0
+    return root, bank, ckpt, shape
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(command=st.sampled_from(("gen", "train", "eval")), key=st.sampled_from(NUMERIC_KEYS),
+       value=st.sampled_from(EDGE_VALUES), existing=st.booleans())
+def test_any_edge_value_exits_cleanly(contract_files, command, key, value, existing):
+    root, bank, ckpt, shape = contract_files
+    out, history = root / "out", root / "history"
+    for path in (out, history):
+        path.unlink(missing_ok=True)
+    if existing:
+        out.write_bytes(b"previous")
+    argv = {"gen": ["gen", "--out", str(out), *shape],
+            "train": ["train", "--bank", str(bank), "--out", str(out), "--history",
+                      str(history), "--epochs", "1", "--batch-size", "4", "--k-top", "2"],
+            "eval": ["eval", "--bank", str(bank), "--checkpoint", str(ckpt)]}[command]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would print past the error line
+        try:
+            code = cli.main([*argv, f"--{key.replace('_', '-')}={value}"])
+        except SystemExit as exc:  # argparse's own usage error
+            code = exc.code
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "error: " in err.getvalue()
+        assert (out.read_bytes() == b"previous") if existing else not out.exists()
+        assert not history.exists()
 
 
 # ---------------------------------------------------------------------------
