@@ -249,8 +249,7 @@ def global_embedding(tokens: np.ndarray) -> np.ndarray:
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:
     # round-trip through float32 so the disk format preserves every bit
-    with np.errstate(over="ignore"):  # an inf is refused by the writer
-        return arr.astype(np.float32).astype(np.float64)
+    return arr.astype(np.float32).astype(np.float64)
 
 
 # distractors sit at half the concept amplitude: present, but less salient
@@ -290,17 +289,20 @@ def generate_synthetic(cfg: SynthConfig) -> FeatureBank:
 
         patches = np.empty((cfg.n_patches, cfg.dim))
         mask = np.zeros(cfg.n_patches, dtype=np.int8)
-        for k in range(cfg.n_relevant_patches):
-            noise = rng.normal(size=cfg.dim) * root * cfg.noise_sigma
-            patches[k] = dense[k % cfg.n_dense_words] + noise
-        for k in range(cfg.n_relevant_patches, cfg.n_patches):
-            patches[k] = rng.normal(size=cfg.dim) * root * DISTRACTOR_SCALE
         mask[:cfg.n_relevant_patches] = 1
-
-        order = rng.permutation(cfg.n_patches)
+        with np.errstate(over="ignore"):  # an overflow -> ConfigError below
+            for k in range(cfg.n_relevant_patches):
+                noise = rng.normal(size=cfg.dim) * root * cfg.noise_sigma
+                patches[k] = dense[k % cfg.n_dense_words] + noise
+            for k in range(cfg.n_relevant_patches, cfg.n_patches):
+                patches[k] = rng.normal(size=cfg.dim) * root * DISTRACTOR_SCALE
+            order = rng.permutation(cfg.n_patches)
+            features = _f32_exact(patches[order])
+        if not np.isfinite(features).all():
+            raise ConfigError(f"noise_sigma overflows the float32 features, got {cfg.noise_sigma}")
         samples.append(Sample(
             sample_id=f"s{index:05d}",
-            patches=_f32_exact(patches[order]),
+            patches=features,
             sparse_tokens=_f32_exact(sparse),
             dense_tokens=_f32_exact(dense),
             relevance_mask=mask[order],

@@ -11,6 +11,8 @@ one table by field name, so NaN, +-inf or a negative seed is a ConfigError.
 from dataclasses import fields
 from math import inf
 
+import numpy as np
+
 
 class SepsError(Exception):
     """Base class for all package errors."""
@@ -71,13 +73,15 @@ RANGES = {
 }
 
 
-def check_range(name: str, value) -> None:
-    """ConfigError unless `value` lies in RANGES[name]; NaN fails every comparison."""
+def check_range(name: str, value, as_f32: bool = False) -> None:
+    """ConfigError unless `value`, as float32 if `as_f32`, lies in RANGES[name]."""
     low, high, open_low = RANGES[name]
-    if not ((low < value if open_low else low <= value) and value <= high and value < inf):
+    with np.errstate(over="ignore"):  # an overflow is inf, outside every range
+        x = float(np.float32(value)) if as_f32 else value
+    if not ((low < x if open_low else low <= x) and x <= high and x < inf):
         bound = (f"lie in {'(' if open_low else '['}{low:g}, {high:g}]" if high < inf
                  else f"be {'>' if open_low else '>='} {low:g}")
-        raise ConfigError(f"{name} must {bound}, got {value}")
+        raise ConfigError(f"{name} must {bound}{' as float32' if as_f32 else ''}, got {value}")
 
 
 def check_fields(config) -> None:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterator
 
 import numpy as np
@@ -20,7 +21,8 @@ from . import evaluator, objective, selection
 from .alignment import AlignmentParams, RelevanceHead
 from .autodiff import Tensor
 from .bank import FeatureBank, Reader, text_chunk, write_atomic
-from .errors import BankFormatError, ConfigError, DivergenceError, NumericalError, check_fields
+from .errors import (BankFormatError, ConfigError, DivergenceError, NumericalError,
+                     check_fields, check_range)
 from .objective import ObjectiveConfig
 from .selection import SelectionParams
 
@@ -50,6 +52,8 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        for key in ("beta", "tau", "rho"):  # which a checkpoint stores as float32
+            check_range(key, getattr(self, key), as_f32=True)
 
     @property
     def keep_count(self) -> int:
@@ -137,48 +141,44 @@ def init_params(cfg: TrainConfig, rng: np.random.Generator | None = None) -> Mod
 # optimizer
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    """The step count and both moments, each one flat float64 buffer in
+    `_layout` order (none before the first step)."""
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def optimizer_step(params: ModelParams, grads: dict[Tensor, Tensor],
                    state: OptimizerState, cfg: TrainConfig) -> None:
-    """One decoupled-weight-decay update, in place.
+    """One decoupled-weight-decay update of every parameter as one flat
+    vector, a tensor absent from `grads` having a zero gradient:
 
     theta <- theta - lr * (mhat / (sqrt(vhat) + eps) + weight_decay * theta)
+
+    A divergent step raises and changes no parameter, moment or step count.
     """
-    state.step += 1
-    t = state.step
-    for name, param in params.named():
-        grad = grads.get(param)
-        g = grad.data if grad is not None else np.zeros(param.shape)
-        if not np.all(np.isfinite(g)):
-            raise DivergenceError("divergence detected")
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros(param.shape)
-            state.v[name] = np.zeros(param.shape)
-        v = state.v[name]
-        with np.errstate(over="ignore"):
-            m = state.beta1 * m + (1.0 - state.beta1) * g
-            v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        if not np.all(np.isfinite(v)):  # g*g overflowed
-            raise DivergenceError("divergence detected")
-        state.m[name], state.v[name] = m, v
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        with np.errstate(over="ignore", invalid="ignore"):  # -> DivergenceError below
-            update = m_hat / (np.sqrt(v_hat) + state.eps) + cfg.weight_decay * param.data
-            fresh = param.data - cfg.lr * update
-        if not np.all(np.isfinite(fresh)):
-            raise DivergenceError("divergence detected")
-        param.data = fresh
+    tensors = params.tensors()
+    theta = np.concatenate([p.data.ravel() for p in tensors])
+    g = np.concatenate([grads[p].data.ravel() if p in grads else np.zeros(p.size)
+                        for p in tensors])
+    t = state.step + 1
+    m, v = (state.m, state.v) if state.step else (np.zeros(g.size), np.zeros(g.size))
+    with np.errstate(over="ignore", invalid="ignore"):  # -> DivergenceError below
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * g * g  # not finite where g is not
+        m_hat = m / (1.0 - BETA1 ** t)
+        v_hat = v / (1.0 - BETA2 ** t)
+        fresh = theta - cfg.lr * (m_hat / (np.sqrt(v_hat) + EPS) + cfg.weight_decay * theta)
+    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(fresh))):
+        raise DivergenceError("divergence detected")
+    state.step, state.m, state.v = t, m, v
+    for p, end in zip(tensors, accumulate(p.size for p in tensors)):
+        p.data = fresh[end - p.size:end].reshape(p.shape)
 
 
 # ---------------------------------------------------------------------------

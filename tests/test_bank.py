@@ -219,6 +219,12 @@ def test_synthetic_rejects_small_concept_pool():
         SynthConfig(concept_count=3, n_dense_words=4, n_sparse_words=2)
 
 
+@pytest.mark.parametrize("sigma", [1e300, 1.7e308])  # float32, then float64 overflows
+def test_synthetic_names_a_noise_sigma_that_overflows_float32(sigma):
+    with pytest.raises(ConfigError, match="^noise_sigma overflows the float32 features"):
+        generate_synthetic(SynthConfig(n_samples=2, dim=8, noise_sigma=sigma))
+
+
 def test_synthetic_rejects_too_many_relevant():
     with pytest.raises(ConfigError):
         SynthConfig(n_patches=4, n_relevant_patches=5)

@@ -171,7 +171,9 @@ def test_every_numeric_config_field_has_a_range():
                 assert name in RANGES, f"{cls.__name__}.{name}"
 
 
-# each probe exits 2 before any step, with its key and range in the message
+# each probe exits 2 before any step, with its key, its range and the value
+# as given in the message; the last five lie in range as float64 but not as
+# the float32 that a checkpoint or bank stores
 RANGE_PROBES = {
     "train --margin nan": "margin must be > 0", "train --margin inf": "margin must be > 0",
     "train --lambda1 nan": "lambda1 must be >= 0", "train --lambda1 inf": "lambda1 must be >= 0",
@@ -181,18 +183,24 @@ RANGE_PROBES = {
     "train --beta nan": "beta must lie in [0, 0.5]", "train --rho nan": "rho must lie in (0, 1]",
     "train --seed -3": "seed must be >= 0", "train --noise-sigma nan": "noise_sigma must be >= 0",
     "gen --noise-sigma nan": "noise_sigma must be >= 0", "gen --seed -1": "seed must be >= 0",
+    "train --rho 5e-324": "rho must lie in (0, 1] as float32",
+    "train --rho 1e-46": "rho must lie in (0, 1] as float32",
+    "train --tau 5e-324": "tau must be > 0 as float32",
+    "train --tau 1e+300": "tau must be > 0 as float32",
+    "gen --noise-sigma 1e+300": "noise_sigma overflows the float32 features",
 }
 
 
 @pytest.mark.parametrize("probe", RANGE_PROBES)
 def test_out_of_range_value_is_a_usage_error_naming_its_key(probe, tmp_path, capsys):
     out = tmp_path / "out"
-    out.write_bytes(b"previous")
     argv = [*probe.split(), "--bank", str(tmp_path / "none.sepb"), "--out", str(out)]
-    assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {RANGE_PROBES[probe]}, got ") and err.count("\n") == 1
-    assert out.read_bytes() == b"previous"
+    for previous in (None, b"previous"):
+        if previous:
+            out.write_bytes(previous)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: {RANGE_PROBES[probe]}, got {argv[2]}\n"
+        assert (out.read_bytes() == previous) if previous else not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +269,14 @@ def test_train_overflowing_step_exits_three_with_one_line(tmp_path, small_bank_f
         warnings.simplefilter("error")
         assert cli.main(train_args(small_bank_file, out, lr="1e300")) == 3
     assert capsys.readouterr().err == "error: divergence detected\n"
+
+
+@pytest.mark.parametrize("flag", ["--tau=1e-45", "--beta=5e-324"])
+def test_value_that_float32_keeps_in_range_trains_and_evaluates(flag, tmp_path,
+                                                                 small_bank_file):
+    out = tmp_path / "m.ckpt"
+    assert cli.main([*train_args(small_bank_file, out), flag]) == 0
+    assert cli.main(["eval", "--bank", str(small_bank_file), "--checkpoint", str(out)]) == 0
 
 
 @pytest.mark.parametrize("flags", [["--dim", "6"], ["--samples", "1"]],

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import composed_alignment as composed
+import reference_trainer as reference
 from conftest import make_params
 
 from seps import autodiff as ad
@@ -127,6 +128,78 @@ def test_optimizer_rejects_non_finite_gradient():
     with pytest.raises(DivergenceError, match="divergence detected"):
         optimizer_step(params, {tensor: bad}, OptimizerState(),
                        TrainConfig(dim=2, n_patches=2))
+
+
+def random_grads(params, rng: np.random.Generator) -> dict:
+    """Gradients at scales 1e-6..1e2, about a quarter of them absent and,
+    when any are left, one all zero."""
+    grads = {p: ad.constant(rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 2))
+             for p in params.tensors() if rng.random() > 0.25}
+    if grads:
+        grads[list(grads)[rng.integers(len(grads))]].data[...] = 0.0
+    return grads
+
+
+def flat_moments(state: reference.OptimizerState, params) -> tuple[np.ndarray, np.ndarray]:
+    """The reference's per-name moments, concatenated in `_layout` order."""
+    names = [name for name, _, _ in _layout(**params.hyper())]
+    return tuple(np.concatenate([moment[name].ravel() for name in names])
+                 for moment in (state.m, state.v))
+
+
+@pytest.mark.parametrize("head_hidden", [0, 3])
+def test_optimizer_matches_the_per_tensor_reference_bitwise(head_hidden):
+    fast, slow = (make_params(dim=5, n_patches=6, n_keep=3, k_top=2, seed=4,
+                              head_hidden=head_hidden) for _ in range(2))
+    cfg = TrainConfig(dim=5, n_patches=6, lr=1e-2, weight_decay=1e-2)
+    state, ref_state = OptimizerState(), reference.OptimizerState()
+    rng = np.random.default_rng(head_hidden)
+    for _ in range(200):
+        grads = random_grads(fast, rng)
+        optimizer_step(fast, grads, state, cfg)
+        same = {f: s for f, s in zip(fast.tensors(), slow.tensors())}
+        reference.optimizer_step(slow, {same[f]: g for f, g in grads.items()}, ref_state, cfg)
+        assert state.step == ref_state.step
+        for (name, a), (_, b) in zip(fast.named(), slow.named()):
+            assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes(), name
+        for ours, theirs in zip((state.m, state.v), flat_moments(ref_state, slow)):
+            assert ours.tobytes() == theirs.tobytes()
+
+
+def _nan_in_last_tensor(params, grads, cfg):
+    grads[params.tensors()[-1]].data[...] = np.nan  # past the construction check
+    return cfg
+
+
+def _square_overflows(params, grads, cfg):
+    grads[params.tensors()[0]].data[...] = 1e200
+    return cfg
+
+
+def _lr_overflows(params, grads, cfg):
+    # one step to ~1e300 succeeds; the next one's weight decay overflows
+    cfg = TrainConfig(dim=5, n_patches=6, lr=1e300, weight_decay=1e-2)
+    optimizer_step(params, grads, OptimizerState(), cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("spoil", [_nan_in_last_tensor, _square_overflows, _lr_overflows])
+def test_divergent_step_changes_nothing(spoil):
+    params = make_params(dim=5, n_patches=6, n_keep=3, k_top=2, seed=2, head_hidden=3)
+    cfg = TrainConfig(dim=5, n_patches=6, lr=1e-2)
+    state = OptimizerState()
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        optimizer_step(params, random_grads(params, rng), state, cfg)
+    grads = {p: ad.constant(rng.normal(size=p.shape)) for p in params.tensors()}
+    cfg = spoil(params, grads, cfg)
+    before = [p.data.tobytes() for p in params.tensors()]
+    m, v = state.m.copy(), state.v.copy()
+    with pytest.raises(DivergenceError, match="divergence detected"):
+        optimizer_step(params, grads, state, cfg)
+    assert [p.data.tobytes() for p in params.tensors()] == before
+    assert state.step == 3
+    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
 
 
 # ---------------------------------------------------------------------------
