@@ -1,4 +1,5 @@
-"""Feature banks: on-disk format, global embeddings, synthetic generation.
+"""Feature banks: on-disk format, global embeddings and attention views,
+synthetic generation.
 
 The reader and the atomic writer here also serve the SEPC checkpoints,
 which share the length-prefixed little-endian layout.
@@ -12,6 +13,7 @@ write->read roundtrips are bit-exact.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -34,7 +36,8 @@ def is_binary(mask: np.ndarray) -> bool:
 
 @dataclass
 class Sample:
-    """One image with its co-indexed captions, as precomputed features."""
+    """One image with its co-indexed captions, as precomputed features; its
+    arrays must not change once `views`, which is derived from them, is read."""
 
     sample_id: str
     patches: np.ndarray        # N x d
@@ -45,6 +48,15 @@ class Sample:
     @property
     def n_patches(self) -> int:
         return self.patches.shape[0]
+
+    @functools.cached_property
+    def views(self) -> tuple[np.ndarray, ...]:
+        """Sparse-text, dense-text and image-self attention of every patch,
+        per slice when the arrays carry a leading stack axis; derived on
+        first read."""
+        dim = self.patches.shape[-1]
+        return tuple(attention_scores(self.patches, global_embedding(tokens), dim)
+                     for tokens in (self.sparse_tokens, self.dense_tokens, self.patches))
 
     def validate(self, dim: int, mask_values: bool = True) -> None:
         for name, arr in (("patches", self.patches),
@@ -245,6 +257,19 @@ def global_embedding(tokens: np.ndarray) -> np.ndarray:
     norm = np.sqrt(mean[..., None, :] @ mean[..., :, None])[..., 0]
     # ~(norm < eps) rather than norm >= eps, so a NaN norm is divided, not zeroed
     return np.divide(mean, norm, out=np.zeros_like(mean), where=~(norm < EPS_NORM))
+
+
+def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np.ndarray:
+    """Scaled dot-product attention of patches against a global embedding,
+    min-max normalized to [0,1]; leading stack axes give one row per slice.
+
+    The raw score divides by the embedding dimension; a row whose range is
+    degenerate (below eps_norm) maps every patch to 0.5.
+    """
+    embedding = np.asarray(embedding, dtype=np.float64)
+    raw = (np.asarray(patches, dtype=np.float64) @ embedding[..., None])[..., 0] / dim
+    lo, hi = raw.min(axis=-1, keepdims=True), raw.max(axis=-1, keepdims=True)
+    return np.where(hi - lo < EPS_NORM, 0.5, (raw - lo) / (hi - lo + EPS_NORM))
 
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:

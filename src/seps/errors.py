@@ -80,7 +80,7 @@ def check_range(name: str, value, as_f32: bool = False) -> None:
         x = float(np.float32(value)) if as_f32 else value
     if not ((low < x if open_low else low <= x) and x <= high and x < inf):
         bound = (f"lie in {'(' if open_low else '['}{low:g}, {high:g}]" if high < inf
-                 else f"be {'>' if open_low else '>='} {low:g}")
+                 else f"be finite and {'>' if open_low else '>='} {low:g}")
         raise ConfigError(f"{name} must {bound}{' as float32' if as_f32 else ''}, got {value}")
 
 

@@ -59,15 +59,12 @@ def batch_similarity(
     mode: str = "train",
     seed: int = 0,
     step: int = 0,
-    views: Sequence[tuple[np.ndarray, ...]] | None = None,
 ) -> BatchScores:
     """One selection pass per image, then alignment against every caption.
 
     Decision noise is keyed by (seed, sample id, step) so distinct samples
-    and steps draw independent, reproducible streams.  `views` holds each
-    sample's `selection.attention_views` when the caller has them; each
-    caption and each image's fused vectors are prepared once for all their
-    pairs.
+    and steps draw independent, reproducible streams.  Each caption and
+    each image's fused vectors are prepared once for all their pairs.
     """
     if not samples:
         raise ShapeError("empty batch")
@@ -75,10 +72,9 @@ def batch_similarity(
     cells: list[Tensor] = []
     keep_s: list[Tensor] = []
     keep_d: list[Tensor] = []
-    for i, sample in enumerate(samples):
+    for sample in samples:
         rng = selection.decision_rng(seed, sample.sample_id, step) if mode == "train" else None
-        agg, _, (mask_s, mask_d) = selection.select_and_aggregate(
-            sample, sel_params, mode, rng, views=None if views is None else views[i])
+        agg, _, (mask_s, mask_d) = selection.select_and_aggregate(sample, sel_params, mode, rng)
         keep_s.append(ad.mean_all(mask_s.gate(mode)))
         keep_d.append(ad.mean_all(mask_d.gate(mode)))
         image = Rows(agg.vectors)

@@ -1,7 +1,8 @@
 """Text-aware patch selection: semantic scoring, decisions, aggregation.
 
 Stage 1 scores every patch from four views: a learned prediction head plus
-attention against the sparse-text, dense-text, and image global embeddings.
+attention against the sparse-text, dense-text, and image global embeddings,
+which each sample derives once and keeps (`bank.Sample.views`).
 Stage 2 converts per-branch scores into stochastic keep/drop decisions
 (two-logit Gumbel softmax with a straight-through estimator) and fuses the
 survivors of both branches into a fixed number of aggregated vectors via
@@ -34,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EPS_LOG, EPS_NORM, Tensor
-from .bank import Sample, global_embedding, stable_id_hash
+from .autodiff import EPS_LOG, Tensor
+from .bank import Sample, stable_id_hash
 from .errors import ConfigError, NoPatchesSelectedError, ShapeError, check_fields, check_range
 
 MODES = ("train", "eval", "soft")
@@ -88,8 +89,8 @@ class SelectionParams:
 class ScoreBundle:
     """Per-patch significance components.
 
-    `predicted` carries gradients; the three attention scores are pure
-    functions of the input features and stay plain arrays.
+    `predicted` carries gradients; the three attention scores come from
+    the sample's `views` and are plain arrays that nothing writes to.
     """
 
     predicted: Tensor
@@ -174,19 +175,6 @@ def predict_scores(patches: np.ndarray, params: SelectionParams) -> Tensor:
 
     parents = (params.pred_w1, params.pred_b1, params.pred_w2, params.pred_b2)
     return ad.node(out, parents, vjp, "predict")
-
-
-def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np.ndarray:
-    """Scaled dot-product attention of patches against a global embedding,
-    min-max normalized to [0,1]; leading stack axes give one row per slice.
-
-    The raw score divides by the embedding dimension; a row whose range is
-    degenerate (below eps_norm) maps every patch to 0.5.
-    """
-    embedding = np.asarray(embedding, dtype=np.float64)
-    raw = (np.asarray(patches, dtype=np.float64) @ embedding[..., None])[..., 0] / dim
-    lo, hi = raw.min(axis=-1, keepdims=True), raw.max(axis=-1, keepdims=True)
-    return np.where(hi - lo < EPS_NORM, 0.5, (raw - lo) / (hi - lo + EPS_NORM))
 
 
 def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -340,21 +328,9 @@ def decision_rng(seed: int, sample_id: str, step: int = 0) -> np.random.Generato
 
 
 def attention_views(sample: Sample, params: SelectionParams) -> tuple[np.ndarray, ...]:
-    """Sparse-text, dense-text and image-self attention of every patch, per
-    slice when the sample's arrays carry a leading stack axis."""
-    patches = sample.patches
-    dim = patches.shape[-1]
-    e_sparse = global_embedding(sample.sparse_tokens)
-    e_dense = global_embedding(sample.dense_tokens)
-    e_image = global_embedding(patches)
-
-    s_st = attention_scores(patches, e_sparse, dim)
-    if params.zero_dense_attention:
-        s_dt = np.zeros(patches.shape[:-1])
-    else:
-        s_dt = attention_scores(patches, e_dense, dim)
-    s_im = attention_scores(patches, e_image, dim)
-    return s_st, s_dt, s_im
+    """The sample's `views`, the dense one zeroed under `zero_dense_attention`."""
+    s_st, s_dt, s_im = sample.views
+    return (s_st, np.zeros_like(s_dt), s_im) if params.zero_dense_attention else sample.views
 
 
 def sparse_eval_scores(samples: Sequence[Sample], params: SelectionParams) -> np.ndarray:
@@ -379,18 +355,15 @@ def score_and_decide(
     params: SelectionParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    views: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[ScoreBundle, DecisionMask, DecisionMask]:
     """Stage 1 plus the per-branch decisions, without aggregation.
 
     Gumbel noise is sampled only in train mode; the sparse branch draws
-    first so the noise stream is reproducible.  `views` is the sample's
-    `attention_views`, computed here when not given.
+    first so the noise stream is reproducible.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode: {mode}")
-    s_st, s_dt, s_im = attention_views(sample, params) if views is None else views
-    bundle = ScoreBundle(predict_scores(sample.patches, params), s_st, s_dt, s_im)
+    bundle = ScoreBundle(predict_scores(sample.patches, params), *attention_views(sample, params))
 
     score_s, score_d = branch_scores(bundle, params.beta)
     noise = mode == "train"
@@ -404,9 +377,8 @@ def select_and_aggregate(
     params: SelectionParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-    views: tuple[np.ndarray, ...] | None = None,
 ) -> tuple[AggregatedPatches, ScoreBundle, tuple[DecisionMask, DecisionMask]]:
     """Full selection pass for one sample: scoring, decisions, aggregation."""
-    bundle, mask_s, mask_d = score_and_decide(sample, params, mode, rng, views)
+    bundle, mask_s, mask_d = score_and_decide(sample, params, mode, rng)
     agg = aggregate(sample.patches, mask_s, mask_d, params, mode)
     return agg, bundle, (mask_s, mask_d)

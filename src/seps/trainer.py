@@ -17,7 +17,7 @@ from typing import Iterator
 import numpy as np
 
 from . import autodiff as ad
-from . import evaluator, objective, selection
+from . import evaluator, objective
 from .alignment import AlignmentParams, RelevanceHead
 from .autodiff import Tensor
 from .bank import FeatureBank, Reader, text_chunk, write_atomic
@@ -174,7 +174,7 @@ def optimizer_step(params: ModelParams, grads: dict[Tensor, Tensor],
         m_hat = m / (1.0 - BETA1 ** t)
         v_hat = v / (1.0 - BETA2 ** t)
         fresh = theta - cfg.lr * (m_hat / (np.sqrt(v_hat) + EPS) + cfg.weight_decay * theta)
-    if not (np.all(np.isfinite(v)) and np.all(np.isfinite(fresh))):
+    if not (np.all(np.isfinite(v_hat)) and np.all(np.isfinite(fresh))):  # v_hat overflows first
         raise DivergenceError("divergence detected")
     state.step, state.m, state.v = t, m, v
     for p, end in zip(tensors, accumulate(p.size for p in tensors)):
@@ -194,7 +194,7 @@ class EpochStats:
     val_r1: float | None = None
 
 
-def _audit_gradients(samples, views, params: ModelParams, cfg: TrainConfig,
+def _audit_gradients(samples, params: ModelParams, cfg: TrainConfig,
                      rng: np.random.Generator) -> None:
     """Spot-check backprop against central differences on the smooth
     relaxation of the current batch loss, at 10 random coordinates."""
@@ -202,12 +202,10 @@ def _audit_gradients(samples, views, params: ModelParams, cfg: TrainConfig,
 
     def loss_value() -> float:
         with ad.no_grad():
-            batch = objective.batch_similarity(samples, params.selection, params.alignment,
-                                               "soft", cfg.seed, views=views)
+            batch = objective.batch_similarity(samples, params.selection, params.alignment, "soft")
             return objective.batch_loss(batch, obj).item()
 
-    batch = objective.batch_similarity(samples, params.selection, params.alignment,
-                                       "soft", cfg.seed, views=views)
+    batch = objective.batch_similarity(samples, params.selection, params.alignment, "soft")
     tensors = params.tensors()
     grads = ad.gradient(objective.batch_loss(batch, obj), tensors)
     flat = [(ti, ci) for ti, t in enumerate(tensors) for ci in range(t.size)]
@@ -235,9 +233,7 @@ def fit(
     Records loss and keep rates per epoch (plus validation R@1 when a
     validation bank is given, checked against `retrieval_eval`'s rules
     before the first step) and rewrites the checkpoint after each epoch,
-    so a divergent run keeps the last completed epoch on disk.  Each
-    sample's attention views depend on its features alone, so they are
-    computed once per fit.
+    so a divergent run keeps the last completed epoch on disk.
     """
     if len(bank.samples) < cfg.batch_size:
         raise ConfigError("bank smaller than batch size")
@@ -250,7 +246,6 @@ def fit(
     history: list[EpochStats] = []
     global_step = 0
     n = len(bank.samples)
-    views = [selection.attention_views(sample, params.selection) for sample in bank.samples]
 
     for epoch in range(cfg.epochs):
         shuffle = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch]))
@@ -263,16 +258,15 @@ def fit(
             if chunk.size < 2:
                 continue  # a lone sample has no in-batch negative
             samples = [bank.samples[int(i)] for i in chunk]
-            batch_views = [views[int(i)] for i in chunk]
             batch = objective.batch_similarity(
                 samples, params.selection, params.alignment, "train",
-                seed=cfg.seed, step=global_step, views=batch_views)
+                seed=cfg.seed, step=global_step)
             loss = objective.batch_loss(batch, obj)
             grads = ad.gradient(loss, params.tensors())
             if cfg.grad_check_every > 0 and global_step % cfg.grad_check_every == 0:
                 audit_rng = np.random.default_rng(
                     np.random.SeedSequence([cfg.seed, 13, global_step]))
-                _audit_gradients(samples, batch_views, params, cfg, audit_rng)
+                _audit_gradients(samples, params, cfg, audit_rng)
             optimizer_step(params, grads, state, cfg)
             losses.append(loss.item())
             ks, kd = batch.keep_fractions()

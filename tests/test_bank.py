@@ -236,4 +236,4 @@ def test_synthetic_and_training_share_the_shape_rule(field):
         generate_synthetic(SynthConfig(**{field: 0}))
     with pytest.raises(ConfigError) as train:
         TrainConfig(**{field: 0})
-    assert str(synth.value) == str(train.value) == f"{field} must be >= 1, got 0"
+    assert str(synth.value) == str(train.value) == f"{field} must be finite and >= 1, got 0"

@@ -75,7 +75,7 @@ def test_gen_unwritable_path(tmp_path):
 def test_gen_rejects_zero_size_before_writing(flag, tmp_path, capsys):
     out = tmp_path / "x.sepb"
     assert cli.main(["gen", "--out", str(out), flag, "0"]) == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    assert "must be finite and >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -175,18 +175,24 @@ def test_every_numeric_config_field_has_a_range():
 # as given in the message; the last five lie in range as float64 but not as
 # the float32 that a checkpoint or bank stores
 RANGE_PROBES = {
-    "train --margin nan": "margin must be > 0", "train --margin inf": "margin must be > 0",
-    "train --lambda1 nan": "lambda1 must be >= 0", "train --lambda1 inf": "lambda1 must be >= 0",
-    "train --lambda2 nan": "lambda2 must be >= 0", "train --tau nan": "tau must be > 0",
-    "train --lr nan": "lr must be >= 0", "train --lr inf": "lr must be >= 0",
-    "train --weight-decay nan": "weight_decay must be >= 0",
+    "train --margin nan": "margin must be finite and > 0",
+    "train --margin inf": "margin must be finite and > 0",
+    "train --lambda1 nan": "lambda1 must be finite and >= 0",
+    "train --lambda1 inf": "lambda1 must be finite and >= 0",
+    "train --lambda2 nan": "lambda2 must be finite and >= 0",
+    "train --tau nan": "tau must be finite and > 0",
+    "train --tau inf": "tau must be finite and > 0",
+    "train --lr nan": "lr must be finite and >= 0", "train --lr inf": "lr must be finite and >= 0",
+    "train --weight-decay nan": "weight_decay must be finite and >= 0",
     "train --beta nan": "beta must lie in [0, 0.5]", "train --rho nan": "rho must lie in (0, 1]",
-    "train --seed -3": "seed must be >= 0", "train --noise-sigma nan": "noise_sigma must be >= 0",
-    "gen --noise-sigma nan": "noise_sigma must be >= 0", "gen --seed -1": "seed must be >= 0",
+    "train --seed -3": "seed must be finite and >= 0",
+    "train --noise-sigma nan": "noise_sigma must be finite and >= 0",
+    "gen --noise-sigma nan": "noise_sigma must be finite and >= 0",
+    "gen --seed -1": "seed must be finite and >= 0",
     "train --rho 5e-324": "rho must lie in (0, 1] as float32",
     "train --rho 1e-46": "rho must lie in (0, 1] as float32",
-    "train --tau 5e-324": "tau must be > 0 as float32",
-    "train --tau 1e+300": "tau must be > 0 as float32",
+    "train --tau 5e-324": "tau must be finite and > 0 as float32",
+    "train --tau 1e+300": "tau must be finite and > 0 as float32",
     "gen --noise-sigma 1e+300": "noise_sigma overflows the float32 features",
 }
 

@@ -1,5 +1,6 @@
 """numpy stays the only runtime dependency: every absolute import in
-src/seps names a standard-library module or numpy."""
+src/seps names a standard-library module or numpy.  Every module but
+`__init__.py`, which re-exports, reads each name it imports."""
 
 import ast
 import sys
@@ -30,3 +31,29 @@ def test_the_guard_sees_absolute_imports_only():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_package_imports_only_the_standard_library_and_numpy(path):
     assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names that `source` imports, `__future__` features aside, but never
+    reads as a plain name (`ast.Name` in `Load` context)."""
+    tree = ast.parse(source)
+    bound = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+             for alias in node.names]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+def test_the_unread_import_guard_counts_only_loaded_names():
+    source = ("from __future__ import annotations\nimport os.path, sys\n"
+              "from . import autodiff as ad\nfrom .bank import Sample, EPS\n"
+              "EPS = ad.x\ndef f(s: Sample): return 'sys'\n")
+    assert unread_imports(source) == ["os", "sys", "EPS"]
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
+                         ids=lambda p: p.name)
+def test_package_reads_every_name_it_imports(path):
+    assert unread_imports(path.read_text(encoding="utf-8")) == []

@@ -9,7 +9,7 @@ from conftest import basis_sample, make_params, zero_params
 
 from seps import autodiff as ad
 from seps import evaluator, selection
-from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic
+from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic, read_bank, write_bank
 from seps.errors import (BankInvariantError, ConfigError, NonFiniteError,
                          NoPatchesSelectedError)
 from seps.evaluator import (GroundTruth, recall_at_k, retrieval_eval, rsum,
@@ -464,6 +464,16 @@ def test_auc_needs_both_classes():
     for labels in ([[0, 1], [1, 1], [1, 0]], [[0, 1], [1, 0], [0, 0]], [[1, 1]]):
         with pytest.raises(BankInvariantError, match="AUC needs both classes"):
             evaluator._row_aucs(scores[:len(labels)], np.array(labels))
+
+
+def test_reading_generating_and_selection_quality_derive_no_views(tmp_path):
+    # a sample's views are derived on first read only, so set-up stays lazy;
+    # the stacked pass derives them on its throwaway stack alone
+    generated, params = six_sample_bank()
+    write_bank(generated, tmp_path / "six.sepb")
+    read = read_bank(tmp_path / "six.sepb")
+    assert selection_quality(read, params) == selection_quality(generated, params)
+    assert not any("views" in s.__dict__ for s in (*generated.samples, *read.samples))
 
 
 def test_selection_quality_builds_no_tape_and_runs_no_decision(monkeypatch):

@@ -10,13 +10,13 @@ from conftest import (basis_sample, finite_difference_check, make_params, mul,
 from seps import autodiff as ad
 from seps import selection
 from seps.autodiff import EPS_LOG
-from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic
+from seps.bank import FeatureBank, Sample, SynthConfig, attention_scores, generate_synthetic
 from seps.errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
 from seps.evaluator import selection_quality
 from seps.objective import ObjectiveConfig, batch_loss, batch_similarity
-from seps.selection import (DecisionMask, ScoreBundle, aggregate, attention_scores,
-                            branch_scores, gumbel_decision, predict_scores,
-                            score_and_decide, select_and_aggregate, sparse_eval_scores)
+from seps.selection import (DecisionMask, ScoreBundle, aggregate, branch_scores,
+                            gumbel_decision, predict_scores, score_and_decide,
+                            select_and_aggregate, sparse_eval_scores)
 
 
 def bundle_from(pred, s_st, s_dt, s_im):
@@ -134,9 +134,9 @@ def test_gumbel_rejects_bad_tau():
 
 @pytest.mark.parametrize("tau", [0.0, -1.0])
 def test_knobs_and_gumbel_share_the_tau_rule(tau):
-    with pytest.raises(ConfigError, match="tau must be > 0"):
+    with pytest.raises(ConfigError, match="tau must be finite and > 0"):
         gumbel_decision(ad.constant([0.5]), tau=tau, noise_enabled=False)
-    with pytest.raises(ConfigError, match="tau must be > 0"):
+    with pytest.raises(ConfigError, match="tau must be finite and > 0"):
         make_params(dim=4, tau=tau)
 
 

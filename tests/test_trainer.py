@@ -12,8 +12,9 @@ import reference_trainer as reference
 from conftest import make_params
 
 from seps import autodiff as ad
-from seps import cli, objective, selection, trainer
-from seps.bank import SynthConfig, generate_synthetic, text_chunk
+from seps import bank as bank_module
+from seps import cli, objective, trainer
+from seps.bank import SynthConfig, generate_synthetic, read_bank, text_chunk, write_bank
 from seps.errors import BankFormatError, ConfigError, DivergenceError
 from seps.trainer import (EpochStats, OptimizerState, TrainConfig, _layout, fit,
                           init_params, load_checkpoint, optimizer_step,
@@ -166,24 +167,37 @@ def test_optimizer_matches_the_per_tensor_reference_bitwise(head_hidden):
             assert ours.tobytes() == theirs.tobytes()
 
 
-def _nan_in_last_tensor(params, grads, cfg):
+def _nan_in_last_tensor(params, grads, state, cfg):
     grads[params.tensors()[-1]].data[...] = np.nan  # past the construction check
     return cfg
 
 
-def _square_overflows(params, grads, cfg):
+def _square_overflows(params, grads, state, cfg):
     grads[params.tensors()[0]].data[...] = 1e200
     return cfg
 
 
-def _lr_overflows(params, grads, cfg):
+def _lr_overflows(params, grads, state, cfg):
     # one step to ~1e300 succeeds; the next one's weight decay overflows
     cfg = TrainConfig(dim=5, n_patches=6, lr=1e300, weight_decay=1e-2)
     optimizer_step(params, grads, OptimizerState(), cfg)
     return cfg
 
 
-@pytest.mark.parametrize("spoil", [_nan_in_last_tensor, _square_overflows, _lr_overflows])
+def _vhat_overflows_at_step_one(params, grads, state, cfg):
+    # from a fresh state v = 0.001 g^2 stays finite, but v_hat = v / 0.001 does not
+    state.step, state.m, state.v = 0, None, None
+    grads[params.tensors()[0]].data[...] = 1.4e154
+    return cfg
+
+
+def optimizer_bytes(params, state):
+    return ([p.data.tobytes() for p in params.tensors()], state.step,
+            [None if x is None else x.tobytes() for x in (state.m, state.v)])
+
+
+@pytest.mark.parametrize("spoil", [_nan_in_last_tensor, _square_overflows, _lr_overflows,
+                                   _vhat_overflows_at_step_one])
 def test_divergent_step_changes_nothing(spoil):
     params = make_params(dim=5, n_patches=6, n_keep=3, k_top=2, seed=2, head_hidden=3)
     cfg = TrainConfig(dim=5, n_patches=6, lr=1e-2)
@@ -192,14 +206,11 @@ def test_divergent_step_changes_nothing(spoil):
     for _ in range(3):
         optimizer_step(params, random_grads(params, rng), state, cfg)
     grads = {p: ad.constant(rng.normal(size=p.shape)) for p in params.tensors()}
-    cfg = spoil(params, grads, cfg)
-    before = [p.data.tobytes() for p in params.tensors()]
-    m, v = state.m.copy(), state.v.copy()
+    cfg = spoil(params, grads, state, cfg)
+    before = optimizer_bytes(params, state)
     with pytest.raises(DivergenceError, match="divergence detected"):
         optimizer_step(params, grads, state, cfg)
-    assert [p.data.tobytes() for p in params.tensors()] == before
-    assert state.step == 3
-    assert state.m.tobytes() == m.tobytes() and state.v.tobytes() == v.tobytes()
+    assert optimizer_bytes(params, state) == before
 
 
 # ---------------------------------------------------------------------------
@@ -264,48 +275,60 @@ DESK_BANK = dict(n_samples=64, dim=32, n_patches=16, n_relevant_patches=4,
                  n_sparse_words=2, n_dense_words=4, noise_sigma=0.1)
 
 
-def count_attention_views(monkeypatch) -> list:
-    # score_and_decide looks the name up in the module, as the trainer does
+def count_view_derivations(monkeypatch) -> list:
+    """The id of the patches of every `attention_scores` call; deriving a
+    sample's `views` makes three such calls on its patches."""
     calls = []
-    views = selection.attention_views
+    scores = bank_module.attention_scores
 
-    def counted(sample, params):
-        calls.append(sample.sample_id)
-        return views(sample, params)
+    def counted(patches, embedding, dim):
+        calls.append(id(patches))
+        return scores(patches, embedding, dim)
 
-    monkeypatch.setattr(selection, "attention_views", counted)
+    monkeypatch.setattr(bank_module, "attention_scores", counted)
     return calls
+
+
+def derived_once(calls, *banks) -> bool:
+    return sorted(calls) == sorted(3 * [id(s.patches) for b in banks for s in b.samples])
 
 
 def test_desk_fit_computes_each_sample_views_once(monkeypatch):
     bank = generate_synthetic(SynthConfig(seed=1, **DESK_BANK))
-    calls = count_attention_views(monkeypatch)
-    fit(bank, TrainConfig(dim=32, n_patches=16, batch_size=8, epochs=2, seed=1))
-    assert sorted(calls) == sorted(s.sample_id for s in bank.samples)
+    calls = count_view_derivations(monkeypatch)
+    for _ in range(2):  # a second fit on the same bank derives none
+        fit(bank, TrainConfig(dim=32, n_patches=16, batch_size=8, epochs=2, seed=1))
+        assert derived_once(calls, bank)
 
 
 def test_fit_audited_every_step_passes_and_reuses_the_views(monkeypatch):
     bank = tiny_bank(seed=8)
-    calls = count_attention_views(monkeypatch)
+    calls = count_view_derivations(monkeypatch)
     fit(bank, tiny_cfg(lr=1e-3, epochs=2, grad_check_every=1, seed=3))  # NumericalError if not
-    assert len(calls) == len(bank.samples)
+    assert derived_once(calls, bank)
 
 
-def test_per_fit_views_change_no_param_history_or_checkpoint_byte(tmp_path, monkeypatch):
-    bank = generate_synthetic(SynthConfig(seed=2, **dict(DESK_BANK, n_samples=16)))
+def test_fit_validation_derives_each_validation_sample_views_once(monkeypatch):
+    bank, val_bank = tiny_bank(seed=2), tiny_bank(seed=5)
+    calls = count_view_derivations(monkeypatch)
+    _, history = fit(bank, tiny_cfg(lr=1e-3, epochs=3, seed=4), val_bank=val_bank)
+    assert all(stats.val_r1 is not None for stats in history)
+    assert derived_once(calls, bank, val_bank)
+
+
+def test_derived_views_change_no_param_history_or_checkpoint_byte(tmp_path):
+    path = tmp_path / "desk.sepb"
+    write_bank(generate_synthetic(SynthConfig(seed=2, **dict(DESK_BANK, n_samples=16))), path)
     cfg = TrainConfig(dim=32, n_patches=16, batch_size=8, epochs=2, lr=1e-3, seed=2)
-    shared, shared_hist = fit(bank, cfg, checkpoint_path=tmp_path / "shared.ckpt")
-    batch_similarity = objective.batch_similarity
-
-    def per_step_views(*args, views=None, **kwargs):
-        return batch_similarity(*args, **kwargs)
-
-    monkeypatch.setattr(objective, "batch_similarity", per_step_views)
-    fresh, fresh_hist = fit(bank, cfg, checkpoint_path=tmp_path / "fresh.ckpt")
-    assert [t.data.tobytes() for t in shared.tensors()] == [
+    derived = read_bank(path)
+    for sample in derived.samples:
+        assert len(sample.views) == 3  # derived before the fit
+    held, held_hist = fit(derived, cfg, checkpoint_path=tmp_path / "held.ckpt")
+    fresh, fresh_hist = fit(read_bank(path), cfg, checkpoint_path=tmp_path / "fresh.ckpt")
+    assert [t.data.tobytes() for t in held.tensors()] == [
         t.data.tobytes() for t in fresh.tensors()]
-    assert shared_hist == fresh_hist
-    assert (tmp_path / "shared.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+    assert held_hist == fresh_hist
+    assert (tmp_path / "held.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
 
 
 @pytest.mark.parametrize("seed,head_hidden,grad_check_every", [
