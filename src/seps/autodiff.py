@@ -164,21 +164,6 @@ def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-
-def mean_all(a: Tensor) -> Tensor:
-    if a.size == 0:
-        raise ShapeError("mean of empty tensor")
-    shape, n = a.shape, a.size
-
-    def vjp(g):
-        return (np.full(shape, g / n),)
-
-    return node(a.data.sum() / n, (a,), vjp, "mean_all")  # np.mean's value
-
-
-# ---------------------------------------------------------------------------
 # structured ops
 
 

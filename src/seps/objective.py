@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -21,35 +21,31 @@ from . import selection
 from .alignment import AlignmentParams, Rows, score_from_similarity, similarity_matrix
 from .autodiff import Tensor
 from .bank import Sample
-from .errors import ConfigError, ShapeError, check_fields
+from .errors import ConfigError, ShapeError
 from .selection import SelectionParams
 
+if TYPE_CHECKING:  # trainer imports this module
+    from .trainer import TrainConfig
 
-@dataclass(frozen=True)
-class ObjectiveConfig:
-    margin: float = 0.2
-    rho: float = 0.5
-    lambda1: float = 1.0
-    lambda2: float = 1.0
 
-    def __post_init__(self) -> None:
-        check_fields(self)
+def keep_means(gates: Sequence[Tensor]) -> np.ndarray:
+    """Each gate's mean keep fraction, summed then divided as np.mean's value."""
+    return np.array([gate.data.sum() / gate.size for gate in gates])
 
 
 @dataclass
 class BatchScores:
     """Pairwise alignment scores S[i][j] = score(image i, caption j) plus
-    per-sample keep statistics for the ratio loss."""
+    each sample's per-patch gates for the ratio loss."""
 
     scores: Tensor                    # B x B
-    keep_sparse: list[Tensor]         # per-sample mean gate, sparse branch
+    keep_sparse: list[Tensor]         # per-sample gate, sparse branch
     keep_dense: list[Tensor]
 
     def keep_fractions(self) -> tuple[float, float]:
         """Batch-mean forward keep fraction per branch."""
-        ks = float(np.mean([t.item() for t in self.keep_sparse]))
-        kd = float(np.mean([t.item() for t in self.keep_dense]))
-        return ks, kd
+        return (float(np.mean(keep_means(self.keep_sparse))),
+                float(np.mean(keep_means(self.keep_dense))))
 
 
 def batch_similarity(
@@ -75,8 +71,8 @@ def batch_similarity(
     for sample in samples:
         rng = selection.decision_rng(seed, sample.sample_id, step) if mode == "train" else None
         agg, _, (mask_s, mask_d) = selection.select_and_aggregate(sample, sel_params, mode, rng)
-        keep_s.append(ad.mean_all(mask_s.gate(mode)))
-        keep_d.append(ad.mean_all(mask_d.gate(mode)))
+        keep_s.append(mask_s.gate(mode))
+        keep_d.append(mask_d.gate(mode))
         image = Rows(agg.vectors)
         for caption in captions:
             sim = similarity_matrix(image, caption)
@@ -124,32 +120,34 @@ def triplet_loss(scores: Tensor, margin: float) -> Tensor:
     return ad.node(total, (scores,), vjp, "triplet_loss")
 
 
-def ratio_loss(keep_stats: tuple[Sequence[Tensor], Sequence[Tensor]],
-               cfg: ObjectiveConfig) -> Tensor:
-    """Mean over images of (rho - l1*keep_sparse - l2*keep_dense)^2, as one node.
+def ratio_loss(gates: tuple[Sequence[Tensor], Sequence[Tensor]], cfg: TrainConfig) -> Tensor:
+    """Mean over images of (rho - l1*keep_sparse - l2*keep_dense)^2, as one node
+    whose parents are each image's sparse and dense gates.
 
-    Forward values use the straight-through keep means, so the printed
-    value matches the hard decisions while gradient flows through the soft
-    keep probabilities.  Each gap is (ks*(-l1) + kd*(-l2)) + rho; the
-    squares are added in batch order, then scaled by 1/B.
+    A keep fraction is the mean of its gate, so the printed value matches
+    the hard decisions while gradient flows through the soft keep
+    probabilities; each gate's adjoint is spread evenly over its patches.
+    Each gap is (ks*(-l1) + kd*(-l2)) + rho; the squares are added in batch
+    order, then scaled by 1/B.
     """
-    keep_s, keep_d = keep_stats
+    keep_s, keep_d = gates
     if len(keep_s) != len(keep_d) or not keep_s:
         raise ShapeError("keep statistics missing for a branch")
     inv = 1.0 / len(keep_s)
-    gaps = ((np.array([t.data for t in keep_s]) * -cfg.lambda1
-             + np.array([t.data for t in keep_d]) * -cfg.lambda2) + cfg.rho)
+    gaps = (keep_means(keep_s) * -cfg.lambda1 + keep_means(keep_d) * -cfg.lambda2) + cfg.rho
+    parents = (*keep_s, *keep_d)
 
     def vjp(g):
         half = g * inv * gaps
-        return (*((half + half) * -cfg.lambda1), *((half + half) * -cfg.lambda2))
+        means = np.concatenate([(half + half) * -cfg.lambda1, (half + half) * -cfg.lambda2])
+        return tuple(np.full(gate.shape, a / gate.size) for gate, a in zip(parents, means))
 
     with np.errstate(over="ignore"):  # -> NonFiniteError in ad.node
         total = reduce(operator.add, gaps * gaps) * inv
-    return ad.node(total, (*keep_s, *keep_d), vjp, "ratio_loss")
+    return ad.node(total, parents, vjp, "ratio_loss")
 
 
-def batch_loss(batch: BatchScores, cfg: ObjectiveConfig) -> Tensor:
+def batch_loss(batch: BatchScores, cfg: TrainConfig) -> Tensor:
     """Unweighted sum of the alignment and ratio terms."""
     return ad.add(triplet_loss(batch.scores, cfg.margin),
                   ratio_loss((batch.keep_sparse, batch.keep_dense), cfg))

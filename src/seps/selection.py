@@ -213,8 +213,7 @@ def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
     check_range("tau", tau)
     s = scores.data
     keep_in = s + EPS_LOG
-    # 1-s formed as -(s-1) so an exact 0.5 yields bitwise-equal logits
-    drop_in = -(s + -1.0) + EPS_LOG
+    drop_in = 1.0 - s + EPS_LOG
     with np.errstate(divide="ignore", invalid="ignore"):  # -> NonFiniteError
         diff = ad.finite("the decision logit", np.log(keep_in) + -np.log(drop_in))
     if noise_enabled:

@@ -23,7 +23,6 @@ from .autodiff import Tensor
 from .bank import FeatureBank, Reader, text_chunk, write_atomic
 from .errors import (BankFormatError, ConfigError, DivergenceError, NumericalError,
                      check_fields, check_range)
-from .objective import ObjectiveConfig
 from .selection import SelectionParams
 
 CKPT_MAGIC = b"SEPC"
@@ -58,10 +57,6 @@ class TrainConfig:
     @property
     def keep_count(self) -> int:
         return self.n_keep if self.n_keep > 0 else max(1, math.ceil(self.rho * self.n_patches))
-
-    def objective(self) -> ObjectiveConfig:
-        return ObjectiveConfig(margin=self.margin, rho=self.rho,
-                               lambda1=self.lambda1, lambda2=self.lambda2)
 
 
 @dataclass
@@ -124,12 +119,11 @@ def _assemble(tensors: dict[str, np.ndarray], hyper: dict) -> ModelParams:
                                        rho=hyper["rho"]), AlignmentParams(p2w, w2p))
 
 
-def init_params(cfg: TrainConfig, rng: np.random.Generator | None = None) -> ModelParams:
+def init_params(cfg: TrainConfig) -> ModelParams:
     """Fresh parameters: perceptron weights ~ U(+-1/sqrt(fan_in)), fan_in
     being a weight's first dimension; biases and the heads' output layers
     zero, so scoring starts at the mean baseline."""
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 11]))
     tensors = {}
     for name, shape, drawn in _layout(cfg.dim, cfg.keep_count, cfg.k_top, cfg.head_hidden):
         bound = 1.0 / math.sqrt(shape[0]) if drawn else 0.0
@@ -198,16 +192,14 @@ def _audit_gradients(samples, params: ModelParams, cfg: TrainConfig,
                      rng: np.random.Generator) -> None:
     """Spot-check backprop against central differences on the smooth
     relaxation of the current batch loss, at 10 random coordinates."""
-    obj = cfg.objective()
-
     def loss_value() -> float:
         with ad.no_grad():
             batch = objective.batch_similarity(samples, params.selection, params.alignment, "soft")
-            return objective.batch_loss(batch, obj).item()
+            return objective.batch_loss(batch, cfg).item()
 
     batch = objective.batch_similarity(samples, params.selection, params.alignment, "soft")
     tensors = params.tensors()
-    grads = ad.gradient(objective.batch_loss(batch, obj), tensors)
+    grads = ad.gradient(objective.batch_loss(batch, cfg), tensors)
     flat = [(ti, ci) for ti, t in enumerate(tensors) for ci in range(t.size)]
     picks = rng.choice(len(flat), size=min(10, len(flat)), replace=False)
     for pick in picks:
@@ -241,7 +233,6 @@ def fit(
         params = init_params(cfg)
     if val_bank is not None:
         evaluator.check_retrieval_bank(val_bank, params)
-    obj = cfg.objective()
     state = OptimizerState()
     history: list[EpochStats] = []
     global_step = 0
@@ -261,7 +252,7 @@ def fit(
             batch = objective.batch_similarity(
                 samples, params.selection, params.alignment, "train",
                 seed=cfg.seed, step=global_step)
-            loss = objective.batch_loss(batch, obj)
+            loss = objective.batch_loss(batch, cfg)
             grads = ad.gradient(loss, params.tensors())
             if cfg.grad_check_every > 0 and global_step % cfg.grad_check_every == 0:
                 audit_rng = np.random.default_rng(

@@ -2,7 +2,7 @@
 
 `alignment.similarity_matrix` and `alignment.score_from_similarity` are one
 tape node each.  This module keeps the path they replaced, built from
-`seps.autodiff` ops, the generic ops of tests/composed_selection.py and six
+`seps.autodiff` ops, the generic ops of tests/composed_selection.py and seven
 ops that only this path needs, so tests can hold the fused nodes to
 bitwise-equal values and gradients.  Its operand
 order (Wt as a contiguous copy, then 1/|p| on rows, then 1/|w| on columns;
@@ -31,6 +31,17 @@ def dense_stack(parts, shape) -> ad.Tensor:
         return tuple(flat[i] for i in range(len(parts)))
 
     return ad.node(data, parts, vjp, "stack")
+
+
+def mean_all(a: ad.Tensor) -> ad.Tensor:
+    if a.size == 0:
+        raise ShapeError("mean of empty tensor")
+    shape, n = a.shape, a.size
+
+    def vjp(g):
+        return (np.full(shape, g / n),)
+
+    return ad.node(a.data.sum() / n, (a,), vjp, "mean_all")  # np.mean's value
 
 
 def recip(a: ad.Tensor) -> ad.Tensor:
@@ -131,7 +142,7 @@ def relevance_pool(sim: ad.Tensor, direction: str,
     maxima, _ = row_max_with_arg(matrix)
     pooled, _ = topk(maxima, params.k_top)
     head = params.p2w if direction == "patch_to_word" else params.w2p
-    return ad.mean_all(maxima), apply_head(head, pooled)
+    return mean_all(maxima), apply_head(head, pooled)
 
 
 def score_from_similarity(sim: ad.Tensor, params: AlignmentParams) -> AlignmentScore:

@@ -20,7 +20,6 @@ from seps import evaluator, objective, selection
 from seps.alignment import align_score, similarity_matrix
 from seps.bank import Sample, SynthConfig, generate_synthetic, read_bank, write_bank
 from seps.evaluator import GroundTruth, recall_at_k, rsum
-from seps.objective import ObjectiveConfig
 from seps.selection import column_softmax
 from seps.trainer import (OptimizerState, TrainConfig, fit, init_params,
                           optimizer_step, save_checkpoint)
@@ -78,7 +77,6 @@ def _min_tie_gap(samples, params, scores, margin):
 
 def test_criterion_1_gradient_correctness():
     started = time.monotonic()
-    obj = ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     worst = 0.0
     coords = 0
     for trial in range(100):
@@ -87,22 +85,22 @@ def test_criterion_1_gradient_correctness():
             d = int(rng.integers(3, 7))
             n = int(rng.integers(2, 6))
             m = int(rng.integers(1, 4))
-            cfg = TrainConfig(dim=d, n_patches=n, k_top=2,
-                              seed=int(rng.integers(0, 2**31)))
+            cfg = TrainConfig(dim=d, n_patches=n, k_top=2, margin=0.2, rho=0.5,
+                              lambda1=1.0, lambda2=1.0, seed=int(rng.integers(0, 2**31)))
             params = init_params(cfg)
             samples = _random_batch(rng, 2, d, n, m)
             batch = objective.batch_similarity(
                 samples, params.selection, params.alignment, "soft")
-            if _min_tie_gap(samples, params, batch.scores.data, obj.margin) < 1e-4:
+            if _min_tie_gap(samples, params, batch.scores.data, cfg.margin) < 1e-4:
                 continue  # ties excluded by resampling
-            loss = objective.batch_loss(batch, obj)
+            loss = objective.batch_loss(batch, cfg)
             grads = ad.gradient(loss, params.tensors())
 
             def loss_value() -> float:
                 with ad.no_grad():
                     again = objective.batch_similarity(
                         samples, params.selection, params.alignment, "soft")
-                    return objective.batch_loss(again, obj).item()
+                    return objective.batch_loss(again, cfg).item()
 
             step = 1e-6
             for tensor in params.tensors():
@@ -173,10 +171,10 @@ def test_criterion_3_ratio_control():
     started = time.monotonic()
     bank = generate_synthetic(SynthConfig(n_samples=8, seed=42))
     samples = bank.samples
-    obj = ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     # ratio-only objective: beta=0 leaves the decision entirely to the
     # trainable prediction head, which is the channel the ratio loss steers
-    cfg = TrainConfig(dim=32, n_patches=16, lr=1e-3, tau=1.0, beta=0.0, seed=7)
+    cfg = TrainConfig(dim=32, n_patches=16, lr=1e-3, rho=0.5, lambda1=1.0, lambda2=1.0,
+                      tau=1.0, beta=0.0, seed=7)
     params = init_params(cfg)
     state = OptimizerState()
     sampled = []
@@ -188,18 +186,18 @@ def test_criterion_3_ratio_control():
             rng = selection.decision_rng(cfg.seed, sample.sample_id, step)
             _, mask_s, mask_d = selection.score_and_decide(sample, params.selection,
                                                            "train", rng)
-            keep_s.append(ad.mean_all(mask_s.gate("train")))
-            keep_d.append(ad.mean_all(mask_d.gate("train")))
-        sampled.append(obj.lambda1 * float(np.mean([t.item() for t in keep_s]))
-                       + obj.lambda2 * float(np.mean([t.item() for t in keep_d])))
-        loss = objective.ratio_loss((keep_s, keep_d), obj)
+            keep_s.append(mask_s.gate("train"))
+            keep_d.append(mask_d.gate("train"))
+        sampled.append(cfg.lambda1 * float(np.mean(objective.keep_means(keep_s)))
+                       + cfg.lambda2 * float(np.mean(objective.keep_means(keep_d))))
+        loss = objective.ratio_loss((keep_s, keep_d), cfg)
         grads = ad.gradient(loss, params.tensors())
         optimizer_step(params, grads, state, cfg)
     achieved = float(np.mean(sampled[-20:]))
     elapsed = time.monotonic() - started
     report("3 ratio-control",
-           abs(achieved - obj.rho) <= 0.05 and elapsed < 30.0,
-           f"weighted keep {achieved:.4f} vs rho {obj.rho}, {elapsed:.1f}s")
+           abs(achieved - cfg.rho) <= 0.05 and elapsed < 30.0,
+           f"weighted keep {achieved:.4f} vs rho {cfg.rho}, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

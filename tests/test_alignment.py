@@ -183,6 +183,36 @@ def test_topk_orders_descending_with_ties_by_first_occurrence():
     np.testing.assert_array_equal(grad[:, 0], expected)
 
 
+def stable_topk_adjoint(values: list[float], k_top: int) -> list[float]:
+    """Adjoint of the mean plus a head of weights 2**slot over the top
+    k_top of `values`, slots taken from Python's stable `sorted` and padded
+    with the first minimum; the other direction's single maximum, the
+    first one, adds its mean share 1.  Every term is exact."""
+    n = len(values)
+    order = sorted(range(n), key=lambda i: -values[i])
+    slots = (order + [values.index(min(values))] * k_top)[:k_top]
+    grad = [1.0 / n] * n
+    for slot, i in enumerate(slots):
+        grad[i] += 2.0 ** slot
+    grad[values.index(max(values))] += 1.0
+    return grad
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_topk_ties_follow_a_stable_sort_on_random_tied_rows(n):
+    # three levels tie in almost every row; k_top runs below, at and above
+    # both the number of tied maxima and the row length
+    rng = np.random.default_rng(40 + n)
+    for _ in range(40):
+        values = rng.choice([0.1, 0.5, 0.9], size=n).tolist()
+        for k_top in range(1, n + 3):
+            weights = 2.0 ** np.arange(k_top)
+            expected = stable_topk_adjoint(values, k_top)
+            rows = sim_gradient(np.array(values)[:, None], head_params(k_top, w_p2w=weights))
+            cols = sim_gradient(np.array(values)[None, :], head_params(k_top, w_w2p=weights))
+            assert rows[:, 0].tolist() == cols[0].tolist() == expected, (values, k_top)
+
+
 # ---------------------------------------------------------------------------
 # alignment score
 

@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from composed_alignment import dot, recip, row_max_with_arg, rows_l2norm, scale_cols, topk
+from composed_alignment import (dot, mean_all, recip, row_max_with_arg, rows_l2norm, scale_cols,
+                                topk)
 from composed_selection import (EmptySupportError, add_colvec, add_rowvec, add_scalar, clip,
                                 log, log_sigmoid, matmul, neg, scale_rows, softmax_columns,
                                 tanh, transpose)
@@ -20,10 +21,11 @@ import seps
 from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, score_from_similarity,
                             similarity_matrix)
-from seps.objective import ObjectiveConfig, ratio_loss, triplet_loss
+from seps.objective import ratio_loss, triplet_loss
 from seps.selection import (DecisionMask, ScoreBundle, aggregate, branch_scores,
                             gumbel_decision, predict_scores)
 from seps.errors import GraphError, NonFiniteError, ShapeError
+from seps.trainer import TrainConfig
 
 
 def test_sigmoid_symmetry_point():
@@ -175,7 +177,7 @@ def test_gradient_product():
 def test_graph_topological_order_and_adjoints():
     x = ad.tensor([1.0, 2.0], requires_grad=True)
     y = ad.sigmoid(x)
-    out = ad.mean_all(y)
+    out = mean_all(y)
     graph = ad.Graph(out)
     order = {id(node): i for i, node in enumerate(graph.nodes)}
     assert order[id(x)] < order[id(y)] < order[id(out)]
@@ -229,7 +231,7 @@ def test_fd_check_linear_is_near_exact():
 def test_fd_check_sigmoid_composite():
     x = ad.tensor([0.3, -0.7], requires_grad=True)
     err = finite_difference_check(
-        lambda t: ad.mean_all(ad.sigmoid(mul(t, t))), x)
+        lambda t: mean_all(ad.sigmoid(mul(t, t))), x)
     assert err < 1e-6
 
 
@@ -285,7 +287,7 @@ def test_forward_determinism_bitwise():
     def run():
         t = ad.constant(x)
         out = softmax_columns(matmul(t, ad.constant(rng_w)))
-        return ad.mean_all(mul(out, out)).item()
+        return mean_all(mul(out, out)).item()
 
     rng_w = np.random.default_rng(4).normal(size=(3, 5))
     assert run() == run()
@@ -439,7 +441,8 @@ def _fd_cases():
     m34 = "m34"  # marker: 3x4 matrix input
     words = np.array([[0.3, -1.0, 0.8, 0.1], [1.2, 0.4, -0.5, 0.9]])
     eye = [ad.constant(row) for row in np.eye(6)]  # sum_all(mul(t, e_i)) picks t[i]
-    ratio_cfg = ObjectiveConfig(rho=0.4, lambda1=0.7, lambda2=1.3)
+    ratio_cfg = TrainConfig(rho=0.4, lambda1=0.7, lambda2=1.3)
+    gate_rows = [ad.constant(row) for row in np.cos(np.arange(24.0)).reshape(4, 6)]
     return {
         "add": (lambda t: sum_all(ad.add(t, ad.constant([0.2, -0.4, 1.0]))), (3,)),
         "add_scalar_broadcast": (lambda t: sum_all(ad.add(t, ad.constant(0.3))), (3,)),
@@ -447,17 +450,20 @@ def _fd_cases():
         "scale": (lambda t: sum_all(ad.scale(t, -2.5)), (3,)),
         "sigmoid": (lambda t: sum_all(ad.sigmoid(t)), (3,)),
         "sum_all": (lambda t: sum_all(t), m34),
-        "mean_all": (lambda t: ad.mean_all(t), m34),
         "stack": (lambda t: sum_all(mul(ad.stack(
-            [ad.mean_all(t), ad.mean_all(tanh(t)), sum_all(mul(t, t)),
-             ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, -2.0], [0.5, 3.0]]))), m34),
+            [mean_all(t), mean_all(tanh(t)), sum_all(mul(t, t)),
+             mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, -2.0], [0.5, 3.0]]))), m34),
         # zero upstream cells skip their parts, which share t with the others
         "stack_zero_cells": (lambda t: sum_all(mul(ad.stack(
-            [ad.mean_all(t), ad.mean_all(tanh(t)), sum_all(mul(t, t)),
-             ad.mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, 0.0], [-0.0, 3.0]]))), m34),
+            [mean_all(t), mean_all(tanh(t)), sum_all(mul(t, t)),
+             mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, 0.0], [-0.0, 3.0]]))), m34),
         "triplet_loss": (lambda t: triplet_loss(t, TRIPLET_MARGIN), _square_scores),
         "ratio_loss": (lambda t: ratio_loss(([sum_all(mul(t, e)) for e in eye[:3]],
                                              [sum_all(mul(t, e)) for e in eye[3:]]), ratio_cfg), (6,)),
+        # per-patch gates: each keep fraction is its gate's mean
+        "ratio_loss_gates": (lambda t: ratio_loss(([mul(t, w) for w in gate_rows[:2]],
+                                                   [mul(t, w) for w in gate_rows[2:]]),
+                                                  ratio_cfg), (6,)),
         "similarity": (lambda t: sum_all(mul(similarity_matrix(t, words),
                                              ad.constant(np.arange(6.0).reshape(3, 2) - 2.0))),
                        m34),
@@ -473,6 +479,7 @@ def _oracle_op_cases(m34):
     gradients the fused nodes are held bitwise equal to, so they are swept
     like the library's."""
     return {
+        "mean_all": (lambda t: mean_all(t), m34),
         "neg": (lambda t: sum_all(neg(t)), (3,)),
         "log": (lambda t: sum_all(log(add_scalar(mul(t, t), 0.5))), (3,)),
         "log_sigmoid": (lambda t: sum_all(log_sigmoid(t)), (3,)),

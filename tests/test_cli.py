@@ -20,7 +20,6 @@ from conftest import basis_sample, make_params, zero_params
 from seps import cli
 from seps.bank import FeatureBank, SynthConfig, read_bank, write_bank
 from seps.errors import RANGES
-from seps.objective import ObjectiveConfig
 from seps.trainer import TrainConfig, init_params, save_checkpoint
 
 
@@ -165,7 +164,7 @@ def test_config_keys_and_defaults_are_pinned(tmp_path):
 
 
 def test_every_numeric_config_field_has_a_range():
-    for cls in (TrainConfig, ObjectiveConfig, SynthConfig, cli.RunConfig):
+    for cls in (TrainConfig, SynthConfig, cli.RunConfig):
         for name, kind in get_type_hints(cls).items():
             if kind in (int, float):
                 assert name in RANGES, f"{cls.__name__}.{name}"

@@ -1,6 +1,8 @@
 """numpy stays the only runtime dependency: every absolute import in
 src/seps names a standard-library module or numpy.  Every module but
-`__init__.py`, which re-exports, reads each name it imports."""
+`__init__.py`, which re-exports, reads each name it imports, and each of
+its top-level functions and classes is read somewhere in src/seps or in
+the perfbench harness (perfbench/*.py, not its tests)."""
 
 import ast
 import sys
@@ -8,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "seps"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "seps"
+MODULES = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
@@ -53,7 +57,34 @@ def test_the_unread_import_guard_counts_only_loaded_names():
     assert unread_imports(source) == ["os", "sys", "EPS"]
 
 
-@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_package_reads_every_name_it_imports(path):
     assert unread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_definitions(source: str, readers: list[str]) -> list[str]:
+    """Top-level functions and classes of `source` that no source in
+    `readers` reads, as a plain name (`ast.Name` in `Load` context) or as
+    an attribute (`ast.Attribute.attr`)."""
+    defined = [node.name for node in ast.parse(source).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for reader in readers for node in ast.walk(ast.parse(reader))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    return [name for name in defined if name not in read]
+
+
+def test_the_unread_definition_guard_counts_loads_and_attributes():
+    source = ("def called(): pass\nclass Read: pass\ndef unread(): pass\n"
+              "def stored(): pass\nclass Bare: pass\n")
+    readers = [source + "stored = Bare = 1\ncalled()\n", "import m\nm.Read\n"]
+    assert unread_definitions(source, readers) == ["unread", "stored", "Bare"]
+
+
+def test_every_top_level_definition_is_read_in_the_package_or_the_harness():
+    readers = [path.read_text(encoding="utf-8")
+               for path in sorted([*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])]
+    unread = {path.name: unread_definitions(path.read_text(encoding="utf-8"), readers)
+              for path in MODULES}
+    assert {name: defs for name, defs in unread.items() if defs} == {}

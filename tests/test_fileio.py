@@ -80,12 +80,14 @@ def _patched(blob: bytes, offset: int, new: bytes) -> bytes:
 
 NAN = struct.pack("<f", float("nan"))
 # offsets: SEPB sample id at 20, the first sample's mask flag at 134 and
-# its first mask byte at 135; SEPC first tensor name at 16, its rank at 23
-# (after the 7-byte "pred.w1") and its first float at 35
+# its first mask byte at 135, the mask-less second sample's flag at 256;
+# SEPC first tensor name at 16, its rank at 23 (after the 7-byte
+# "pred.w1") and its first float at 35
 CORRUPT = {
     "sepb_id_not_utf8": (_patched(SEPB.read_bytes(), 20, b"\xff"), SEPC.read_bytes()),
     "sepb_mask_flag_2": (_patched(SEPB.read_bytes(), 134, b"\x02"), SEPC.read_bytes()),
     "sepb_mask_byte_2": (_patched(SEPB.read_bytes(), 135, b"\x02"), SEPC.read_bytes()),
+    "sepb_maskless_flag_2": (_patched(SEPB.read_bytes(), 256, b"\x02"), SEPC.read_bytes()),
     "sepc_name_not_utf8": (SEPB.read_bytes(), _patched(SEPC.read_bytes(), 16, b"\xff")),
     "sepc_rank_9": (SEPB.read_bytes(), _patched(SEPC.read_bytes(), 23, b"\x09")),
     "sepc_nan_weight": (SEPB.read_bytes(), _patched(SEPC.read_bytes(), 35, NAN)),

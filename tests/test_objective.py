@@ -11,8 +11,9 @@ from seps import alignment, objective, selection
 from seps.alignment import align_score
 from seps.bank import Sample, SynthConfig, generate_synthetic
 from seps.errors import ConfigError
-from seps.objective import (BatchScores, ObjectiveConfig, batch_loss, batch_similarity,
+from seps.objective import (BatchScores, batch_loss, batch_similarity, keep_means,
                             ratio_loss, triplet_loss)
+from seps.trainer import TrainConfig
 
 
 def brute_force_triplet(s: np.ndarray, margin: float) -> float:
@@ -78,33 +79,32 @@ def test_batch_keep_stats_match_hard_fraction():
     for sample, ks, kd in zip(bank.samples, batch.keep_sparse, batch.keep_dense):
         _, _, (mask_s, mask_d) = selection.select_and_aggregate(
             sample, params.selection, "eval")
-        assert ks.item() == mask_s.hard.mean()
-        assert kd.item() == mask_d.hard.mean()
+        assert keep_means([ks, kd]).tolist() == [mask_s.hard.mean(), mask_d.hard.mean()]
 
 
 def test_train_batch_tapes_one_gate_per_mask_and_two_nodes_per_pair():
     bank = small_bank(seed=4)
     params = make_params(dim=6, n_keep=2, seed=5)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train")
-    names = [n.name for n in ad.Graph(batch_loss(batch, ObjectiveConfig())).nodes]
+    names = [n.name for n in ad.Graph(batch_loss(batch, TrainConfig())).nodes]
     b = len(bank.samples)
     assert names.count("straight_through") == 2 * b
     assert names.count("similarity") == names.count("pair_score") == b * b
 
 
-def test_desk_train_step_builds_264_tape_nodes():
+def test_desk_train_step_builds_248_tape_nodes():
     # 12 weights, then per sample: predict, its scale, two branch scores, two
-    # decision logits, two sigmoids, two gates, two weights nodes, the fused
-    # vectors and two keep means (15 x 8); two per pair (2 x 64); the stacked
-    # scores and three loss nodes
+    # decision logits, two sigmoids, two gates, two weights nodes and the
+    # fused vectors (13 x 8); two per pair (2 x 64); the stacked scores and
+    # three loss nodes
     bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
     params = make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train",
                              seed=5)
-    nodes = ad.Graph(batch_loss(batch, ObjectiveConfig())).nodes
+    nodes = ad.Graph(batch_loss(batch, TrainConfig())).nodes
     names = [n.name for n in nodes]
     assert names.count("branch_weights") == 16  # no branch is empty
-    assert len(nodes) == 264
+    assert len(nodes) == 248
 
 
 def test_desk_train_step_prepares_each_side_once_and_scores_every_pair(monkeypatch):
@@ -137,7 +137,7 @@ def test_desk_train_step_prepares_each_side_once_and_scores_every_pair(monkeypat
     assert len(pairs) == 64
 
 
-def desk_batch_run(samples, params, mode, cfg=ObjectiveConfig()):
+def desk_batch_run(samples, params, mode, cfg=TrainConfig()):
     """Loss, scores and every gradient of one B=8 step, as bytes."""
     batch = batch_similarity(samples, params.selection, params.alignment, mode, seed=3, step=4)
     loss = batch_loss(batch, cfg)
@@ -169,7 +169,7 @@ def test_sparse_backward_matches_the_dense_one_bitwise(mode, head_hidden, monkey
     bank = generate_synthetic(SynthConfig(n_samples=8, seed=1))
     params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
                                         head_hidden=head_hidden, seed=1), 2)
-    cfg = ObjectiveConfig(margin=0.5)
+    cfg = TrainConfig(margin=0.5)
     sparse = desk_batch_run(bank.samples, params, mode, cfg)
     monkeypatch.setattr(ad, "stack", composed.dense_stack)
     assert sparse == desk_batch_run(bank.samples, params, mode, cfg)
@@ -204,7 +204,7 @@ def test_desk_step_runs_one_pair_vjp_per_nonzero_score_adjoint():
     params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5), 6)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train",
                              seed=5)
-    loss = batch_loss(batch, ObjectiveConfig())
+    loss = batch_loss(batch, TrainConfig())
     runs, adjoints = count_pair_vjps(loss)
     ad.gradient(loss, params.tensors())
     (g,) = adjoints
@@ -228,7 +228,7 @@ def test_batch_with_every_hinge_inactive_runs_no_pair_vjp(head_hidden):
     batch = batch_similarity(orthogonal_batch(), params.selection, params.alignment,
                              "train", seed=2)
     np.testing.assert_array_equal(batch.scores.data, 2.0 * np.eye(8))
-    loss = batch_loss(batch, ObjectiveConfig())
+    loss = batch_loss(batch, TrainConfig())
     runs, adjoints = count_pair_vjps(loss)
     grads = ad.gradient(loss, params.tensors())
     assert not adjoints[0].any()
@@ -383,17 +383,17 @@ def stats_of(values_s, values_d):
 
 
 def test_ratio_loss_zero_at_target():
-    cfg = ObjectiveConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
+    cfg = TrainConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
     assert ratio_loss(stats_of([0.25], [0.25]), cfg).item() == 0.0
 
 
 def test_ratio_loss_worked_example():
-    cfg = ObjectiveConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
+    cfg = TrainConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
     assert ratio_loss(stats_of([0.3], [0.1]), cfg).item() == pytest.approx(0.01, abs=1e-12)
 
 
 def test_ratio_loss_zero_lambdas_is_constant():
-    cfg = ObjectiveConfig(rho=0.5, lambda1=0.0, lambda2=0.0)
+    cfg = TrainConfig(rho=0.5, lambda1=0.0, lambda2=0.0)
     ps = ad.tensor(0.3, requires_grad=True)
     pd = ad.tensor(0.6, requires_grad=True)
     loss = ratio_loss(([ps], [pd]), cfg)
@@ -404,13 +404,13 @@ def test_ratio_loss_zero_lambdas_is_constant():
 
 
 def test_ratio_loss_averages_over_batch():
-    cfg = ObjectiveConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
+    cfg = TrainConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
     loss = ratio_loss(stats_of([0.3, 0.25], [0.1, 0.25]), cfg)
     assert loss.item() == pytest.approx(0.005, abs=1e-12)
 
 
 def test_ratio_gradient_step_shrinks_gap(rng):
-    cfg = ObjectiveConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
+    cfg = TrainConfig(rho=0.5, lambda1=1.0, lambda2=1.0)
     step = 1e-3
     for seed in range(10):
         local = np.random.default_rng(seed)
@@ -425,8 +425,7 @@ def test_ratio_gradient_step_shrinks_gap(rng):
         before = gap(a.data, b.data)
         if before < 1e-6:
             continue
-        loss = ratio_loss(([ad.mean_all(ad.sigmoid(a))], [ad.mean_all(ad.sigmoid(b))]),
-                          cfg)
+        loss = ratio_loss(([ad.sigmoid(a)], [ad.sigmoid(b)]), cfg)
         grads = ad.gradient(loss, [a, b])
         after = gap(a.data - step * grads[a].data, b.data - step * grads[b].data)
         assert after < before
@@ -434,9 +433,9 @@ def test_ratio_gradient_step_shrinks_gap(rng):
 
 def test_ratio_gradient_matches_closed_form(rng):
     for b in range(1, 9):
-        cfg = ObjectiveConfig(rho=float(rng.uniform(0.1, 1.0)),
-                              lambda1=float(rng.uniform(0.0, 2.0)),
-                              lambda2=float(rng.uniform(0.0, 2.0)))
+        cfg = TrainConfig(rho=float(rng.uniform(0.1, 1.0)),
+                          lambda1=float(rng.uniform(0.0, 2.0)),
+                          lambda2=float(rng.uniform(0.0, 2.0)))
         keep_s = [ad.tensor(v, requires_grad=True) for v in rng.random(b)]
         keep_d = [ad.tensor(v, requires_grad=True) for v in rng.random(b)]
         grads = ad.gradient(ratio_loss((keep_s, keep_d), cfg), keep_s + keep_d)
@@ -451,7 +450,7 @@ def test_ratio_gradient_matches_closed_form(rng):
 def test_ratio_loss_is_one_tape_node():
     keep_s = [ad.tensor(0.3, requires_grad=True), ad.tensor(0.6, requires_grad=True)]
     keep_d = [ad.tensor(0.2, requires_grad=True), ad.tensor(0.1, requires_grad=True)]
-    graph = ad.Graph(ratio_loss((keep_s, keep_d), ObjectiveConfig()))
+    graph = ad.Graph(ratio_loss((keep_s, keep_d), TrainConfig()))
     assert graph.nodes[:-1] == keep_s + keep_d
 
 
@@ -465,27 +464,27 @@ def test_batch_loss_adds_three_nodes_to_the_tape():
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train")
     upstream = {id(n) for t in (batch.scores, *batch.keep_sparse, *batch.keep_dense)
                 for n in ad.Graph(t).nodes}
-    nodes = ad.Graph(batch_loss(batch, ObjectiveConfig())).nodes
+    nodes = ad.Graph(batch_loss(batch, TrainConfig())).nodes
     assert [n.name for n in nodes if id(n) not in upstream] == [
         "triplet_loss", "ratio_loss", "add"]
 
 
 def test_total_loss_reduces_to_triplet_when_ratio_zero():
-    cfg = ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
+    cfg = TrainConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     s = ad.constant([[0.5, 0.6], [0.4, 0.7]])
     stats = stats_of([0.25, 0.25], [0.25, 0.25])
     assert batch_loss(BatchScores(s, *stats), cfg).item() == triplet_loss(s, 0.2).item()
 
 
 def test_total_loss_reduces_to_ratio_when_margin_satisfied():
-    cfg = ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
+    cfg = TrainConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     s = ad.constant([[0.9, 0.1], [0.2, 0.8]])
     stats = stats_of([0.3], [0.1])
     assert batch_loss(BatchScores(s, *stats), cfg).item() == ratio_loss(stats, cfg).item()
 
 
 def test_total_loss_is_exact_component_sum(rng):
-    cfg = ObjectiveConfig(margin=0.3, rho=0.4, lambda1=0.8, lambda2=1.2)
+    cfg = TrainConfig(margin=0.3, rho=0.4, lambda1=0.8, lambda2=1.2)
     s = ad.constant(rng.normal(size=(3, 3)))
     stats = stats_of(rng.random(3).tolist(), rng.random(3).tolist())
     assert batch_loss(BatchScores(s, *stats), cfg).item() == (
@@ -499,7 +498,7 @@ def test_total_loss_gradients_match_central_differences():
                       rng.normal(size=(3, 5)), rng.normal(size=(3, 5)))
                for i in range(2)]
     params = make_params(dim=5, n_patches=4, n_keep=2, k_top=2, seed=9)
-    cfg = ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
+    cfg = TrainConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
 
     def loss_value() -> float:
         with ad.no_grad():

@@ -4,19 +4,21 @@ import numpy as np
 import pytest
 
 import composed_selection as composed
+from composed_alignment import mean_all
 from conftest import (basis_sample, finite_difference_check, make_params, mul,
                       perturb_params, sum_all, zero_params)
 
 from seps import autodiff as ad
 from seps import selection
-from seps.autodiff import EPS_LOG
+from seps.autodiff import EPS_LOG, EPS_NORM
 from seps.bank import FeatureBank, Sample, SynthConfig, attention_scores, generate_synthetic
 from seps.errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
 from seps.evaluator import selection_quality
-from seps.objective import ObjectiveConfig, batch_loss, batch_similarity
+from seps.objective import batch_loss, batch_similarity
 from seps.selection import (DecisionMask, ScoreBundle, aggregate, branch_scores,
                             gumbel_decision, predict_scores, score_and_decide,
                             select_and_aggregate, sparse_eval_scores)
+from seps.trainer import TrainConfig
 
 
 def bundle_from(pred, s_st, s_dt, s_im):
@@ -69,6 +71,11 @@ def test_attention_scores_minmax_endpoints():
 def test_attention_scores_degenerate_range_is_half():
     out = attention_scores(np.array([[7.0]]), np.array([1.0]), 1)
     np.testing.assert_array_equal(out, [0.5])
+    # a range below EPS_NORM is degenerate; a range of exactly EPS_NORM is not
+    below = attention_scores(np.array([[0.0], [0.5 * EPS_NORM]]), np.array([1.0]), 1)
+    np.testing.assert_array_equal(below, [0.5, 0.5])
+    exact = attention_scores(np.array([[0.0], [EPS_NORM]]), np.array([1.0]), 1)
+    np.testing.assert_array_equal(exact, [0.0, 0.5])
 
 
 def test_attention_scores_hand_case():
@@ -465,7 +472,7 @@ def selection_pass_bits(sample, params, mode):
     readout = sum_all(mul(agg.vectors, ad.constant(np.cos(np.arange(agg.vectors.size))
                                                    .reshape(agg.vectors.shape))))
     for mask in masks:
-        readout = ad.add(readout, ad.mean_all(mask.gate(mode)))
+        readout = ad.add(readout, mean_all(mask.gate(mode)))
     tensors = params.tensors()
     grads = ad.gradient(readout, tensors)
     empty = (agg.empty_sparse, agg.empty_dense)
@@ -498,7 +505,7 @@ def test_batch_matches_the_composed_selection_bitwise(mode, head_hidden, monkeyp
     def run():
         batch = batch_similarity(bank.samples, params.selection, params.alignment,
                                  mode, seed=5, step=2)
-        loss = batch_loss(batch, ObjectiveConfig())
+        loss = batch_loss(batch, TrainConfig())
         grads = ad.gradient(loss, params.tensors())
         return [bits(loss.data), bits(batch.scores.data),
                 *(bits(grads[t].data) for t in params.tensors())]

@@ -242,6 +242,16 @@ def test_fit_rejects_small_bank():
         fit(bank, tiny_cfg(batch_size=4))
 
 
+def test_fit_skips_a_lone_trailing_sample(monkeypatch):
+    # 9 samples at B=8: each epoch trains its full batch and skips the
+    # lone ninth sample, which has no in-batch negative
+    steps = []
+    step = trainer.optimizer_step
+    monkeypatch.setattr(trainer, "optimizer_step", lambda *args: steps.append(step(*args)))
+    _, history = fit(tiny_bank(n=9), tiny_cfg(batch_size=8, epochs=2))
+    assert len(steps) == len(history) == 2
+
+
 def test_fit_records_validation_metric():
     bank = tiny_bank(seed=6)
     _, history = fit(bank, tiny_cfg(epochs=2), val_bank=bank)
@@ -353,7 +363,6 @@ def test_fit_ratio_objective_moves_keep_rate_toward_target():
     bank = tiny_bank(seed=11)
     cfg = tiny_cfg(lr=1e-2, epochs=1, tau=0.5)
     params = init_params(cfg)
-    obj = objective.ObjectiveConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     state = OptimizerState()
 
     def combined_eval_rate() -> float:
@@ -366,7 +375,7 @@ def test_fit_ratio_objective_moves_keep_rate_toward_target():
     for step in range(80):
         batch = objective.batch_similarity(bank.samples, params.selection,
                                            params.alignment, "train", seed=1, step=step)
-        loss = objective.ratio_loss((batch.keep_sparse, batch.keep_dense), obj)
+        loss = objective.ratio_loss((batch.keep_sparse, batch.keep_dense), cfg)
         grads = ad.gradient(loss, params.tensors())
         optimizer_step(params, grads, state, cfg)
     end_gap = abs(0.5 - combined_eval_rate())
@@ -383,12 +392,11 @@ def test_fit_loss_decreases_for_most_seeds():
             n_sparse_words=2, n_dense_words=3, concept_count=10, seed=100 + seed))
         cfg = TrainConfig(dim=8, n_patches=6, k_top=2, batch_size=6,
                           epochs=50, seed=seed, lr=1e-3)
-        obj = cfg.objective()
 
         def noise_free_loss(params) -> float:
             batch = objective.batch_similarity(
                 bank.samples, params.selection, params.alignment, "eval")
-            return objective.batch_loss(batch, obj).item()
+            return objective.batch_loss(batch, cfg).item()
 
         before = noise_free_loss(init_params(cfg))
         trained, _ = fit(bank, cfg)
