@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
 
-from . import alignment, autodiff as ad, evaluator, selection, trainer
+from . import autodiff as ad, evaluator, objective, selection, trainer
 from .bank import FeatureBank, SynthConfig, generate_synthetic, read_bank, write_bank
 from .errors import ConfigError, NumericalError, SepsError, check_fields
 
@@ -175,9 +175,8 @@ def cmd_score(cfg: RunConfig, image_id: str, caption_id: str) -> int:
     image = bank.by_id(image_id)
     caption = bank.by_id(caption_id)
     with ad.no_grad():
-        agg, _, _ = selection.select_and_aggregate(image, params.selection, "eval")
-        score = alignment.align_score(agg.vectors, caption.sparse_tokens,
-                                      params.alignment)
+        _, (score,) = next(objective.score_grid([image], [caption], params.selection,
+                                                params.alignment))
     mean_p2w, head_p2w, mean_w2p, head_w2p = score.components()
     print(f"S({image_id},{caption_id}) = {score.total.item():.6f}")
     print(f"mean_p2w = {mean_p2w:.6f}")

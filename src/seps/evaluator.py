@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import alignment, selection
+from . import objective, selection
 from .bank import FeatureBank
 from .errors import BankInvariantError, ConfigError
 
@@ -115,18 +115,15 @@ def check_retrieval_bank(bank: FeatureBank, params) -> None:
 
 
 def pairwise_scores(bank: FeatureBank, params) -> np.ndarray:
-    """S[i, j] = alignment score of image i against caption j, eval mode;
-    each caption and each image's fused vectors are prepared once."""
+    """S[i, j] = eval-mode `objective.score_grid` score of image i against
+    caption j, each row filled in place."""
     check_dims(bank, params)
     scores = np.zeros((len(bank.samples), len(bank.samples)))
-    captions = [alignment.Rows(caption.sparse_tokens) for caption in bank.samples]
     with ad.no_grad():
-        for i, image in enumerate(bank.samples):
-            agg, _, _ = selection.select_and_aggregate(image, params.selection, "eval")
-            side = alignment.Rows(agg.vectors)
-            for j, caption in enumerate(captions):
-                scores[i, j] = alignment.align_score(side, caption,
-                                                     params.alignment).total.item()
+        grid = objective.score_grid(bank.samples, bank.samples, params.selection,
+                                    params.alignment)
+        for i, (_, row) in enumerate(grid):
+            scores[i] = [score.total.item() for score in row]
     return scores
 
 

@@ -1,4 +1,4 @@
-"""Batch similarity assembly and the training objective.
+"""The image x caption score grid, batch similarity and the training objective.
 
 The alignment term is a bidirectional triplet loss with in-batch hardest
 negatives; the ratio term penalizes squared deviation of the weighted keep
@@ -12,7 +12,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -48,40 +48,36 @@ class BatchScores:
                 float(np.mean(keep_means(self.keep_dense))))
 
 
-def batch_similarity(
-    samples: Sequence[Sample],
-    sel_params: SelectionParams,
-    align_params: AlignmentParams,
-    mode: str = "train",
-    seed: int = 0,
-    step: int = 0,
-) -> BatchScores:
-    """One selection pass per image, then alignment against every caption.
+def score_grid(images: Sequence[Sample], captions: Sequence[Sample],
+               sel_params: SelectionParams, align_params: AlignmentParams,
+               mode: str = "eval", seed: int = 0, step: int = 0) -> Iterator[tuple]:
+    """Every image against every caption, one image's row at a time: the
+    image's (sparse, dense) masks and its `AlignmentScore` against each
+    caption, in caption order.  One selection pass per image, its decision
+    noise keyed by (seed, sample id, step) in train mode; each caption and
+    each image's fused vectors are prepared once for all their pairs."""
+    prepared = [Rows(caption.sparse_tokens) for caption in captions]
+    for image in images:
+        rng = selection.decision_rng(seed, image.sample_id, step) if mode == "train" else None
+        agg, _, masks = selection.select_and_aggregate(image, sel_params, mode, rng)
+        side = Rows(agg.vectors)
+        yield masks, [score_from_similarity(similarity_matrix(side, caption), align_params)
+                      for caption in prepared]
 
-    Decision noise is keyed by (seed, sample id, step) so distinct samples
-    and steps draw independent, reproducible streams.  Each caption and
-    each image's fused vectors are prepared once for all their pairs.
-    """
+
+def batch_similarity(samples: Sequence[Sample], sel_params: SelectionParams,
+                     align_params: AlignmentParams, mode: str = "train", seed: int = 0,
+                     step: int = 0) -> BatchScores:
+    """The batch's own `score_grid`, image i's positive caption being
+    caption i, stacked, with each mask's gate for the ratio loss."""
     if not samples:
         raise ShapeError("empty batch")
-    captions = [Rows(sample.sparse_tokens) for sample in samples]
-    cells: list[Tensor] = []
-    keep_s: list[Tensor] = []
-    keep_d: list[Tensor] = []
-    for sample in samples:
-        rng = selection.decision_rng(seed, sample.sample_id, step) if mode == "train" else None
-        agg, _, (mask_s, mask_d) = selection.select_and_aggregate(sample, sel_params, mode, rng)
-        keep_s.append(mask_s.gate(mode))
-        keep_d.append(mask_d.gate(mode))
-        image = Rows(agg.vectors)
-        for caption in captions:
-            sim = similarity_matrix(image, caption)
-            cells.append(score_from_similarity(sim, align_params).total)
+    grid = list(score_grid(samples, samples, sel_params, align_params, mode, seed, step))
     b = len(samples)
     return BatchScores(
-        scores=ad.stack(cells, (b, b)),
-        keep_sparse=keep_s,
-        keep_dense=keep_d,
+        scores=ad.stack([score.total for _, row in grid for score in row], (b, b)),
+        keep_sparse=[mask_s.gate(mode) for (mask_s, _), _ in grid],
+        keep_dense=[mask_d.gate(mode) for (_, mask_d), _ in grid],
     )
 
 

@@ -306,8 +306,8 @@ def save_checkpoint(path, params: ModelParams) -> None:
 
 def load_checkpoint(path) -> ModelParams:
     """Raises BankFormatError for a damaged file, and for one that lacks an
-    entry, holds an extra or repeated one, or has a tensor shaped against
-    its hyperparameters."""
+    entry, holds an extra or repeated one, has a tensor shaped against its
+    hyperparameters or a hyperparameter outside its range."""
     reader = Reader(path, "checkpoint")
     if reader.take(4) != CKPT_MAGIC:
         raise BankFormatError("not a checkpoint")
@@ -330,4 +330,7 @@ def load_checkpoint(path) -> ModelParams:
     if tensors.keys() != expected.keys() or any(
             tensors[name].shape != shape for name, shape in expected.items()):
         raise reader.corrupt()
-    return _assemble({name: tensors[name] for name, _, _ in layout}, hyper)
+    try:
+        return _assemble({name: tensors[name] for name, _, _ in layout}, hyper)
+    except ConfigError:  # a stored knob outside its range, such as beta 0.7
+        raise reader.corrupt() from None

@@ -9,7 +9,7 @@ import pytest
 import composed_alignment as composed
 from conftest import finite_difference_check, make_params, perturb_params
 
-from seps import alignment, evaluator, selection
+from seps import evaluator, objective, selection
 from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, align_score,
                             score_from_similarity, similarity_matrix)
@@ -354,7 +354,9 @@ def test_pairwise_scores_match_the_composed_path_bitwise(monkeypatch):
     bank = generate_synthetic(SynthConfig(n_samples=6, dim=8, n_patches=6, seed=3))
     params = perturb_params(make_params(dim=8, n_keep=8, k_top=8, head_hidden=3), 5)
     fused = evaluator.pairwise_scores(bank, params)
-    monkeypatch.setattr(alignment, "align_score", composed.align_score)
+    # the grid looks both nodes up in objective; the oracle unwraps prepared sides
+    monkeypatch.setattr(objective, "similarity_matrix", composed.similarity_matrix)
+    monkeypatch.setattr(objective, "score_from_similarity", composed.score_from_similarity)
     assert bits(fused) == bits(evaluator.pairwise_scores(bank, params))
 
 
@@ -415,3 +417,84 @@ def test_a_faulty_caption_raises_through_the_batch_and_the_gallery(faults, expec
     for run in score_paths(samples, params):
         with np.errstate(over="ignore"), pytest.raises(error, match=message):
             run()
+
+
+# ---------------------------------------------------------------------------
+# end-to-end relations through both consumers of the grid: the gallery
+# (`pairwise_scores`) and the batch (`batch_similarity`)
+
+
+# six seeded 16-sample desk banks, linear and hidden-layer heads
+RELATION_BANKS = [(seed, head_hidden) for seed in range(3) for head_hidden in (0, 3)]
+
+
+def relation_bank(seed: int, head_hidden: int):
+    bank = generate_synthetic(SynthConfig(seed=10 + seed, **dict(DESK_GALLERY, n_samples=16)))
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
+                                        head_hidden=head_hidden, seed=seed), 20 + seed)
+    return bank.samples, params
+
+
+def gallery(samples, params) -> np.ndarray:
+    return evaluator.pairwise_scores(FeatureBank(dim=32, samples=list(samples)), params)
+
+
+def batch(samples, params, mode: str) -> np.ndarray:
+    return batch_similarity(samples, params.selection, params.alignment, mode,
+                            seed=1, step=3).scores.data
+
+
+@pytest.mark.parametrize("seed, head_hidden", RELATION_BANKS)
+def test_reordering_the_samples_permutes_the_gallery_and_the_batch_bitwise(seed, head_hidden):
+    samples, params = relation_bank(seed, head_hidden)
+    rng = np.random.default_rng(seed)
+    scores = gallery(samples, params)
+    order = rng.permutation(16)
+    assert bits(gallery([samples[i] for i in order], params)) == bits(scores[order][:, order])
+    # train-mode noise is keyed by sample id, so it follows each sample
+    order = rng.permutation(8)
+    for mode in ("eval", "train"):
+        base = batch(samples[:8], params, mode)
+        assert bits(batch([samples[i] for i in order], params, mode)) == bits(
+            base[order][:, order])
+    assert bits(batch(samples[:8], params, "eval")) == bits(scores[:8, :8])
+
+
+def permuted(rows: np.ndarray, rng) -> np.ndarray:
+    return rows[rng.permutation(len(rows))]
+
+
+def permuted_patches(sample, rng) -> dict:
+    order = rng.permutation(sample.n_patches)
+    return dict(patches=sample.patches[order], relevance_mask=sample.relevance_mask[order])
+
+
+# edit of one sample -> the largest change it may make to any cell
+INVARIANCES = {
+    "dense_words_permuted": (
+        0.0, lambda s, rng: dict(dense_tokens=permuted(s.dense_tokens, rng))),
+    "tokens_scaled": (
+        0.0, lambda s, rng: dict(sparse_tokens=2.0 * s.sparse_tokens,
+                                 dense_tokens=4.0 * s.dense_tokens)),
+    # bitwise on these banks, but 4.4e-16 has been seen elsewhere
+    "caption_words_permuted": (
+        1e-12, lambda s, rng: dict(sparse_tokens=permuted(s.sparse_tokens, rng))),
+    "patches_permuted": (1e-12, permuted_patches),
+}
+
+
+@pytest.mark.parametrize("edit", list(INVARIANCES))
+@pytest.mark.parametrize("seed, head_hidden", RELATION_BANKS)
+def test_an_invariant_edit_leaves_the_gallery_and_the_eval_batch_unchanged(seed, head_hidden,
+                                                                           edit):
+    samples, params = relation_bank(seed, head_hidden)
+    tol, change = INVARIANCES[edit]
+    rng = np.random.default_rng(seed)
+    edited = [dataclasses.replace(s, **change(s, rng)) for s in samples]
+    pairs = [(gallery(samples, params), gallery(edited, params)),
+             (batch(samples[:8], params, "eval"), batch(edited[:8], params, "eval"))]
+    for before, after in pairs:
+        if tol == 0.0:
+            assert bits(after) == bits(before)
+        else:
+            assert np.abs(after - before).max() <= tol

@@ -2,7 +2,9 @@
 src/seps names a standard-library module or numpy.  Every module but
 `__init__.py`, which re-exports, reads each name it imports, and each of
 its top-level functions and classes is read somewhere in src/seps or in
-the perfbench harness (perfbench/*.py, not its tests)."""
+the perfbench harness (perfbench/*.py, not its tests).  Only `alignment`
+and `objective.score_grid` touch the per-pair path, so there is one
+image x caption loop."""
 
 import ast
 import sys
@@ -88,3 +90,33 @@ def test_every_top_level_definition_is_read_in_the_package_or_the_harness():
     unread = {path.name: unread_definitions(path.read_text(encoding="utf-8"), readers)
               for path in MODULES}
     assert {name: defs for name, defs in unread.items() if defs} == {}
+
+
+# the per-pair path, which only alignment (its home) and objective (the
+# grid) may read
+PAIR_PATH = {"Rows", "similarity_matrix", "score_from_similarity", "align_score"}
+PAIR_OWNERS = {PACKAGE / "alignment.py", PACKAGE / "objective.py"}
+
+
+def pair_path_reads(source: str) -> list[str]:
+    """The PAIR_PATH names that `source` imports or reads, as a plain name
+    (`ast.Name` in `Load` context) or as an attribute, sorted."""
+    read = {node.name if isinstance(node, ast.alias)
+            else node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.alias, ast.Attribute))
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(read & PAIR_PATH)
+
+
+def test_the_pair_path_guard_counts_imports_loads_and_attributes():
+    source = ("from .alignment import Rows as R\nfrom . import alignment\n"
+              "x = alignment.align_score(1)\nsimilarity_matrix = 'score_from_similarity'\n"
+              "def f(): return score_from_similarity\n")
+    assert pair_path_reads(source) == ["Rows", "align_score", "score_from_similarity"]
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - PAIR_OWNERS),
+                         ids=lambda p: p.name)
+def test_only_alignment_and_the_grid_read_the_pair_path(path):
+    assert pair_path_reads(path.read_text(encoding="utf-8")) == []

@@ -7,7 +7,7 @@ import composed_alignment as composed
 from conftest import make_params, perturb_params
 
 from seps import autodiff as ad
-from seps import alignment, objective, selection
+from seps import alignment, evaluator, objective, selection
 from seps.alignment import align_score
 from seps.bank import Sample, SynthConfig, generate_synthetic
 from seps.errors import ConfigError
@@ -107,7 +107,19 @@ def test_desk_train_step_builds_248_tape_nodes():
     assert len(nodes) == 248
 
 
-def test_desk_train_step_prepares_each_side_once_and_scores_every_pair(monkeypatch):
+# each consumer of objective.score_grid on a desk bank of n samples, with
+# the (images, captions, pairs) it prepares and scores
+GRID_CONSUMERS = {
+    "train_step": (8, (8, 8, 64), lambda bank, params: batch_similarity(
+        bank.samples, params.selection, params.alignment, "train", seed=5)),
+    "pairwise": (16, (16, 16, 256), evaluator.pairwise_scores),
+    "one_pair": (2, (1, 1, 1), lambda bank, params: list(objective.score_grid(
+        bank.samples[:1], bank.samples[1:], params.selection, params.alignment))),
+}
+
+
+@pytest.mark.parametrize("consumer", list(GRID_CONSUMERS))
+def test_grid_consumers_prepare_each_side_once_and_score_every_pair(consumer, monkeypatch):
     class CountedRows(alignment.Rows):
         images = captions = 0
 
@@ -129,12 +141,11 @@ def test_desk_train_step_prepares_each_side_once_and_scores_every_pair(monkeypat
         return score(sim, params)
 
     monkeypatch.setattr(objective, "score_from_similarity", counted_score)
-    bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
-    params = make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5)
-    batch_similarity(bank.samples, params.selection, params.alignment, "train", seed=5)
-    assert (CountedRows.images, CountedRows.captions) == (8, 8)
-    # perfbench counts one alignment pair per call
-    assert len(pairs) == 64
+    n, expected, run = GRID_CONSUMERS[consumer]
+    bank = generate_synthetic(SynthConfig(n_samples=n, seed=5))
+    run(bank, make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5))
+    # perfbench counts one alignment pair per score_from_similarity call
+    assert (CountedRows.images, CountedRows.captions, len(pairs)) == expected
 
 
 def desk_batch_run(samples, params, mode, cfg=TrainConfig()):

@@ -455,9 +455,9 @@ def test_checkpoint_version_gate(tmp_path):
         load_checkpoint(path)
 
 
-# a checkpoint whose hyperparameters contradict its tensors: each case
-# byte-edits one hyper value of a re-saved, otherwise valid checkpoint
-# (dim 6, n_keep 2, k_top 3, head_hidden 0 or 4)
+# a checkpoint whose hyperparameters contradict its tensors or their own
+# ranges: each case byte-edits one hyper value of a re-saved, otherwise
+# valid checkpoint (dim 6, n_keep 2, k_top 3, head_hidden 0 or 4)
 CONTRADICTIONS = {
     "dim_vs_pred_w1_rows": (0, "dim", 7.0),
     "n_keep_vs_agg_columns": (0, "n_keep", 3.0),
@@ -469,6 +469,9 @@ CONTRADICTIONS = {
     "dim_fractional": (0, "dim", 6.5),
     "k_top_fractional_vs_linear_head_width": (0, "k_top", 3.5),
     "n_keep_negative": (0, "n_keep", -2.0),
+    "beta_above_half": (0, "beta", 0.7),
+    "tau_zero": (0, "tau", 0.0),
+    "rho_above_one": (0, "rho", 1.5),
 }
 
 
