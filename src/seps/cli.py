@@ -13,6 +13,7 @@ non-finite value names its key), 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from typing import get_type_hints
@@ -148,7 +149,13 @@ def cmd_train(cfg: RunConfig) -> int:
     bank = _load_bank(cfg.bank)
     val_bank = _load_bank(cfg.val_bank) if cfg.val_bank else None
     tcfg = replace(cfg.train, dim=bank.dim, n_patches=bank.samples[0].n_patches)
-    _, history = trainer.fit(bank, tcfg, val_bank=val_bank, checkpoint_path=cfg.out)
+    for what, path in (("checkpoint", cfg.out), ("history", cfg.history)):
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {what} {path}: no such directory")
+    try:
+        _, history = trainer.fit(bank, tcfg, val_bank=val_bank, checkpoint_path=cfg.out)
+    except OSError as exc:  # fit writes the checkpoint and nothing else
+        raise ConfigError(f"cannot write checkpoint {cfg.out}: {exc.strerror or exc}") from exc
     lines = [_history_line(h) for h in history]
     for line in lines:
         print(line)

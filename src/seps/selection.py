@@ -15,9 +15,9 @@ run against.
 
 Each stage is one tape node with a plain-numpy forward and a hand-written
 vjp: the prediction head, each branch's clipped score, each decision
-logit, each branch's aggregation weights and the fused vectors.  A tensor
-read by two nodes sums their adjoints, and a two-term sum does not depend
-on order, so gradients are reproducible bit for bit.  Subgradient
+logit, and the aggregation (both branches' weights and the fused vectors).
+A tensor read by two nodes sums their adjoints, and a two-term sum does
+not depend on order, so gradients are reproducible bit for bit.  Subgradient
 conventions: the clip passes gradient on the closed interval [0, CLIP_HI];
 the train-mode gate forwards the hard decision and backpropagates as
 identity into the keep probability (straight-through); rows outside a
@@ -136,11 +136,11 @@ class DecisionMask:
 
 @dataclass
 class AggregatedPatches:
-    """Fused patch vectors plus the aggregation weights that built them."""
+    """Fused patch vectors (one `aggregate` node) and the weights that built them."""
 
-    vectors: Tensor                    # n_keep x d
-    weights_sparse: Tensor | None      # None when the branch kept nothing
-    weights_dense: Tensor | None
+    vectors: Tensor                        # n_keep x d
+    weights_sparse: np.ndarray | None      # None when the branch kept nothing
+    weights_dense: np.ndarray | None
     empty_sparse: bool
     empty_dense: bool
 
@@ -247,77 +247,60 @@ def column_softmax(x: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 
 def _branch_weights(v: np.ndarray, weight: Tensor, bias: Tensor, mask: DecisionMask,
-                    mode: str) -> Tensor | None:
-    """Column-softmax aggregation weights for one branch as one node, or
-    None if the branch kept nothing.  Soft mode adds the log keep
-    probability to every row's logits and normalises over all rows."""
+                    mode: str) -> np.ndarray | None:
+    """Column-softmax aggregation weights of one branch, or None if the
+    branch kept nothing.  Soft mode adds the log keep probability to every
+    row's logits and normalises over all rows."""
     logits = ad.finite("the aggregation logits", v @ weight.data + bias.data[None, :])
     if mode == "soft":
-        logit = mask.logit.data
         x = ad.finite("the aggregation logits",
-                      logits + (-np.logaddexp(0.0, -logit))[:, None])
-        out = column_softmax(x, np.ones(len(x), dtype=bool))
-
-        def soft_vjp(g):
-            g_x = out * (g - np.sum(g * out, axis=0, keepdims=True))
-            return v.T @ g_x, np.sum(g_x, axis=0), np.sum(g_x, axis=1) * ad.sigmoid_np(-logit)
-
-        return ad.node(out, (weight, bias, mask.logit), soft_vjp, "soft_branch_weights")
-    support = mask.kept
-    if not support.any():
-        return None
-    out = column_softmax(logits, support)
-
-    def vjp(g):
-        g_logits = out * (g - np.sum(g * out, axis=0, keepdims=True))
-        return v.T @ g_logits, np.sum(g_logits, axis=0)
-
-    return ad.node(out, (weight, bias), vjp, "branch_weights")
-
-
-def _fuse(v: np.ndarray, branches: list[tuple[Tensor, Tensor]], n_keep: int) -> Tensor:
-    """Sum over branches of (weights * gate[:, None]).T @ v, as one node
-    whose parents are each non-empty branch's weights and gate; an empty
-    branch (weights None) adds the zero matrix."""
-    live = [(w, gate) for w, gate in branches if w is not None]
-    parts = [np.zeros((n_keep, v.shape[1])) if w is None
-             else (w.data * gate.data[:, None]).T.copy() @ v for w, gate in branches]
-
-    def vjp(g):
-        g_gated = (g @ v.T).T
-        return tuple(grad for w, gate in live
-                     for grad in (g_gated * gate.data[:, None],
-                                  np.sum(g_gated * w.data, axis=1)))
-
-    return ad.node(parts[0] + parts[1], tuple(t for pair in live for t in pair), vjp,
-                   "aggregate")
+                      logits + (-np.logaddexp(0.0, -mask.logit.data))[:, None])
+        return column_softmax(x, np.ones(len(x), dtype=bool))
+    return column_softmax(logits, mask.kept) if mask.hard.any() else None
 
 
 def aggregate(patches: np.ndarray, mask_s: DecisionMask, mask_d: DecisionMask,
               params: SelectionParams, mode: str = "train") -> AggregatedPatches:
-    """Fuse surviving patches of both branches into n_keep vectors.
+    """Fuse surviving patches of both branches into n_keep vectors as one
+    `aggregate` node: the sum over branches of (weights * gate[:, None]).T @ v.
 
     Weight columns are softmax-normalized over each branch's survivors, so
     every used column sums to one; a branch that kept nothing contributes
-    the zero vector and is flagged.  Raises when both branches are empty.
+    the zero matrix and is flagged.  Raises when both branches are empty.
+    Parents, per non-empty branch and sparse first: weight, bias, the
+    decision logit in soft mode, and the gate.
     """
     v = _patch_matrix(patches, params)
-    n = v.shape[0]
-    if mask_s.hard.shape != (n,) or mask_d.hard.shape != (n,):
+    if mask_s.hard.shape != (len(v),) or mask_d.hard.shape != (len(v),):
         raise ShapeError("mask length does not match patch count")
-    w_s = _branch_weights(v, params.agg_sparse_w, params.agg_sparse_b, mask_s, mode)
-    w_d = _branch_weights(v, params.agg_dense_w, params.agg_dense_b, mask_d, mode)
+    layers = ((params.agg_sparse_w, params.agg_sparse_b, mask_s),
+              (params.agg_dense_w, params.agg_dense_b, mask_d))
+    w_s, w_d = (_branch_weights(v, weight, bias, mask, mode) for weight, bias, mask in layers)
     if w_s is None and w_d is None:
         raise NoPatchesSelectedError("no patches selected")
-    vectors = _fuse(v, [(w, None if w is None else mask.gate(mode))
-                        for w, mask in ((w_s, mask_s), (w_d, mask_d))], params.n_keep)
-    return AggregatedPatches(
-        vectors=vectors,
-        weights_sparse=w_s,
-        weights_dense=w_d,
-        empty_sparse=w_s is None,
-        empty_dense=w_d is None,
-    )
+    soft = mode == "soft"
+    parts, live, parents = [], [], []
+    for w, (weight, bias, mask) in zip((w_s, w_d), layers):
+        if w is None:  # the zero matrix keeps the sum's ±0.0 signs
+            parts.append(np.zeros((params.n_keep, v.shape[1])))
+            continue
+        gate = mask.gate(mode)
+        parts.append((w * gate.data[:, None]).T.copy() @ v)
+        live.append((w, gate.data, mask.logit.data))
+        parents += [weight, bias, *([mask.logit] if soft else []), gate]
+
+    def vjp(g):
+        g_gated = (g @ v.T).T
+        grads = []
+        for w, gate, logit in live:
+            g_w = g_gated * gate[:, None]
+            g_x = w * (g_w - np.sum(g_w * w, axis=0, keepdims=True))
+            g_logit = [np.sum(g_x, axis=1) * ad.sigmoid_np(-logit)] if soft else []
+            grads += [v.T @ g_x, np.sum(g_x, axis=0), *g_logit, np.sum(g_gated * w, axis=1)]
+        return grads
+
+    vectors = ad.node(parts[0] + parts[1], tuple(parents), vjp, "aggregate")
+    return AggregatedPatches(vectors, w_s, w_d, empty_sparse=w_s is None, empty_dense=w_d is None)
 
 
 def decision_rng(seed: int, sample_id: str, step: int = 0) -> np.random.Generator:

@@ -202,5 +202,6 @@ def aggregate(patches: np.ndarray, mask_s: DecisionMask, mask_d: DecisionMask,
 
     return AggregatedPatches(
         vectors=ad.add(contribution(w_s, mask_s), contribution(w_d, mask_d)),
-        weights_sparse=w_s, weights_dense=w_d,
+        weights_sparse=None if w_s is None else w_s.data,
+        weights_dense=None if w_d is None else w_d.data,
         empty_sparse=w_s is None, empty_dense=w_d is None)

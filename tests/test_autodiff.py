@@ -384,7 +384,7 @@ def _pair_score_cases():
 def _selection_cases():
     """The selection pass's nodes on 5 patches of dim 3 with 2 columns, one
     entry per probed input: a head weight, the predicted score, the branch
-    score, a decision logit or a soft-mode gate."""
+    score, a decision logit, or one parent of the aggregate node."""
     sel = make_params(dim=3, n_keep=2, seed=4).selection
     rng = np.random.default_rng(9)
     patches = rng.normal(size=(5, 3))
@@ -397,14 +397,18 @@ def _selection_cases():
     def mask(hard, soft=fixed_soft, logit=fixed_logit):
         return DecisionMask(hard=hard, soft=soft, logit=logit, score=soft)
 
-    def vectors(mode, mask_s=None, **weights):
+    def vectors(mode, masks=None, **weights):
         params = dataclasses.replace(sel, **weights)
-        mask_s = mask(hard_s) if mask_s is None else mask_s
-        return sum_all(mul(aggregate(patches, mask_s, mask(hard_d), params, mode).vectors,
-                           columns))
+        mask_s, mask_d = masks or (mask(hard_s), mask(hard_d))
+        return sum_all(mul(aggregate(patches, mask_s, mask_d, params, mode).vectors, columns))
 
     def agg_weight(t, mode, field):
         return vectors(mode, **{field: t})
+
+    def agg_mask(t, branch, field):
+        masks = [mask(hard_s), mask(hard_d)]
+        masks[branch] = mask((hard_s, hard_d)[branch], **{field: t})
+        return vectors("soft", masks)
 
     def predicted(t, name):
         return sum_all(mul(predict_scores(patches, dataclasses.replace(sel, **{name: t})),
@@ -423,14 +427,23 @@ def _selection_cases():
     cases = {f"predict.{name}": (functools.partial(predicted, name=f"pred_{name}"),
                                  getattr(sel, f"pred_{name}").shape)
              for name in ("w1", "b1", "w2", "b2")}
-    for mode, tag in (("eval", "branch_weights"), ("soft", "soft_branch_weights")):
-        for name in ("w", "b"):
-            field = f"agg_sparse_{name}"
-            cases[f"{tag}.{name}"] = (functools.partial(agg_weight, mode=mode, field=field),
-                                      getattr(sel, field).shape)
-    cases["soft_branch_weights.logit"] = (lambda t: vectors("soft", mask(hard_s, logit=t)),
-                                          (5,))
-    cases["aggregate.gate"] = (lambda t: vectors("soft", mask(hard_s, soft=t)), unit(0.1, 0.9))
+    # every parent of the aggregate node, keyed aggregate.<mode>.<parent>
+    for mode in ("eval", "soft"):
+        for branch in ("sparse", "dense"):
+            for name in ("w", "b"):
+                field = f"agg_{branch}_{name}"
+                cases[f"aggregate.{mode}.{branch}_{name}"] = (
+                    functools.partial(agg_weight, mode=mode, field=field),
+                    getattr(sel, field).shape)
+    for index, branch in enumerate(("sparse", "dense")):
+        cases[f"aggregate.soft.{branch}_logit"] = (
+            functools.partial(agg_mask, branch=index, field="logit"), (5,))
+        cases[f"aggregate.soft.{branch}_gate"] = (
+            functools.partial(agg_mask, branch=index, field="soft"), unit(0.1, 0.9))
+    # the sparse branch keeps nothing, so the dense parents come first
+    cases["aggregate.eval_sparse_empty.dense_w"] = (
+        lambda t: vectors("eval", (mask(np.zeros(5)), mask(hard_d)), agg_dense_w=t),
+        sel.agg_dense_w.shape)
     cases["branch_score"] = (branches, unit(0.1, 0.5))
     cases["decision_logit"] = (lambda t: sum_all(mul(gumbel_decision(
         t, 0.7, True, np.random.default_rng(3)).logit, readout)), unit(0.05, 0.95))

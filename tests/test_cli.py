@@ -301,6 +301,30 @@ def test_train_unusable_val_bank_exits_two_with_output_untouched(
     assert out.read_bytes() == b"previous checkpoint"
 
 
+# (--out, --history, the error after "cannot write"); no directory "no" exists,
+# and "adir" is a directory, which the checkpoint's final rename cannot replace
+UNWRITABLE = {
+    "out_dir_missing": ("no/m.ckpt", None, "checkpoint {out}: no such directory"),
+    "history_dir_missing": ("m.ckpt", "no/h.txt", "history {history}: no such directory"),
+    "out_is_a_directory": ("adir", None, "checkpoint {out}: Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNWRITABLE))
+def test_train_unwritable_output_exits_two_with_one_line_and_no_checkpoint(
+        case, tmp_path, small_bank_file, capsys):
+    out, history, error = UNWRITABLE[case]
+    out, history = tmp_path / out, history and tmp_path / history
+    (tmp_path / "adir").mkdir()
+    capsys.readouterr()
+    args = train_args(small_bank_file, out, **({"history": history} if history else {}))
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no history line
+    assert captured.err == f"error: cannot write {error.format(out=out, history=history)}\n"
+    assert sorted(p.name for p in tmp_path.rglob("*") if p.is_file()) == ["train.sepb"]
+
+
 def test_train_missing_bank_exits_two(tmp_path):
     assert cli.main(["train", "--bank", str(tmp_path / "none.sepb"),
                      "--out", str(tmp_path / "x.ckpt")]) == 2

@@ -92,19 +92,19 @@ def test_train_batch_tapes_one_gate_per_mask_and_two_nodes_per_pair():
     assert names.count("similarity") == names.count("pair_score") == b * b
 
 
-def test_desk_train_step_builds_248_tape_nodes():
+def test_desk_train_step_builds_232_tape_nodes():
     # 12 weights, then per sample: predict, its scale, two branch scores, two
-    # decision logits, two sigmoids, two gates, two weights nodes and the
-    # fused vectors (13 x 8); two per pair (2 x 64); the stacked scores and
-    # three loss nodes
+    # decision logits, two sigmoids, two gates and one aggregate node (11 x 8);
+    # two per pair (2 x 64); the stacked scores and three loss nodes
     bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
     params = make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train",
                              seed=5)
     nodes = ad.Graph(batch_loss(batch, TrainConfig())).nodes
     names = [n.name for n in nodes]
-    assert names.count("branch_weights") == 16  # no branch is empty
-    assert len(nodes) == 248
+    assert names.count("aggregate") == 8
+    assert "branch_weights" not in names and "soft_branch_weights" not in names
+    assert len(nodes) == 232
 
 
 # each consumer of objective.score_grid on a desk bank of n samples, with

@@ -1,5 +1,7 @@
 """Patch selection: scoring, decisions, aggregation, full forward."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -213,8 +215,8 @@ def test_aggregate_matches_bruteforce_masked_softmax(rng):
     expected = (brute(params.agg_sparse_w.data, params.agg_sparse_b.data, keep_s)
                 + brute(params.agg_dense_w.data, params.agg_dense_b.data, keep_d))
     np.testing.assert_allclose(agg.vectors.data, expected, atol=1e-12)
-    np.testing.assert_allclose(agg.weights_sparse.data.sum(axis=0), np.ones(3), atol=1e-12)
-    assert np.all(agg.weights_sparse.data[keep_s == 0] == 0.0)
+    np.testing.assert_allclose(agg.weights_sparse.sum(axis=0), np.ones(3), atol=1e-12)
+    assert np.all(agg.weights_sparse[keep_s == 0] == 0.0)
 
 
 def test_aggregate_both_branches_empty_raises():
@@ -477,7 +479,7 @@ def selection_pass_bits(sample, params, mode):
     grads = ad.gradient(readout, tensors)
     empty = (agg.empty_sparse, agg.empty_dense)
     values = [agg.vectors.data, bundle.predicted.data, readout.data,
-              *(w.data for w in (agg.weights_sparse, agg.weights_dense) if w is not None),
+              *(w for w in (agg.weights_sparse, agg.weights_dense) if w is not None),
               *(a for m in masks for a in (m.hard, m.soft.data, m.logit.data, m.score.data)),
               *(grads[t].data for t in tensors)]
     return empty, [bits(v) for v in values]
@@ -492,6 +494,26 @@ def test_selection_pass_matches_the_composed_path_bitwise(mode, case, monkeypatc
         assert empty == (True, False)
     use_composed(monkeypatch)
     assert selection_pass_bits(sample, params, mode) == (empty, fused)
+
+
+# the tape nodes under one pass's vectors: the scoring stages, the gates
+# (constants in eval mode, the soft keep probability in soft mode) and one
+# aggregate node for both branches' weights and the fused vectors: 11 nodes
+# in train mode, 1 in eval mode and 9 in soft mode
+STAGES = {"predict": 1, "scale": 1, "branch_score": 2, "decision_logit": 2, "sigmoid": 2}
+PASS_NODES = {"train": {**STAGES, "straight_through": 2, "aggregate": 1},
+              "eval": {"aggregate": 1},
+              "soft": {**STAGES, "aggregate": 1}}
+
+
+@pytest.mark.parametrize("mode", selection.MODES)
+def test_selection_pass_tapes_its_stages_by_name(mode):
+    sample, params = selection_case("desk")
+    rng = np.random.default_rng(0) if mode == "train" else None
+    agg, _, _ = select_and_aggregate(sample, params, mode, rng)
+    assert not (agg.empty_sparse or agg.empty_dense)
+    names = [n.name for n in ad.Graph(agg.vectors).nodes if n.parents]
+    assert Counter(names) == PASS_NODES[mode]
 
 
 @pytest.mark.parametrize("head_hidden", [0, 4])
