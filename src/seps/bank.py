@@ -14,6 +14,7 @@ write->read roundtrips are bit-exact.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import os
 import struct
@@ -34,16 +35,32 @@ def is_binary(mask: np.ndarray) -> bool:
     return bool(((mask == 0) | (mask == 1)).all())
 
 
-@dataclass
+FEATURES = ("patches", "sparse_tokens", "dense_tokens")
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True)
 class Sample:
-    """One image with its co-indexed captions, as precomputed features; its
-    arrays must not change once `views`, which is derived from them, is read."""
+    """One image with its co-indexed captions, as precomputed features.
+    Frozen, with every array read-only, so `views` cannot go stale: a
+    caller's writeable array is copied, a read-only one kept (the caller
+    must not write to its memory through another view)."""
 
     sample_id: str
     patches: np.ndarray        # N x d
     sparse_tokens: np.ndarray  # M x d
     dense_tokens: np.ndarray   # M_d x d
     relevance_mask: np.ndarray | None = None  # length N, values in {0,1}
+
+    def __post_init__(self) -> None:
+        for name in (*FEATURES, "relevance_mask"):
+            if getattr(self, name) is not None:
+                arr = np.asarray(getattr(self, name))
+                object.__setattr__(self, name, _frozen(arr.copy()) if arr.flags.writeable else arr)
 
     @property
     def n_patches(self) -> int:
@@ -53,21 +70,20 @@ class Sample:
     def views(self) -> tuple[np.ndarray, ...]:
         """Sparse-text, dense-text and image-self attention of every patch,
         per slice when the arrays carry a leading stack axis; derived on
-        first read."""
+        first read, or kept from `stacked_views`."""
         dim = self.patches.shape[-1]
-        return tuple(attention_scores(self.patches, global_embedding(tokens), dim)
+        return tuple(_frozen(attention_scores(self.patches, global_embedding(tokens), dim))
                      for tokens in (self.sparse_tokens, self.dense_tokens, self.patches))
 
     def validate(self, dim: int, mask_values: bool = True) -> None:
-        for name, arr in (("patches", self.patches),
-                          ("sparse_tokens", self.sparse_tokens),
-                          ("dense_tokens", self.dense_tokens)):
+        for name in FEATURES:
+            arr = getattr(self, name)
             if arr.ndim != 2 or arr.shape[0] < 1:
                 raise BankInvariantError(f"{self.sample_id}: N >= 1 violated for {name}")
             if arr.shape[1] != dim:
                 raise BankInvariantError(f"{self.sample_id}: {name} dim {arr.shape[1]} != {dim}")
         if self.relevance_mask is not None:
-            mask = np.asarray(self.relevance_mask)
+            mask = self.relevance_mask
             if mask.shape != (self.patches.shape[0],):
                 raise BankInvariantError(f"{self.sample_id}: mask length != N")
             if mask_values and not is_binary(mask):
@@ -145,8 +161,8 @@ def write_atomic(path, chunks: list[bytes]) -> None:
 
 class Reader:
     """Cursor over a memoryview of a whole file; any malformed read raises
-    BankFormatError. Arrays handed out own their data: one view of the
-    file's bytes would keep the whole file alive."""
+    BankFormatError. A float32 block read as float32 is a view of the file,
+    which keeps the whole file alive; widening copies it once."""
 
     def __init__(self, path, kind: str):
         with open(path, "rb") as fh:
@@ -177,14 +193,14 @@ class Reader:
         except UnicodeDecodeError:
             raise self.corrupt() from None
 
-    def floats(self, shape: tuple[int, ...]) -> np.ndarray:
-        """float32 block of the given shape, widened to float64; must be finite."""
+    def floats(self, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """float32 block of the given shape, as `dtype`; must be finite."""
         count = math.prod(shape)
         data = np.frombuffer(self.buf, "<f4", count, self.skip(4 * count))
         if not np.isfinite(data).all():
             raise self.corrupt()
         try:  # a zero dim lets the size check pass for any other dims
-            return data.astype(np.float64).reshape(shape)
+            return data.astype(dtype, copy=False).reshape(shape)
         except ValueError:
             raise self.corrupt() from None
 
@@ -223,18 +239,25 @@ def read_bank(path) -> FeatureBank:
         raise BankFormatError("unsupported version")
     dim = reader.u32()
     n_samples = reader.u32()
-    samples = []
+    entries = []
     for _ in range(n_samples):
         sid = reader.text()
-        mats = [reader.floats((reader.u32(), dim)) for _ in range(3)]
+        blocks = [reader.floats((reader.u32(), dim), "<f4") for _ in FEATURES]
         mask = None
         flag = reader.take(1)[0]
         if flag == 1:
-            mask = np.frombuffer(reader.take(mats[0].shape[0]), dtype=np.uint8).astype(np.int8)
+            mask = _frozen(np.frombuffer(reader.take(len(blocks[0])), np.uint8).astype(np.int8))
         if flag > 1 or (mask is not None and not is_binary(mask)):
             raise reader.corrupt()
-        samples.append(Sample(sid, mats[0], mats[1], mats[2], mask))
+        entries.append((sid, blocks, mask))
     reader.finish()
+    # a run of consecutive samples of one shape holds each field in one buffer
+    samples = []
+    for _, run in itertools.groupby(entries, key=lambda e: [b.shape for b in e[1]]):
+        run = list(run)
+        buffers = [_frozen(np.array(field, np.float64)) for field in zip(*(e[1] for e in run))]
+        samples += [Sample(sid, *(buf[at] for buf in buffers), mask)
+                    for at, (sid, _, mask) in enumerate(run)]
     bank = FeatureBank(dim=dim, samples=samples)
     bank.validate(mask_values=False)  # the reader has applied is_binary to each mask
     return bank
@@ -272,9 +295,40 @@ def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np
     return np.where(hi - lo < EPS_NORM, 0.5, (raw - lo) / (hi - lo + EPS_NORM))
 
 
+def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
+    """Equal-shape arrays stacked on a new first axis, read-only: in place when
+    they are consecutive rows of one buffer (a `read_bank` run), else copied."""
+    base, first = arrays[0].base, arrays[0].ctypes.data
+    if isinstance(base, np.ndarray) and base.ndim == arrays[0].ndim + 1 and base.strides[0] > 0:
+        start, offset = divmod(first - base.ctypes.data, base.strides[0])
+        rows = base[start:start + len(arrays)]
+        if offset == 0 and len(rows) == len(arrays) and all(
+                a.base is base and a.dtype == base.dtype and a.shape == rows.shape[1:]
+                and a.strides == rows.strides[1:]
+                and a.ctypes.data == first + at * base.strides[0] for at, a in enumerate(arrays)):
+            return _frozen(rows)
+    return _frozen(np.array(arrays))
+
+
+def stacked_views(samples: list[Sample]) -> tuple[np.ndarray, ...]:
+    """The `views` of C samples of one shape, as three C x n stacks. Samples
+    without views yet derive them in one stacked pass, bitwise equal to
+    deriving them one at a time, and each keeps its row as its `views`."""
+    fresh = [s for s in samples if "views" not in s.__dict__]
+    if fresh:
+        stacked = Sample("stack", *(stack_rows([getattr(s, name) for s in fresh])
+                                    for name in FEATURES)).views
+        for at, sample in enumerate(fresh):
+            sample.__dict__["views"] = tuple(view[at] for view in stacked)
+        if len(fresh) == len(samples):
+            return stacked
+    return tuple(np.array(views) for views in zip(*(s.views for s in samples)))
+
+
 def _f32_exact(arr: np.ndarray) -> np.ndarray:
-    # round-trip through float32 so the disk format preserves every bit
-    return arr.astype(np.float32).astype(np.float64)
+    # round-trip through float32 so the disk format preserves every bit;
+    # read-only, so the Sample keeps it rather than a copy
+    return _frozen(arr.astype(np.float32).astype(np.float64))
 
 
 # distractors sit at half the concept amplitude: present, but less salient
@@ -330,7 +384,7 @@ def generate_synthetic(cfg: SynthConfig) -> FeatureBank:
             patches=features,
             sparse_tokens=_f32_exact(sparse),
             dense_tokens=_f32_exact(dense),
-            relevance_mask=mask[order],
+            relevance_mask=_frozen(mask[order]),
         ))
     return FeatureBank(dim=cfg.dim, samples=samples)
 

@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 from . import autodiff as ad, evaluator, objective, selection, trainer
 from .bank import FeatureBank, SynthConfig, generate_synthetic, read_bank, write_bank
-from .errors import ConfigError, NumericalError, SepsError, check_fields
+from .errors import RANGES, ConfigError, NumericalError, SepsError, check_fields, check_range
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,8 +29,8 @@ EXIT_NUMERICAL = 3
 
 @dataclass(frozen=True)
 class RunConfig:
-    train: trainer.TrainConfig = trainer.TrainConfig()
-    synth: SynthConfig = SynthConfig()
+    train: trainer.TrainConfig | None = None  # None: a section the command does not read
+    synth: SynthConfig | None = None
     folds: int = 1
     bank: str = ""
     val_bank: str = ""
@@ -48,6 +48,7 @@ class RunConfig:
 _SECTIONS = {"train": trainer.TrainConfig, "synth": SynthConfig}
 _ALIASES = {"n_samples": "samples", "n_relevant_patches": "n_relevant",
             "concept_count": "concepts"}
+_FIELD_OF_KEY = {key: name for name, key in _ALIASES.items()}
 KEY_TYPES = {_ALIASES.get(name, name): kind
              for cls in (*_SECTIONS.values(), RunConfig)
              for name, kind in get_type_hints(cls).items() if name not in _SECTIONS}
@@ -80,8 +81,10 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults <- config file <- explicit flags, validated as a whole."""
+def build_config(args: argparse.Namespace, sections=tuple(_SECTIONS)) -> RunConfig:
+    """Defaults <- config file <- explicit flags. Every key is checked
+    against its range, but only the named sections are built, so a rule
+    across one section's keys binds only the commands that read it."""
     merged: dict = {}
     if getattr(args, "config", None):
         merged.update(parse_config_file(args.config))
@@ -89,13 +92,15 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+        if key in merged and (name := _FIELD_OF_KEY.get(key, key)) in RANGES:
+            check_range(name, merged[key])
 
     def pick(cls) -> dict:
         keys = {f.name: _ALIASES.get(f.name, f.name) for f in fields(cls)}
         return {name: merged[key] for name, key in keys.items() if key in merged}
 
-    sections = {name: cls(**pick(cls)) for name, cls in _SECTIONS.items()}
-    return RunConfig(**sections, **pick(RunConfig))
+    built = {name: cls(**pick(cls)) for name, cls in _SECTIONS.items() if name in sections}
+    return RunConfig(**built, **pick(RunConfig))
 
 
 def _require(cfg: RunConfig, *keys: str) -> None:
@@ -150,6 +155,8 @@ def cmd_train(cfg: RunConfig) -> int:
     val_bank = _load_bank(cfg.val_bank) if cfg.val_bank else None
     tcfg = replace(cfg.train, dim=bank.dim, n_patches=bank.samples[0].n_patches)
     for what, path in (("checkpoint", cfg.out), ("history", cfg.history)):
+        if path and os.path.isdir(path):
+            raise ConfigError(f"cannot write {what} {path}: Is a directory")
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {what} {path}: no such directory")
     try:
@@ -215,13 +222,13 @@ def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
 # argument wiring
 
 
-# command -> (help, its required flags, handler taking the config and those flags)
+# command -> (help, config sections read, required flags, handler taking both)
 _COMMANDS = {
-    "gen": ("generate a synthetic feature bank", (), cmd_gen),
-    "train": ("train on a bank and write a checkpoint", (), cmd_train),
-    "eval": ("retrieval metrics for a checkpoint on a bank", (), cmd_eval),
-    "score": ("score one image-caption pair", ("image", "caption"), cmd_score),
-    "inspect": ("per-patch selection dump for one sample", ("sample",), cmd_inspect),
+    "gen": ("generate a synthetic feature bank", ("synth",), (), cmd_gen),
+    "train": ("train on a bank and write a checkpoint", ("train",), (), cmd_train),
+    "eval": ("retrieval metrics for a checkpoint on a bank", (), (), cmd_eval),
+    "score": ("score one image-caption pair", (), ("image", "caption"), cmd_score),
+    "inspect": ("per-patch selection dump for one sample", (), ("sample",), cmd_inspect),
 }
 
 
@@ -230,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="seps",
         description="patch selection and patch-word alignment on feature banks")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, required, _) in _COMMANDS.items():
+    for name, (help_text, _, required, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", help="key=value config file")
         for key, kind in KEY_TYPES.items():
@@ -243,9 +250,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _, required, run = _COMMANDS[args.command]
+    _, sections, required, run = _COMMANDS[args.command]
     try:
-        return run(build_config(args), *(getattr(args, flag) for flag in required))
+        return run(build_config(args, sections), *(getattr(args, flag) for flag in required))
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

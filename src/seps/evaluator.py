@@ -196,10 +196,11 @@ def selection_quality(bank: FeatureBank, params) -> float:
     counts.  Each run of consecutive samples of one shape is scored in
     stacks of at most STACK_BYTES of patches and ranked in blocks of whole
     stacks of at most STACK_BYTES of scores (or one stack), bitwise equal to
-    one sample at a time; nothing is cached across calls."""
+    one sample at a time.  Each scored sample keeps the `views` the first
+    call derives for it (`bank.stacked_views`); nothing else is kept."""
     check_dims(bank, params)
     scored = [s for s in bank.samples if s.relevance_mask is not None
-              and (mask := np.asarray(s.relevance_mask)).min() != mask.max()]
+              and s.relevance_mask.min() != s.relevance_mask.max()]
     if not scored:
         raise BankInvariantError("no masks")
     aucs = []

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS_LOG, Tensor
-from .bank import Sample, stable_id_hash
+from .bank import Sample, stable_id_hash, stack_rows, stacked_views
 from .errors import ConfigError, NoPatchesSelectedError, ShapeError, check_fields, check_range
 
 MODES = ("train", "eval", "soft")
@@ -90,7 +90,7 @@ class ScoreBundle:
     """Per-patch significance components.
 
     `predicted` carries gradients; the three attention scores come from
-    the sample's `views` and are plain arrays that nothing writes to.
+    the sample's `views` and are read-only arrays.
     """
 
     predicted: Tensor
@@ -309,23 +309,23 @@ def decision_rng(seed: int, sample_id: str, step: int = 0) -> np.random.Generato
         np.random.SeedSequence([seed, stable_id_hash(sample_id), step]))
 
 
-def attention_views(sample: Sample, params: SelectionParams) -> tuple[np.ndarray, ...]:
-    """The sample's `views`, the dense one zeroed under `zero_dense_attention`."""
-    s_st, s_dt, s_im = sample.views
-    return (s_st, np.zeros_like(s_dt), s_im) if params.zero_dense_attention else sample.views
+def attention_views(views: tuple[np.ndarray, ...], params: SelectionParams) -> tuple:
+    """A sample's or a stack's `views`, the dense one zeroed under `zero_dense_attention`."""
+    s_st, s_dt, s_im = views
+    return (s_st, np.zeros_like(s_dt), s_im) if params.zero_dense_attention else views
 
 
 def sparse_eval_scores(samples: Sequence[Sample], params: SelectionParams) -> np.ndarray:
     """Eval-mode sparse-branch score of every patch of C samples that share
-    one shape, as a C x n matrix from one stacked pass with no tape or cache.
-    Stacked `np.matmul` runs the 2-D kernel per slice, so row c is bitwise
-    `branch_scores(...)[0]` after `score_and_decide(samples[c], ..., "eval")`;
-    it raises NonFiniteError wherever that path's Tensor checks would."""
-    stack = Sample("stack", *(np.stack([getattr(s, name) for s in samples])
-                              for name in ("patches", "sparse_tokens", "dense_tokens")))
-    s_st, s_dt, s_im = attention_views(stack, params)
+    one shape, as a C x n matrix from one stacked pass with no tape, over
+    the samples' own `views` (`bank.stacked_views`).  Stacked `np.matmul`
+    runs the 2-D kernel per slice, so row c is bitwise `branch_scores(...)[0]`
+    after `score_and_decide(samples[c], ..., "eval")`; it raises
+    NonFiniteError wherever that path's Tensor checks would."""
+    patches = _patch_matrix(stack_rows([s.patches for s in samples]), params)
+    s_st, s_dt, s_im = attention_views(stacked_views(samples), params)
     what = "the sparse-branch score"
-    _, pred = _predict_forward(_patch_matrix(stack.patches, params), params, what)
+    _, pred = _predict_forward(patches, params, what)
     pred = pred * (1.0 - 2.0 * params.beta)
     # the taped path checks the dense branch's unclipped score too
     x = ad.finite(what, pred + _attention_part(params.beta, s_st, s_im), s_dt)
@@ -345,7 +345,8 @@ def score_and_decide(
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode: {mode}")
-    bundle = ScoreBundle(predict_scores(sample.patches, params), *attention_views(sample, params))
+    bundle = ScoreBundle(predict_scores(sample.patches, params),
+                         *attention_views(sample.views, params))
 
     score_s, score_d = branch_scores(bundle, params.beta)
     noise = mode == "train"

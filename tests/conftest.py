@@ -1,10 +1,12 @@
 """Shared builders for tests: parameter sets and hand-constructed samples."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from seps import autodiff as ad
-from seps.bank import Sample
+from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic
 from seps.trainer import ModelParams, TrainConfig, init_params
 
 
@@ -78,6 +80,24 @@ def basis_sample(dim: int = 8, relevant=(0, 1), distractor=(4, 5),
         dense_tokens=eye[list(relevant)].copy(),
         relevance_mask=mask,
     )
+
+
+def mixed_bank() -> FeatureBank:
+    """Consecutive runs of different patch and word counts, one shape
+    recurring after others, with masks missing or single-class mid-run."""
+    runs = [dict(seed=31, n_samples=7, n_patches=9, n_sparse_words=2, n_dense_words=4),
+            dict(seed=32, n_samples=5, n_patches=12, n_sparse_words=3, n_dense_words=5),
+            dict(seed=33, n_samples=4, n_patches=9, n_sparse_words=1, n_dense_words=4),
+            dict(seed=34, n_samples=3, n_patches=9, n_sparse_words=2, n_dense_words=4)]
+    samples = []
+    for run in runs:
+        for sample in generate_synthetic(SynthConfig(dim=16, n_relevant_patches=3,
+                                                     concept_count=64, **run)).samples:
+            samples.append(replace(sample, sample_id=f"{run['seed']}-{sample.sample_id}"))
+    for at, mask in ((2, None), (4, np.ones(9, dtype=np.int8)),
+                     (8, np.zeros(12, dtype=np.int8)), (13, None)):
+        samples[at] = replace(samples[at], relevance_mask=mask)
+    return FeatureBank(dim=16, samples=samples)
 
 
 @pytest.fixture

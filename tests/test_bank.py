@@ -1,13 +1,13 @@
 """Feature-bank format, global embeddings, synthetic generation."""
 
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
 from seps.bank import (FeatureBank, Sample, SynthConfig, generate_synthetic,
-                       global_embedding, read_bank, write_bank)
+                       global_embedding, read_bank, stack_rows, write_bank)
 from seps.errors import BankFormatError, BankInvariantError, ConfigError
 from seps.trainer import TrainConfig
 
@@ -77,7 +77,9 @@ def test_write_refuses_values_not_finite_as_float32(value, tmp_path):
     write_bank(random_bank(np.random.default_rng(0)), path)
     before = path.read_bytes()
     bad = random_bank(np.random.default_rng(1))
-    bad.samples[-1].dense_tokens[0, 0] = value
+    dense = bad.samples[-1].dense_tokens.copy()
+    dense[0, 0] = value
+    bad.samples[-1] = replace(bad.samples[-1], dense_tokens=dense)
     with pytest.raises(BankInvariantError, match="not finite as float32"):
         write_bank(bad, path)
     assert path.read_bytes() == before
@@ -138,6 +140,86 @@ def test_read_rejects_trailing_garbage(tmp_path):
     with pytest.raises(BankFormatError, match="corrupt bank"):
         read_bank(path)
 
+
+# ---------------------------------------------------------------------------
+# frozen samples and run buffers
+
+
+def ragged_bank_file(tmp_path):
+    """Runs of 3, 2 and 2 samples of one shape each, the last shape a repeat of the first."""
+    rng = np.random.default_rng(7)
+    samples = []
+    for run, (n, count) in enumerate(((4, 3), (6, 2), (4, 2))):
+        for i in range(count):
+            def mat(rows):
+                return rng.normal(size=(rows, 3)).astype(np.float32).astype(np.float64)
+            samples.append(Sample(f"r{run}-{i}", mat(n), mat(2), mat(3),
+                                  np.arange(n, dtype=np.int8) % 2 if i else None))
+    path = tmp_path / "ragged.sepb"
+    write_bank(FeatureBank(dim=3, samples=samples), path)
+    return path, samples
+
+
+def sample_arrays(sample):
+    return [a for a in (sample.patches, sample.sparse_tokens, sample.dense_tokens,
+                        sample.relevance_mask, *sample.views) if a is not None]
+
+
+def test_read_and_generated_sample_arrays_refuse_in_place_writes(tmp_path):
+    path, _ = ragged_bank_file(tmp_path)
+    generated = generate_synthetic(SynthConfig(n_samples=3, dim=4, n_patches=3,
+                                               n_relevant_patches=1, concept_count=8))
+    for sample in (*read_bank(path).samples, *generated.samples):
+        arrays = sample_arrays(sample)
+        assert len(arrays) in (6, 7)
+        for arr in arrays:
+            before = arr.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                arr += 1
+            assert arr.tobytes() == before
+
+
+def test_sample_fields_cannot_be_rebound(tmp_path):
+    path, _ = ragged_bank_file(tmp_path)
+    sample = read_bank(path).samples[1]
+    for field in fields(Sample):
+        with pytest.raises(FrozenInstanceError):
+            setattr(sample, field.name, getattr(sample, field.name))
+
+
+def test_sample_copies_a_writeable_array_and_keeps_a_read_only_one():
+    patches, tokens = np.ones((2, 3)), np.ones((1, 3))
+    frozen = np.ones((2, 3))
+    frozen.flags.writeable = False
+    sample = Sample("s", patches, tokens, frozen, [0, 1])
+    patches[0, 0] = 5.0
+    tokens[0, 0] = 5.0
+    assert sample.patches[0, 0] == 1.0 and sample.sparse_tokens[0, 0] == 1.0
+    assert sample.dense_tokens is frozen
+    assert sample.relevance_mask.tolist() == [0, 1]
+    assert not any(a.flags.writeable for a in sample_arrays(sample))
+
+
+def test_read_bank_holds_each_run_in_one_buffer_per_field(tmp_path):
+    path, written = ragged_bank_file(tmp_path)
+    samples = read_bank(path).samples
+    for run in (samples[0:3], samples[3:5], samples[5:7]):
+        for name in ("patches", "sparse_tokens", "dense_tokens"):
+            rows = [getattr(s, name) for s in run]
+            stack = stack_rows(rows)
+            assert stack.base is rows[0].base and stack.flags.c_contiguous
+            assert all(np.shares_memory(stack[at], row) for at, row in enumerate(rows))
+            assert not stack.flags.writeable
+            assert stack.tobytes() == np.stack(rows).tobytes()
+    # rows out of order, repeated, not consecutive or of two runs are copied
+    for picked in ([1, 0], [0, 0], [0, 2], [2, 5], [5, 6, 0]):
+        rows = [samples[at].patches for at in picked]
+        stack = stack_rows(rows)
+        assert not any(np.shares_memory(stack, row) for row in rows)
+        assert stack.tobytes() == np.stack(rows).tobytes()
+    assert [s.patches.tobytes() for s in samples] == [s.patches.tobytes() for s in written]
 
 # ---------------------------------------------------------------------------
 # global embedding

@@ -284,6 +284,22 @@ def test_value_that_float32_keeps_in_range_trains_and_evaluates(flag, tmp_path,
     assert cli.main(["eval", "--bank", str(small_bank_file), "--checkpoint", str(out)]) == 0
 
 
+@pytest.mark.parametrize("n_patches", ["2", "3"])
+def test_train_and_eval_ignore_the_gen_only_relevant_patch_rule(n_patches, tmp_path, capsys):
+    # SynthConfig's default n_relevant (4) exceeds these patch counts; only
+    # gen reads that section, so only gen applies its rule
+    bank, ckpt = tmp_path / "b.sepb", tmp_path / "m.sepc"
+    shape = ["--dim", "8", "--n-patches", n_patches]
+    assert cli.main(["gen", "--out", str(bank), "--samples", "8", "--concepts", "8",
+                     "--n-relevant", "1", *shape]) == 0
+    assert cli.main(["gen", "--out", str(tmp_path / "x.sepb"), *shape]) == 2
+    assert capsys.readouterr().err == "error: n_relevant_patches <= n_patches violated\n"
+    assert cli.main(["train", "--bank", str(bank), "--out", str(ckpt), "--epochs", "1",
+                     "--batch-size", "4", "--k-top", "2", *shape]) == 0
+    assert cli.main(["eval", "--bank", str(bank), "--checkpoint", str(ckpt), *shape]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("flags", [["--dim", "6"], ["--samples", "1"]],
                          ids=["wrong_dim", "one_sample"])
 def test_train_unusable_val_bank_exits_two_with_output_untouched(
@@ -307,6 +323,7 @@ UNWRITABLE = {
     "out_dir_missing": ("no/m.ckpt", None, "checkpoint {out}: no such directory"),
     "history_dir_missing": ("m.ckpt", "no/h.txt", "history {history}: no such directory"),
     "out_is_a_directory": ("adir", None, "checkpoint {out}: Is a directory"),
+    "history_is_a_directory": ("m.ckpt", "adir", "history {history}: Is a directory"),
 }
 
 

@@ -1,13 +1,17 @@
 """Retrieval metrics, chance-level sanity, selection quality."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from conftest import basis_sample, make_params, zero_params
+from conftest import basis_sample, make_params, mixed_bank, zero_params
 
 from seps import autodiff as ad
+from seps import bank as bank_module
 from seps import evaluator, selection
 from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic, read_bank, write_bank
 from seps.errors import (BankInvariantError, ConfigError, NonFiniteError,
@@ -269,8 +273,8 @@ def test_selection_quality_perfect_on_separable_bank():
 
 def test_selection_quality_inverted_mask_is_zero():
     bank = separable_bank()
-    for sample in bank.samples:
-        sample.relevance_mask = (1 - sample.relevance_mask).astype(np.int8)
+    bank.samples = [replace(s, relevance_mask=(1 - s.relevance_mask).astype(np.int8))
+                    for s in bank.samples]
     params = zero_params(make_params(dim=12, n_keep=2, k_top=2))
     params.selection.beta = 0.25
     assert selection_quality(bank, params) == 0.0
@@ -292,8 +296,7 @@ def test_selection_quality_chance_for_unrelated_mask(rng):
 
 def test_selection_quality_requires_masks():
     bank = separable_bank()
-    for sample in bank.samples:
-        sample.relevance_mask = None
+    bank.samples = [replace(s, relevance_mask=None) for s in bank.samples]
     params = zero_params(make_params(dim=12, n_keep=2, k_top=2))
     with pytest.raises(BankInvariantError, match="no masks"):
         selection_quality(bank, params)
@@ -343,26 +346,6 @@ def test_selection_quality_bitwise_equal_to_the_taped_loop(shape):
     bank = generate_synthetic(SynthConfig(seed=21, **shape))
     params = make_params(dim=shape["dim"], n_patches=shape["n_patches"], n_keep=8, seed=21)
     assert selection_quality(bank, params) == taped_selection_quality(bank, params)
-
-
-def mixed_bank() -> FeatureBank:
-    """Consecutive runs of different patch and word counts, one shape
-    recurring after others, with masks missing or single-class mid-run."""
-    runs = [dict(seed=31, n_samples=7, n_patches=9, n_sparse_words=2, n_dense_words=4),
-            dict(seed=32, n_samples=5, n_patches=12, n_sparse_words=3, n_dense_words=5),
-            dict(seed=33, n_samples=4, n_patches=9, n_sparse_words=1, n_dense_words=4),
-            dict(seed=34, n_samples=3, n_patches=9, n_sparse_words=2, n_dense_words=4)]
-    samples = []
-    for run in runs:
-        for sample in generate_synthetic(SynthConfig(dim=16, n_relevant_patches=3,
-                                                     concept_count=64, **run)).samples:
-            sample.sample_id = f"{run['seed']}-{sample.sample_id}"
-            samples.append(sample)
-    samples[2].relevance_mask = None
-    samples[4].relevance_mask = np.ones(9, dtype=np.int8)
-    samples[8].relevance_mask = np.zeros(12, dtype=np.int8)
-    samples[13].relevance_mask = None
-    return FeatureBank(dim=16, samples=samples)
 
 
 # STACK_BYTES -> the sample count of each stack in each rank call: at
@@ -466,14 +449,112 @@ def test_auc_needs_both_classes():
             evaluator._row_aucs(scores[:len(labels)], np.array(labels))
 
 
-def test_reading_generating_and_selection_quality_derive_no_views(tmp_path):
-    # a sample's views are derived on first read only, so set-up stays lazy;
-    # the stacked pass derives them on its throwaway stack alone
-    generated, params = six_sample_bank()
+def test_reading_and_generating_derive_no_views(tmp_path):
+    # a sample's views are derived on first read only, so set-up stays lazy
+    generated, _ = six_sample_bank()
     write_bank(generated, tmp_path / "six.sepb")
     read = read_bank(tmp_path / "six.sepb")
-    assert selection_quality(read, params) == selection_quality(generated, params)
     assert not any("views" in s.__dict__ for s in (*generated.samples, *read.samples))
+
+
+def derived_views(bank: FeatureBank) -> list:
+    """Each sample's kept views as bytes, None where it has none."""
+    return [[v.tobytes() for v in s.__dict__["views"]] if "views" in s.__dict__ else None
+            for s in bank.samples]
+
+
+def per_sample_views(bank: FeatureBank) -> list:
+    # a replaced sample holds the same arrays and no views, so it derives its own
+    return [[v.tobytes() for v in replace(s).views] for s in bank.samples]
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["generated", "read"])
+def test_selection_quality_keeps_each_scored_sample_views(read, tmp_path):
+    bank = mixed_bank()
+    if read:
+        write_bank(bank, tmp_path / "mixed.sepb")
+        bank = read_bank(tmp_path / "mixed.sepb")
+    selection_quality(bank, make_params(dim=16, n_patches=9, n_keep=3, seed=31))
+    kept, oracle = derived_views(bank), per_sample_views(bank)
+    for at, views in enumerate(kept):
+        assert views == (None if at in (2, 4, 8, 13) else oracle[at]), at
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["generated", "read"])
+def test_first_selection_quality_derives_views_per_stack_and_the_next_none(
+        read, tmp_path, monkeypatch):
+    bank = mixed_bank()
+    if read:
+        write_bank(bank, tmp_path / "mixed.sepb")
+        bank = read_bank(tmp_path / "mixed.sepb")
+    params = make_params(dim=16, n_patches=9, n_keep=3, seed=31)
+    calls, stacks = [], []
+    attention, score = bank_module.attention_scores, selection.sparse_eval_scores
+
+    def counted(patches, embedding, dim):
+        calls.append(patches.shape)
+        return attention(patches, embedding, dim)
+
+    def scored(samples, params):
+        stacks.append(len(samples))
+        return score(samples, params)
+
+    monkeypatch.setattr(bank_module, "attention_scores", counted)
+    monkeypatch.setattr(selection, "sparse_eval_scores", scored)
+    first = selection_quality(bank, params)
+    assert stacks == [5, 4, 3, 3]
+    assert calls == 3 * [(5, 9, 16)] + 3 * [(4, 12, 16)] + 6 * [(3, 9, 16)]
+    calls.clear()
+    assert selection_quality(bank, params) == first
+    assert calls == [] and len(stacks) == 8
+
+
+@st.composite
+def drawn_banks(draw) -> FeatureBank:
+    """Runs of one shape each, dim 4, with masks absent, single-class or two-class."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    shapes = st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 3),
+                       st.integers(1, 3))
+    samples = []
+    for run, (count, n, m, m_d) in enumerate(draw(st.lists(shapes, min_size=1, max_size=4))):
+        for i in range(count):
+            kind = draw(st.sampled_from(("two", "none", "one")))
+            mask = None if kind == "none" else np.full(n, i % 2, dtype=np.int8)
+            if kind == "two" and n > 1:
+                mask = (rng.permutation(n) < rng.integers(1, n)).astype(np.int8)
+            features = (rng.normal(size=(rows, 4)).astype(np.float32).astype(np.float64)
+                        for rows in (n, m, m_d))
+            samples.append(Sample(f"{run}-{i}", *features, mask))
+    return FeatureBank(dim=4, samples=samples)
+
+
+def outcome(score, bank, params) -> tuple:
+    try:
+        return "scored", score(bank, params).hex()
+    except (BankInvariantError, NonFiniteError) as exc:
+        return "raised", type(exc), str(exc)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_auc_and_views_bitwise_whichever_samples_already_have_views(data, tmp_path):
+    path = tmp_path / "drawn.sepb"
+    write_bank(data.draw(drawn_banks(), label="bank"), path)
+    params = make_params(dim=4, n_keep=2, seed=data.draw(st.integers(0, 99), label="model"))
+    params.selection.zero_dense_attention = data.draw(st.booleans(), label="zero_dense")
+    oracle = outcome(taped_selection_quality, read_bank(path), params)
+    fresh, mixed = read_bank(path), read_bank(path)
+    for sample in mixed.samples:
+        if data.draw(st.booleans(), label=f"views of {sample.sample_id}"):
+            assert len(sample.views) == 3
+    assert outcome(selection_quality, fresh, params) == oracle
+    assert outcome(selection_quality, mixed, params) == oracle
+    assert outcome(selection_quality, fresh, params) == oracle  # every view reused
+    oracle_views = per_sample_views(fresh)
+    for bank in (fresh, mixed):
+        assert all(views in (None, expected)
+                   for views, expected in zip(derived_views(bank), oracle_views))
 
 
 def test_selection_quality_builds_no_tape_and_runs_no_decision(monkeypatch):

@@ -1,6 +1,7 @@
 """Patch selection: scoring, decisions, aggregation, full forward."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -303,8 +304,11 @@ def taped_sparse_scores(sample, params):
 
 def assert_bitwise_parity(samples, params):
     """Scored as one stack and each as a stack of one, every row equals the
-    taped branch score bit for bit."""
+    taped branch score bit for bit, and the views that the stacked pass
+    leaves on each sample equal the ones it derives alone."""
+    alone = [[v.tobytes() for v in replace(s).views] for s in samples]
     stacked = sparse_eval_scores(samples, params)
+    assert [[v.tobytes() for v in s.views] for s in samples] == alone
     assert stacked.dtype == np.float64 and stacked.shape == (len(samples), samples[0].n_patches)
     for row, sample in zip(stacked, samples):
         taped = taped_sparse_scores(sample, params).tobytes()

@@ -9,11 +9,11 @@ import pytest
 
 import composed_alignment as composed
 import reference_trainer as reference
-from conftest import make_params
+from conftest import make_params, mixed_bank
 
 from seps import autodiff as ad
 from seps import bank as bank_module
-from seps import cli, objective, trainer
+from seps import cli, evaluator, objective, trainer
 from seps.bank import SynthConfig, generate_synthetic, read_bank, text_chunk, write_bank
 from seps.errors import BankFormatError, ConfigError, DivergenceError
 from seps.trainer import (EpochStats, OptimizerState, TrainConfig, _layout, fit,
@@ -340,6 +340,26 @@ def test_derived_views_change_no_param_history_or_checkpoint_byte(tmp_path):
     assert held_hist == fresh_hist
     assert (tmp_path / "held.ckpt").read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
 
+
+
+def test_fit_after_selection_quality_writes_the_same_bytes(tmp_path):
+    # selection_quality derives the scored samples' views in stacked passes
+    # over ragged runs; fit then reads those and derives the rest
+    path = tmp_path / "mixed.sepb"
+    write_bank(mixed_bank(), path)
+    cfg = TrainConfig(dim=16, n_patches=9, n_keep=3, k_top=2, batch_size=4, epochs=2,
+                      lr=1e-3, seed=2, grad_check_every=3)
+    scored = read_bank(path)
+    params = init_params(cfg)
+    params.selection.zero_dense_attention = True  # the views do not depend on it
+    evaluator.selection_quality(scored, params)
+    assert 0 < sum("views" in s.__dict__ for s in scored.samples) < len(scored.samples)
+    runs = {}
+    for name, data in (("after", scored), ("before", read_bank(path))):
+        params, history = fit(data, cfg, checkpoint_path=tmp_path / f"{name}.ckpt")
+        runs[name] = ([t.data.tobytes() for t in params.tensors()], history,
+                      (tmp_path / f"{name}.ckpt").read_bytes())
+    assert runs["after"] == runs["before"]
 
 @pytest.mark.parametrize("seed,head_hidden,grad_check_every", [
     (1, 0, 0), (1, 3, 0), (2, 0, 7), (2, 3, 0)])
