@@ -4,12 +4,14 @@ Recall@K counts a query as a hit when any of its ground-truth gallery
 indices ranks inside the top K, with score ties broken toward the lower
 gallery index.  rSum adds the six recalls (both directions, K in 1/5/10).
 Selection quality scores the sparse-branch ranking against the synthetic
-relevance masks as an ROC AUC, over stacks of samples that share one shape.
+relevance masks as an ROC AUC, over stacks of samples that share one shape,
+scored side by side on a thread pool with a worker per usable CPU.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -196,23 +198,43 @@ def selection_quality(bank: FeatureBank, params) -> float:
     counts.  Each run of consecutive samples of one shape is scored in
     stacks of at most STACK_BYTES of patches and ranked in blocks of whole
     stacks of at most STACK_BYTES of scores (or one stack), bitwise equal to
-    one sample at a time.  Each scored sample keeps the `views` the first
-    call derives for it (`bank.stacked_views`); nothing else is kept."""
+    one sample at a time.  Each stack is one task of a thread pool opened
+    for the call, with a worker per CPU the process may run on, under the
+    caller's numpy error state; the calling thread ranks each block in bank
+    order once its stacks are scored.  The first failing stack in bank order
+    raises, and stacks not yet started are cancelled.  Each scored sample
+    keeps the `views` the first call derives for it (`bank.stacked_views`);
+    nothing else is kept."""
+    from concurrent.futures import ThreadPoolExecutor  # here: only this call pays its import
+
     check_dims(bank, params)
     scored = [s for s in bank.samples if s.relevance_mask is not None
               and s.relevance_mask.min() != s.relevance_mask.max()]
     if not scored:
         raise BankInvariantError("no masks")
-    aucs = []
-    for _, run in itertools.groupby(scored, key=lambda s: (
-            s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)):
-        run = list(run)
-        size = max(1, STACK_BYTES // run[0].patches.nbytes)
-        block = size * max(1, STACK_BYTES // (8 * size * len(run[0].patches)))  # float64 scores
-        for start in range(0, len(run), block):
-            part = run[start:start + block]
-            scores = [selection.sparse_eval_scores(part[at:at + size], params.selection)
-                      for at in range(0, len(part), size)]
-            labels = np.stack([sample.relevance_mask for sample in part])
-            aucs.append(_row_aucs(np.concatenate(scores), labels))
+    errors = dict(np.geterr(), call=np.geterrcall())  # numpy keeps these per thread
+
+    def score(stack: list) -> np.ndarray:
+        with np.errstate(**errors):
+            return selection.sparse_eval_scores(stack, params.selection)
+
+    pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                              else os.cpu_count() or 1)
+    try:
+        blocks = []  # each rank block's samples and its stacks' tasks, in bank order
+        for _, run in itertools.groupby(scored, key=lambda s: (
+                s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)):
+            run = list(run)
+            size = max(1, STACK_BYTES // run[0].patches.nbytes)
+            # a block's scores are float64: 8 bytes per patch of each sample
+            block = size * max(1, STACK_BYTES // (8 * size * len(run[0].patches)))
+            for start in range(0, len(run), block):
+                part = run[start:start + block]
+                blocks.append((part, [pool.submit(score, part[at:at + size])
+                                      for at in range(0, len(part), size)]))
+        aucs = [_row_aucs(np.concatenate([task.result() for task in tasks]),
+                          np.stack([sample.relevance_mask for sample in part]))
+                for part, tasks in blocks]
+    finally:
+        pool.shutdown(cancel_futures=True)
     return float(np.mean(np.concatenate(aucs)))

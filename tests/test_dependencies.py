@@ -4,7 +4,8 @@ src/seps names a standard-library module or numpy.  Every module but
 its top-level functions and classes is read somewhere in src/seps or in
 the perfbench harness (perfbench/*.py, not its tests).  Only `alignment`
 and `objective.score_grid` touch the per-pair path, so there is one
-image x caption loop."""
+image x caption loop.  Only `evaluator` imports a thread module, so
+training stays single-threaded."""
 
 import ast
 import sys
@@ -18,15 +19,20 @@ MODULES = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
 
 
-def foreign_imports(source: str) -> list[str]:
-    """Top-level names of the absolute imports in `source` that ALLOWED lacks."""
+def absolute_imports(source: str) -> list[str]:
+    """Module names of the absolute imports in `source`, at any depth."""
     names = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             names += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names.append(node.module)
-    return [name for name in names if name.split(".")[0] not in ALLOWED]
+    return names
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Names of the absolute imports in `source` whose top level ALLOWED lacks."""
+    return [name for name in absolute_imports(source) if name.split(".")[0] not in ALLOWED]
 
 
 def test_the_guard_sees_absolute_imports_only():
@@ -120,3 +126,23 @@ def test_the_pair_path_guard_counts_imports_loads_and_attributes():
                          ids=lambda p: p.name)
 def test_only_alignment_and_the_grid_read_the_pair_path(path):
     assert pair_path_reads(path.read_text(encoding="utf-8")) == []
+
+
+# thread modules, which only the evaluator (its `selection_quality` pool) may import
+THREAD_MODULES = {"concurrent", "threading"}
+
+
+def thread_imports(source: str) -> list[str]:
+    return [name for name in absolute_imports(source) if name.split(".")[0] in THREAD_MODULES]
+
+
+def test_the_thread_guard_sees_imports_inside_functions():
+    source = ("import threading as t\ndef f():\n    from concurrent.futures import Future\n"
+              "from . import threads\nimport os\n")
+    assert thread_imports(source) == ["threading", "concurrent.futures"]
+
+
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "evaluator.py"}),
+                         ids=lambda p: p.name)
+def test_only_the_evaluator_imports_a_thread_module(path):
+    assert thread_imports(path.read_text(encoding="utf-8")) == []

@@ -1,6 +1,9 @@
 """Retrieval metrics, chance-level sanity, selection quality."""
 
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -366,10 +369,13 @@ def test_selection_quality_bitwise_on_a_mixed_bank(stack_bytes, monkeypatch):
     expected = taped_selection_quality(bank, params)  # it ranks too: run it before recording
     stacks, ranked = [], []
     score, rank = selection.sparse_eval_scores, evaluator._row_aucs
+    index = {id(sample): at for at, sample in enumerate(bank.samples)}
 
     def scored(samples, params):
-        stacks.append((samples, score(samples, params)))
-        return stacks[-1][1]
+        # worker threads finish stacks in any order: key each by its first sample
+        rows = score(samples, params)
+        stacks.append((index[id(samples[0])], samples, rows))
+        return rows
 
     def ranks(scores, labels):
         ranked.append((scores, labels))
@@ -378,6 +384,7 @@ def test_selection_quality_bitwise_on_a_mixed_bank(stack_bytes, monkeypatch):
     monkeypatch.setattr(selection, "sparse_eval_scores", scored)
     monkeypatch.setattr(evaluator, "_row_aucs", ranks)
     assert selection_quality(bank, params) == expected
+    stacks = [(samples, rows) for _, samples, rows in sorted(stacks, key=lambda s: s[0])]
     skipped = {bank.samples[i].sample_id for i in (2, 4, 8, 13)}
     assert [s.sample_id for stack, _ in stacks for s in stack] == [
         s.sample_id for s in bank.samples if s.sample_id not in skipped]
@@ -435,6 +442,54 @@ def test_selection_quality_raises_on_overflow_like_the_taped_loop():
             selection_quality(bank, params)
 
 
+def use_cpus(monkeypatch, count: int) -> None:
+    """Give the CPU set that `selection_quality`'s pool reads `count` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_selection_quality_raises_when_only_a_later_stack_overflows(workers, monkeypatch):
+    # finite pre-activations on every sample but the last, whose patches are
+    # 1e10 times larger; the caller's errstate reaches every worker
+    bank, params = six_sample_bank()
+    params.selection.pred_w1.data = np.full_like(params.selection.pred_w1.data, 1e300)
+    last = bank.samples[-1]
+    overflowing = FeatureBank(bank.dim, [*bank.samples[:-1],
+                                         replace(last, patches=last.patches * 1e10)])
+    monkeypatch.setattr(evaluator, "STACK_BYTES", 1)  # a stack per sample
+    use_cpus(monkeypatch, workers)
+    threads = threading.active_count()
+    with np.errstate(over="ignore"):
+        auc = selection_quality(bank, params)
+        assert auc == taped_selection_quality(bank, params)
+        assert threading.active_count() == threads
+        with pytest.raises(NonFiniteError):
+            taped_selection_quality(overflowing, params)
+        with pytest.raises(NonFiniteError):
+            selection_quality(overflowing, params)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_selection_quality_raises_the_first_failing_stack_in_bank_order(workers, monkeypatch):
+    bank, params = six_sample_bank()
+    monkeypatch.setattr(evaluator, "STACK_BYTES", 1)  # a stack per sample
+    use_cpus(monkeypatch, workers)
+    score, index = selection.sparse_eval_scores, {id(s): at for at, s in enumerate(bank.samples)}
+
+    def failing(samples, params):
+        at = index[id(samples[0])]
+        if at in (2, 4):
+            raise NonFiniteError(f"stack {at}")
+        return score(samples, params)
+
+    monkeypatch.setattr(selection, "sparse_eval_scores", failing)
+    threads = threading.active_count()
+    with pytest.raises(NonFiniteError, match="stack 2"):
+        selection_quality(bank, params)
+    assert threading.active_count() == threads
+
+
 def test_selection_quality_rejects_a_wrong_dim_bank_like_the_taped_loop():
     bank, params = separable_bank(dim=12), make_params(dim=8)
     for score in (taped_selection_quality, selection_quality):
@@ -468,13 +523,20 @@ def per_sample_views(bank: FeatureBank) -> list:
     return [[v.tobytes() for v in replace(s).views] for s in bank.samples]
 
 
-@pytest.mark.parametrize("read", [False, True], ids=["generated", "read"])
-def test_selection_quality_keeps_each_scored_sample_views(read, tmp_path):
+@pytest.mark.parametrize("read, workers", [(False, 1), (True, 1), (False, 8), (True, 8)],
+                         ids=["generated", "read", "generated-8-workers", "read-8-workers"])
+def test_selection_quality_keeps_each_scored_sample_views(read, workers, tmp_path, monkeypatch):
     bank = mixed_bank()
     if read:
         write_bank(bank, tmp_path / "mixed.sepb")
         bank = read_bank(tmp_path / "mixed.sepb")
-    selection_quality(bank, make_params(dim=16, n_patches=9, n_keep=3, seed=31))
+    use_cpus(monkeypatch, workers)  # 8: more workers than stacks, switching often
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        selection_quality(bank, make_params(dim=16, n_patches=9, n_keep=3, seed=31))
+    finally:
+        sys.setswitchinterval(interval)
     kept, oracle = derived_views(bank), per_sample_views(bank)
     for at, views in enumerate(kept):
         assert views == (None if at in (2, 4, 8, 13) else oracle[at]), at
@@ -490,20 +552,29 @@ def test_first_selection_quality_derives_views_per_stack_and_the_next_none(
     params = make_params(dim=16, n_patches=9, n_keep=3, seed=31)
     calls, stacks = [], []
     attention, score = bank_module.attention_scores, selection.sparse_eval_scores
+    index = {id(sample): at for at, sample in enumerate(bank.samples)}
+    scoring = threading.local()  # the stack each worker thread is scoring
 
+    # worker threads score stacks in any order: key each record by the bank
+    # index of its stack's first sample and compare in bank order (a stack's
+    # own calls keep theirs)
     def counted(patches, embedding, dim):
-        calls.append(patches.shape)
+        calls.append((scoring.first, patches.shape))
         return attention(patches, embedding, dim)
 
     def scored(samples, params):
-        stacks.append(len(samples))
+        scoring.first = index[id(samples[0])]
+        stacks.append((scoring.first, len(samples)))
         return score(samples, params)
+
+    def in_bank_order(records):
+        return [record for _, record in sorted(records, key=lambda r: r[0])]
 
     monkeypatch.setattr(bank_module, "attention_scores", counted)
     monkeypatch.setattr(selection, "sparse_eval_scores", scored)
     first = selection_quality(bank, params)
-    assert stacks == [5, 4, 3, 3]
-    assert calls == 3 * [(5, 9, 16)] + 3 * [(4, 12, 16)] + 6 * [(3, 9, 16)]
+    assert in_bank_order(stacks) == [5, 4, 3, 3]
+    assert in_bank_order(calls) == 3 * [(5, 9, 16)] + 3 * [(4, 12, 16)] + 6 * [(3, 9, 16)]
     calls.clear()
     assert selection_quality(bank, params) == first
     assert calls == [] and len(stacks) == 8
@@ -538,7 +609,8 @@ def outcome(score, bank, params) -> tuple:
 @settings(max_examples=60, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_auc_and_views_bitwise_whichever_samples_already_have_views(data, tmp_path):
+def test_auc_and_views_bitwise_whichever_samples_already_have_views(data, tmp_path, monkeypatch):
+    use_cpus(monkeypatch, data.draw(st.integers(1, 3), label="workers"))
     path = tmp_path / "drawn.sepb"
     write_bank(data.draw(drawn_banks(), label="bank"), path)
     params = make_params(dim=4, n_keep=2, seed=data.draw(st.integers(0, 99), label="model"))
