@@ -68,11 +68,9 @@ class Sample:
 
     @functools.cached_property
     def views(self) -> tuple[np.ndarray, ...]:
-        """Sparse-text, dense-text and image-self attention of every patch,
-        per slice when the arrays carry a leading stack axis; derived on
-        first read, or kept from `stacked_views`."""
-        dim = self.patches.shape[-1]
-        return tuple(_frozen(attention_scores(self.patches, global_embedding(tokens), dim))
+        """Sparse-text, dense-text and image-self attention of every patch;
+        derived on first read and kept, the only place views are derived."""
+        return tuple(_frozen(attention_scores(self.patches, global_embedding(tokens)))
                      for tokens in (self.sparse_tokens, self.dense_tokens, self.patches))
 
     def validate(self, dim: int, mask_values: bool = True) -> None:
@@ -268,7 +266,7 @@ def read_bank(path) -> FeatureBank:
 
 
 def global_embedding(tokens: np.ndarray) -> np.ndarray:
-    """L2-normalized mean of the token rows of each K x d slice.
+    """L2-normalized mean of K x d token rows, one sample's caption or patches.
 
     A (near-)zero mean is returned as the exact zero vector, never
     normalized.
@@ -282,15 +280,16 @@ def global_embedding(tokens: np.ndarray) -> np.ndarray:
     return np.divide(mean, norm, out=np.zeros_like(mean), where=~(norm < EPS_NORM))
 
 
-def attention_scores(patches: np.ndarray, embedding: np.ndarray, dim: int) -> np.ndarray:
-    """Scaled dot-product attention of patches against a global embedding,
-    min-max normalized to [0,1]; leading stack axes give one row per slice.
+def attention_scores(patches: np.ndarray, embedding: np.ndarray) -> np.ndarray:
+    """Scaled dot-product attention of N x d patches against a global
+    embedding, min-max normalized to [0,1].
 
-    The raw score divides by the embedding dimension; a row whose range is
+    The raw score divides by the feature dimension d; a range that is
     degenerate (below eps_norm) maps every patch to 0.5.
     """
+    patches = np.asarray(patches, dtype=np.float64)
     embedding = np.asarray(embedding, dtype=np.float64)
-    raw = (np.asarray(patches, dtype=np.float64) @ embedding[..., None])[..., 0] / dim
+    raw = (patches @ embedding[..., None])[..., 0] / patches.shape[-1]
     lo, hi = raw.min(axis=-1, keepdims=True), raw.max(axis=-1, keepdims=True)
     return np.where(hi - lo < EPS_NORM, 0.5, (raw - lo) / (hi - lo + EPS_NORM))
 
@@ -308,21 +307,6 @@ def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
                 and a.ctypes.data == first + at * base.strides[0] for at, a in enumerate(arrays)):
             return _frozen(rows)
     return _frozen(np.array(arrays))
-
-
-def stacked_views(samples: list[Sample]) -> tuple[np.ndarray, ...]:
-    """The `views` of C samples of one shape, as three C x n stacks. Samples
-    without views yet derive them in one stacked pass, bitwise equal to
-    deriving them one at a time, and each keeps its row as its `views`."""
-    fresh = [s for s in samples if "views" not in s.__dict__]
-    if fresh:
-        stacked = Sample("stack", *(stack_rows([getattr(s, name) for s in fresh])
-                                    for name in FEATURES)).views
-        for at, sample in enumerate(fresh):
-            sample.__dict__["views"] = tuple(view[at] for view in stacked)
-        if len(fresh) == len(samples):
-            return stacked
-    return tuple(np.array(views) for views in zip(*(s.views for s in samples)))
 
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:

@@ -203,8 +203,8 @@ def selection_quality(bank: FeatureBank, params) -> float:
     caller's numpy error state; the calling thread ranks each block in bank
     order once its stacks are scored.  The first failing stack in bank order
     raises, and stacks not yet started are cancelled.  Each scored sample
-    keeps the `views` the first call derives for it (`bank.stacked_views`);
-    nothing else is kept."""
+    keeps the `views` that the first call's read of `Sample.views` derives
+    for it; nothing else is kept."""
     from concurrent.futures import ThreadPoolExecutor  # here: only this call pays its import
 
     check_dims(bank, params)

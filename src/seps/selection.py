@@ -36,7 +36,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS_LOG, Tensor
-from .bank import Sample, stable_id_hash, stack_rows, stacked_views
+from .bank import Sample, stable_id_hash, stack_rows
 from .errors import ConfigError, NoPatchesSelectedError, ShapeError, check_fields, check_range
 
 MODES = ("train", "eval", "soft")
@@ -318,12 +318,13 @@ def attention_views(views: tuple[np.ndarray, ...], params: SelectionParams) -> t
 def sparse_eval_scores(samples: Sequence[Sample], params: SelectionParams) -> np.ndarray:
     """Eval-mode sparse-branch score of every patch of C samples that share
     one shape, as a C x n matrix from one stacked pass with no tape, over
-    the samples' own `views` (`bank.stacked_views`).  Stacked `np.matmul`
-    runs the 2-D kernel per slice, so row c is bitwise `branch_scores(...)[0]`
-    after `score_and_decide(samples[c], ..., "eval")`; it raises
-    NonFiniteError wherever that path's Tensor checks would."""
+    each sample's own `views`, stacked.  Stacked `np.matmul` runs the 2-D
+    kernel per slice, so row c is bitwise `branch_scores(...)[0]` after
+    `score_and_decide(samples[c], ..., "eval")`; it raises NonFiniteError
+    wherever that path's Tensor checks would."""
     patches = _patch_matrix(stack_rows([s.patches for s in samples]), params)
-    s_st, s_dt, s_im = attention_views(stacked_views(samples), params)
+    views = tuple(np.array(view) for view in zip(*(s.views for s in samples)))
+    s_st, s_dt, s_im = attention_views(views, params)
     what = "the sparse-branch score"
     _, pred = _predict_forward(patches, params, what)
     pred = pred * (1.0 - 2.0 * params.beta)

@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import composed_alignment as composed
 from conftest import finite_difference_check, make_params, perturb_params
@@ -13,8 +15,9 @@ from seps import evaluator, objective, selection
 from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, align_score,
                             score_from_similarity, similarity_matrix)
-from seps.bank import FeatureBank, SynthConfig, generate_synthetic
-from seps.errors import DegenerateVectorError, NonFiniteError, ShapeError
+from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic
+from seps.errors import (DegenerateVectorError, NonFiniteError, NoPatchesSelectedError,
+                         ShapeError)
 from seps.objective import batch_similarity
 from seps.trainer import ModelParams
 
@@ -373,15 +376,82 @@ def test_pairwise_scores_match_raw_per_pair_align_score_bitwise(head_hidden):
     bank = generate_synthetic(SynthConfig(seed=head_hidden, **DESK_GALLERY))
     params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
                                         head_hidden=head_hidden, seed=1), 3)
-    scores = evaluator.pairwise_scores(bank, params)
-    want = np.empty_like(scores)
+    assert bits(evaluator.pairwise_scores(bank, params)) == bits(raw_pairwise_scores(bank, params))
+
+
+def raw_pairwise_scores(bank, params) -> np.ndarray:
+    """Each image selected, then scored against each caption by `align_score`
+    on raw arrays, one pair at a time; raises at the first failing pair."""
+    want = np.empty((len(bank.samples), len(bank.samples)))
     with ad.no_grad():
         for i, image in enumerate(bank.samples):
             agg, _, _ = selection.select_and_aggregate(image, params.selection, "eval")
             for j, caption in enumerate(bank.samples):
                 want[i, j] = align_score(agg.vectors.data, caption.sparse_tokens,
                                          params.alignment).total.item()
-    assert bits(scores) == bits(want)
+    return want
+
+
+# a drawn bank's one fault, none in two of five: a zero caption fails each
+# pair it enters, zero patches fuse to zero vectors, huge patches overflow
+# the selection pass
+FAULTS = ("none", "none", "zero caption", "zero patches", "huge patches")
+
+
+@st.composite
+def ragged_banks(draw) -> FeatureBank:
+    """2-5 samples of 1-12 patches and 1-5 sparse words each, dims 2-8, with
+    at most one faulty sample."""
+    dim = draw(st.integers(2, 8), label="dim")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    count = draw(st.integers(2, 5), label="samples")
+    fault, faulty = draw(st.sampled_from(FAULTS), label="fault"), draw(st.integers(0, count - 1))
+    samples = []
+    for i in range(count):
+        rows = (draw(st.integers(1, 12)), draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        patches, sparse, dense = (rng.normal(size=(n, dim)) for n in rows)
+        if i == faulty and fault == "zero caption":
+            sparse = np.zeros_like(sparse)
+        elif i == faulty and fault != "none":
+            patches = patches * (0.0 if fault == "zero patches" else 1e200)
+        samples.append(Sample(f"s{i}", patches, sparse, dense))
+    return FeatureBank(dim=dim, samples=samples)
+
+
+def scored_or_raised(score, bank, params, selected: list) -> tuple:
+    """The scores' bits, or the error raised and the image selected last."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return "scored", bits(score(bank, params))
+    except (DegenerateVectorError, NonFiniteError, NoPatchesSelectedError) as exc:
+        return "raised", type(exc), str(exc), selected[-1]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_pairwise_scores_on_ragged_banks_match_the_raw_per_pair_loop(data, monkeypatch):
+    bank = data.draw(ragged_banks(), label="bank")
+    # k_top below, at or above the n_keep maxima of the image side; the word
+    # side has 1-5 maxima, so its pairs fall on all three sides too
+    side = data.draw(st.sampled_from(("below", "at", "above")), label="k_top side")
+    n_keep = data.draw(st.integers(2 if side == "below" else 1, 4), label="n_keep")
+    k_top = data.draw({"below": st.integers(1, n_keep - 1), "at": st.just(n_keep),
+                       "above": st.integers(n_keep + 1, n_keep + 3)}[side], label="k_top")
+    params = make_params(dim=bank.dim, n_patches=12, n_keep=n_keep, k_top=k_top,
+                         beta=data.draw(st.sampled_from((0.0, 0.2, 0.5)), label="beta"),
+                         head_hidden=data.draw(st.sampled_from((0, 3)), label="head_hidden"),
+                         seed=data.draw(st.integers(0, 99), label="model"))
+    perturb_params(params, data.draw(st.integers(0, 99), label="perturbation"))
+    selected, select = [], selection.select_and_aggregate
+
+    def recorded(image, *args):
+        selected.append(image.sample_id)
+        return select(image, *args)
+
+    monkeypatch.setattr(selection, "select_and_aggregate", recorded)
+    fused = scored_or_raised(evaluator.pairwise_scores, bank, params, selected)
+    assert fused == scored_or_raised(raw_pairwise_scores, bank, params, selected)
 
 
 CAPTION_FAULTS = {

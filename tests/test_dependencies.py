@@ -5,7 +5,9 @@ its top-level functions and classes is read somewhere in src/seps or in
 the perfbench harness (perfbench/*.py, not its tests).  Only `alignment`
 and `objective.score_grid` touch the per-pair path, so there is one
 image x caption loop.  Only `evaluator` imports a thread module, so
-training stays single-threaded."""
+training stays single-threaded.  No module stores into a `__dict__`
+subscript, so `Sample.views`, a cached property, is the only writer of a
+sample's views."""
 
 import ast
 import sys
@@ -146,3 +148,23 @@ def test_the_thread_guard_sees_imports_inside_functions():
                          ids=lambda p: p.name)
 def test_only_the_evaluator_imports_a_thread_module(path):
     assert thread_imports(path.read_text(encoding="utf-8")) == []
+
+
+def dict_stores(source: str) -> list[int]:
+    """Line numbers of the stores into a `__dict__` subscript in `source`
+    (`x.__dict__[k] = v`, augmented or annotated, or `del x.__dict__[k]`)."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Attribute) and node.value.attr == "__dict__"]
+
+
+def test_the_dict_guard_sees_stores_only():
+    source = ("s.__dict__['views'] = v\nif 'views' not in s.__dict__: pass\n"
+              "x = s.__dict__['views']\nfor s.__dict__[k] in []: pass\n"
+              "del a.b.__dict__[k]\nd = {}\nd['__dict__'] = 1\n")
+    assert dict_stores(source) == [1, 4, 5]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_stores_into_no_dict_subscript(path):
+    assert dict_stores(path.read_text(encoding="utf-8")) == []

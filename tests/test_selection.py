@@ -66,23 +66,23 @@ def test_predict_scores_rejects_dim_mismatch():
 
 def test_attention_scores_minmax_endpoints():
     # raws [2, 4, 6] via dim=1 and a unit embedding
-    out = attention_scores(np.array([[2.0], [4.0], [6.0]]), np.array([1.0]), 1)
+    out = attention_scores(np.array([[2.0], [4.0], [6.0]]), np.array([1.0]))
     np.testing.assert_allclose(out, [0.0, 0.5, 1.0], atol=1e-7)
     assert out[0] == 0.0
 
 
 def test_attention_scores_degenerate_range_is_half():
-    out = attention_scores(np.array([[7.0]]), np.array([1.0]), 1)
+    out = attention_scores(np.array([[7.0]]), np.array([1.0]))
     np.testing.assert_array_equal(out, [0.5])
     # a range below EPS_NORM is degenerate; a range of exactly EPS_NORM is not
-    below = attention_scores(np.array([[0.0], [0.5 * EPS_NORM]]), np.array([1.0]), 1)
+    below = attention_scores(np.array([[0.0], [0.5 * EPS_NORM]]), np.array([1.0]))
     np.testing.assert_array_equal(below, [0.5, 0.5])
-    exact = attention_scores(np.array([[0.0], [EPS_NORM]]), np.array([1.0]), 1)
+    exact = attention_scores(np.array([[0.0], [EPS_NORM]]), np.array([1.0]))
     np.testing.assert_array_equal(exact, [0.0, 0.5])
 
 
 def test_attention_scores_hand_case():
-    out = attention_scores(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]), 2)
+    out = attention_scores(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-7)
     assert out[1] == 0.0
 
@@ -261,9 +261,9 @@ def test_forward_zero_init_scores_all_half():
         pass
     bundle = ScoreBundle(
         predicted=predict_scores(patches, params.selection),
-        sparse_text=attention_scores(patches, patches[0] / np.linalg.norm(patches[0]), 4),
-        dense_text=attention_scores(patches, patches[0] / np.linalg.norm(patches[0]), 4),
-        image_self=attention_scores(patches, patches[0] / np.linalg.norm(patches[0]), 4))
+        sparse_text=attention_scores(patches, patches[0] / np.linalg.norm(patches[0])),
+        dense_text=attention_scores(patches, patches[0] / np.linalg.norm(patches[0])),
+        image_self=attention_scores(patches, patches[0] / np.linalg.norm(patches[0])))
     np.testing.assert_array_equal(bundle.predicted.data, [0.5, 0.5, 0.5])
     np.testing.assert_array_equal(bundle.sparse_text, [0.5, 0.5, 0.5])
 

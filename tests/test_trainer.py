@@ -291,9 +291,9 @@ def count_view_derivations(monkeypatch) -> list:
     calls = []
     scores = bank_module.attention_scores
 
-    def counted(patches, embedding, dim):
+    def counted(patches, embedding):
         calls.append(id(patches))
-        return scores(patches, embedding, dim)
+        return scores(patches, embedding)
 
     monkeypatch.setattr(bank_module, "attention_scores", counted)
     return calls
@@ -343,8 +343,8 @@ def test_derived_views_change_no_param_history_or_checkpoint_byte(tmp_path):
 
 
 def test_fit_after_selection_quality_writes_the_same_bytes(tmp_path):
-    # selection_quality derives the scored samples' views in stacked passes
-    # over ragged runs; fit then reads those and derives the rest
+    # selection_quality derives the views of the scored samples of ragged
+    # runs; fit then reads those and derives the rest
     path = tmp_path / "mixed.sepb"
     write_bank(mixed_bank(), path)
     cfg = TrainConfig(dim=16, n_patches=9, n_keep=3, k_top=2, batch_size=4, epochs=2,
