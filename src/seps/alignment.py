@@ -9,10 +9,11 @@ scoring starts as pure mean pooling) with an optional tanh hidden layer.
 The matrix and the score are one tape node each, with a plain-numpy
 forward and a hand-written vjp; a side that enters many pairs (a caption,
 an image's fused vectors) is prepared once as `Rows`.  Subgradient
-conventions: a row or column maximum routes to its first-occurrence
-winner; the top-K orders ties by first occurrence and, when K exceeds the
-number of maxima, pads with the first-occurrence minimum, whose slots all
-add into that one entry.
+conventions, kept by the score's vjp, which runs for a nonzero adjoint
+only: a row or column maximum routes to its first-occurrence winner; the
+top-K orders ties by first occurrence and, when K exceeds the number of
+maxima, pads with the first-occurrence minimum, whose slots all add into
+that one entry.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class AlignmentParams:
     @property
     def k_top(self) -> int:
         # the heads' input width: the rows of hid_w, or of out_w when linear
-        return self.p2w.tensors()[0].shape[0]
+        return len((self.p2w.hid_w or self.p2w.out_w).data)
 
 
 @dataclass
@@ -132,26 +133,44 @@ def similarity_matrix(patches: Rows | Tensor | np.ndarray, words: Rows | np.ndar
         return (g_norm / norm_p)[:, None] * p, (g_rows * recip_p[:, None]) @ w_t.T
 
     parents = () if patches.tensor is None else (patches.tensor, patches.tensor)
-    return ad.node(out, parents, vjp, "similarity")
+    return ad.finite_node(out, parents, vjp, "similarity")  # cosines of checked norms
 
 
-def _pool(maxima: np.ndarray, head: RelevanceHead, k_top: int):
-    """Mean of one direction's maxima and its head over their top k_top in
-    descending order (ties by first occurrence, padded with the
-    first-occurrence minimum), plus the backward of both: upstream adjoint
-    -> (adjoint of the maxima, adjoints of the head's `tensors()`)."""
+def _slots(maxima: np.ndarray, k_top: int) -> np.ndarray:
+    """Top-k_top entries, descending, ties by first occurrence, padded with the first min."""
     order = (-maxima).argsort(kind="stable")
     if k_top > maxima.size:
         order = np.concatenate([order, np.full(k_top - maxima.size, maxima.argmin())])
-    idx = order[:k_top]
-    pooled = maxima[idx]
+    return order[:k_top]
+
+
+@functools.lru_cache(maxsize=256)
+def _descending(k_top: int, n: int) -> np.ndarray:
+    """Where each top-k_top slot reads an ascending sort of n values."""
+    return np.maximum(np.arange(n - 1, n - 1 - k_top, -1), 0)
+
+
+def _pool(s: np.ndarray, head: RelevanceHead, k_top: int):
+    """Mean of the maxima of the rows of `s` and the head over their top
+    k_top, plus the backward of both: upstream adjoint -> (adjoint of the
+    maxima, adjoints of the head's `tensors()`).  The forward reads values
+    only: equal nonzero values have equal bits, so a sort, read back into a
+    contiguous array, gives the slots' values; a zero maximum, whose sign
+    np.max and the sort may not keep, takes the backward's path."""
+    maxima = np.maximum.reduce(s, axis=1)
+    if np.count_nonzero(maxima) < maxima.size:
+        maxima = s[np.arange(len(s)), s.argmax(axis=1)]
+        pooled = maxima[_slots(maxima, k_top)]
+    else:
+        pooled = np.sort(maxima)[_descending(k_top, maxima.size)]
     out_w = head.out_w.data
     x = pooled
     if head.hid_w is not None:
-        hid_wt = head.hid_w.data.T.copy()
+        hid_wt = head.hid_w.data.T.copy()  # for the bits: hid_w.T @ pooled differs
         x = np.tanh(hid_wt @ pooled + head.hid_b.data)
 
     def backward(g):
+        idx = _slots(maxima, k_top)
         grads = (g * x, g)
         g_pooled = g * out_w
         if head.hid_w is not None:
@@ -161,7 +180,7 @@ def _pool(maxima: np.ndarray, head: RelevanceHead, k_top: int):
         # padded slots add up at the argmin, in slot order
         return g / maxima.size + np.bincount(idx, g_pooled, maxima.size), grads
 
-    return maxima.sum() / maxima.size, out_w @ x + head.out_b.data, backward
+    return np.add.reduce(maxima) / maxima.size, out_w @ x + head.out_b.data, backward
 
 
 def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScore:
@@ -170,22 +189,20 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
     patch_to_word pools the row maxima (best word per patch), word_to_patch
     the column maxima; each contributes their mean plus its head over the
     padded top-k_top.  Only `total` is on the tape; the summands are
-    floats, read by `seps score`.
+    floats, read by `seps score`.  The vjp finds where the values came from.
     """
     s = sim.data
     if s.ndim != 2 or s.size == 0:
         raise ShapeError("score_from_similarity expects a non-empty matrix")
-    rows, cols = np.arange(s.shape[0]), np.arange(s.shape[1])
-    arg_p2w, arg_w2p = s.argmax(axis=1), s.argmax(axis=0)
-    mean_p2w, head_p2w, back_p2w = _pool(s[rows, arg_p2w], params.p2w, params.k_top)
-    mean_w2p, head_w2p, back_w2p = _pool(s[arg_w2p, cols], params.w2p, params.k_top)
+    mean_p2w, head_p2w, back_p2w = _pool(s, params.p2w, params.k_top)
+    mean_w2p, head_w2p, back_w2p = _pool(s.T, params.w2p, params.k_top)
 
     def vjp(g):
         g_p2w, grads_p2w = back_p2w(g)
         g_w2p, grads_w2p = back_w2p(g)
         g_rows, g_cols = np.zeros(s.shape), np.zeros(s.shape)
-        g_rows[rows, arg_p2w] = g_p2w
-        g_cols[arg_w2p, cols] = g_w2p
+        g_rows[np.arange(s.shape[0]), s.argmax(axis=1)] = g_p2w
+        g_cols[s.argmax(axis=0), np.arange(s.shape[1])] = g_w2p
         return (g_rows + g_cols, *grads_p2w, *grads_w2p)
 
     total = ad.node(((mean_p2w + head_p2w) + mean_w2p) + head_w2p,

@@ -18,6 +18,7 @@ Only an entry whose true value is zero can differ, in its sign.
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import GraphError, NonFiniteError, ShapeError
 EPS_NORM = 1e-8   # degenerate-range guard for min-max normalization
 EPS_LOG = 1e-8    # additive guard before log
 FD_STEP = 1e-6    # central-difference step
+_F64 = np.dtype(np.float64)
 
 _grad_enabled = True
 
@@ -45,14 +47,13 @@ def no_grad():
 
 
 def _as_f64(data) -> np.ndarray:
-    arr = np.asarray(data, dtype=np.float64)
-    if arr.ndim > 0 and not arr.flags["C_CONTIGUOUS"]:
-        arr = np.ascontiguousarray(arr)  # keeps 0-d shape intact
-    return arr
+    if type(data) is np.ndarray and data.dtype is _F64 and data.flags.c_contiguous:
+        return data  # a kernel's output, as it usually is
+    return np.asarray(data, dtype=np.float64, order="C")  # keeps 0-d shape intact
 
 
 class Tensor:
-    """Float64 array node in a compute graph.
+    """Float64 array node in a compute graph, C-contiguous and finite.
 
     `parents`/`vjp` are empty for leaves.  `vjp` maps the upstream adjoint
     to one adjoint per parent (None for parents with no gradient path).
@@ -62,9 +63,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  parents: tuple["Tensor", ...] = (), vjp: Callable | None = None):
-        self.data = _as_f64(data)
-        if not np.isfinite(self.data).all():
-            raise NonFiniteError(f"non-finite values in tensor {name or '<anon>'}")
+        self.data = finite(f"tensor {name or '<anon>'}", _as_f64(data))
         self.parents = parents
         self.vjp = vjp
         self.requires_grad = requires_grad
@@ -104,7 +103,7 @@ def finite(what: str, *arrays: np.ndarray) -> np.ndarray:
     """Raise NonFiniteError, as a Tensor holding any of `arrays` would;
     returns the first array."""
     for a in arrays:
-        if not np.isfinite(a).all():
+        if not (math.isfinite(a) if a.ndim == 0 else np.isfinite(a).all()):
             raise NonFiniteError(f"non-finite values in {what}")
     return arrays[0]
 
@@ -112,9 +111,20 @@ def finite(what: str, *arrays: np.ndarray) -> np.ndarray:
 def node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable, name: str) -> Tensor:
     """An op's output: recorded on the tape with `vjp` when a parent is
     tracked and gradients are enabled, a plain constant otherwise."""
-    if _grad_enabled and any(p.requires_grad or p.parents for p in parents):
-        return Tensor(data, parents=parents, vjp=vjp, name=name)
-    return Tensor(data, name=name)
+    return finite_node(finite(f"tensor {name}", _as_f64(data)), parents, vjp, name)
+
+
+def finite_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable,
+                name: str) -> Tensor:
+    """`node` without Tensor's check, for a value checked or finite by construction."""
+    t = Tensor.__new__(Tensor)
+    t.data, t.name, t.requires_grad, t.parents, t.vjp = _as_f64(data), name, False, (), None
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad or p.parents:
+                t.parents, t.vjp = parents, vjp
+                break
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +156,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return node(out, (a,), vjp, "sigmoid")
+    return finite_node(out, (a,), vjp, "sigmoid")  # of a finite tensor: in [0, 1]
 
 
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -199,22 +209,20 @@ class Graph:
 
     @staticmethod
     def _toposort(root: Tensor) -> list[Tensor]:
+        # depth first, parents in declared order; a node's None marks it done
         order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        seen: set[Tensor] = set()
+        stack: list[Tensor | None] = [root]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            # reversed so parents expand in declared order
-            for parent in reversed(node.parents):
-                if id(parent) not in seen:
-                    stack.append((parent, False))
+            node = stack.pop()
+            if node is None:
+                order.append(stack.pop())
+            elif node not in seen:
+                seen.add(node)
+                stack += (node, None)
+                for parent in reversed(node.parents):
+                    if parent not in seen:
+                        stack.append(parent)
         return order
 
     def backward(self) -> dict[int, np.ndarray]:

@@ -272,10 +272,10 @@ def global_embedding(tokens: np.ndarray) -> np.ndarray:
     normalized.
     """
     tokens = np.asarray(tokens, dtype=np.float64)
-    if tokens.ndim < 2 or tokens.shape[-2] < 1:
-        raise BankInvariantError("global_embedding expects [...] x K x d with K >= 1")
-    mean = tokens.mean(axis=-2)
-    norm = np.sqrt(mean[..., None, :] @ mean[..., :, None])[..., 0]
+    if tokens.ndim != 2 or tokens.shape[0] < 1:
+        raise BankInvariantError("global_embedding expects K x d with K >= 1")
+    mean = tokens.mean(axis=0)
+    norm = np.linalg.norm(mean)
     # ~(norm < eps) rather than norm >= eps, so a NaN norm is divided, not zeroed
     return np.divide(mean, norm, out=np.zeros_like(mean), where=~(norm < EPS_NORM))
 
@@ -288,9 +288,8 @@ def attention_scores(patches: np.ndarray, embedding: np.ndarray) -> np.ndarray:
     degenerate (below eps_norm) maps every patch to 0.5.
     """
     patches = np.asarray(patches, dtype=np.float64)
-    embedding = np.asarray(embedding, dtype=np.float64)
-    raw = (patches @ embedding[..., None])[..., 0] / patches.shape[-1]
-    lo, hi = raw.min(axis=-1, keepdims=True), raw.max(axis=-1, keepdims=True)
+    raw = patches @ np.asarray(embedding, dtype=np.float64) / patches.shape[1]
+    lo, hi = raw.min(), raw.max()
     return np.where(hi - lo < EPS_NORM, 0.5, (raw - lo) / (hi - lo + EPS_NORM))
 
 

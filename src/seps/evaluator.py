@@ -4,8 +4,8 @@ Recall@K counts a query as a hit when any of its ground-truth gallery
 indices ranks inside the top K, with score ties broken toward the lower
 gallery index.  rSum adds the six recalls (both directions, K in 1/5/10).
 Selection quality scores the sparse-branch ranking against the synthetic
-relevance masks as an ROC AUC, over stacks of samples that share one shape,
-scored side by side on a thread pool with a worker per usable CPU.
+relevance masks as an ROC AUC, over stacks of samples that share one patch
+shape, scored side by side on a thread pool with a worker per usable CPU.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def selection_quality(bank: FeatureBank, params) -> float:
     """Mean per-sample AUC of the eval-mode sparse-branch score vs the
     ground-truth relevance mask; a sample without a two-class mask is
     skipped before any scoring, one whose branches both keep nothing still
-    counts.  Each run of consecutive samples of one shape is scored in
+    counts.  Each run of consecutive samples of one patch shape is scored in
     stacks of at most STACK_BYTES of patches and ranked in blocks of whole
     stacks of at most STACK_BYTES of scores (or one stack), bitwise equal to
     one sample at a time.  Each stack is one task of a thread pool opened
@@ -222,8 +222,7 @@ def selection_quality(bank: FeatureBank, params) -> float:
                               else os.cpu_count() or 1)
     try:
         blocks = []  # each rank block's samples and its stacks' tasks, in bank order
-        for _, run in itertools.groupby(scored, key=lambda s: (
-                s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)):
+        for _, run in itertools.groupby(scored, key=lambda s: s.patches.shape):
             run = list(run)
             size = max(1, STACK_BYTES // run[0].patches.nbytes)
             # a block's scores are float64: 8 bytes per patch of each sample

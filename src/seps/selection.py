@@ -174,7 +174,7 @@ def predict_scores(patches: np.ndarray, params: SelectionParams) -> Tensor:
         return v.T @ g_pre, np.sum(g_pre, axis=0), hidden.T @ g_logits, np.sum(g_logits)
 
     parents = (params.pred_w1, params.pred_b1, params.pred_w2, params.pred_b2)
-    return ad.node(out, parents, vjp, "predict")
+    return ad.finite_node(out, parents, vjp, "predict")  # of logits checked finite
 
 
 def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndarray:
@@ -183,9 +183,10 @@ def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndar
 
 def _clipped_score(pred: Tensor, fixed: np.ndarray) -> Tensor:
     """pred + fixed clipped to [0, CLIP_HI], as one node."""
-    x = ad.finite("the branch score", pred.data + fixed)
+    x = ad.finite("the branch score", pred.data + fixed)  # and so is its clip
     inside = (x >= 0.0) & (x <= CLIP_HI)
-    return ad.node(np.clip(x, 0.0, CLIP_HI), (pred,), lambda g: (g * inside,), "branch_score")
+    return ad.finite_node(np.clip(x, 0.0, CLIP_HI), (pred,), lambda g: (g * inside,),
+                          "branch_score")
 
 
 def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[Tensor, Tensor]:
@@ -200,15 +201,14 @@ def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[Tensor, Tensor]:
             _clipped_score(pred, _attention_part(beta, bundle.dense_text, bundle.image_self)))
 
 
-def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
-                    rng: np.random.Generator | None = None) -> DecisionMask:
+def gumbel_decision(scores: Tensor, tau: float, noise: np.ndarray | None = None) -> DecisionMask:
     """Two-logit Gumbel decision per patch.
 
-    keep = log(s + eps), drop = log(1 - s + eps); i.i.d. Gumbel noise is
-    added to both logits when enabled; the keep probability is the softmax
-    of the pair at temperature tau.  A patch is kept iff that probability
-    strictly exceeds 0.5, so an exactly ambivalent score drops.  The logit
-    is one `decision_logit` node.
+    keep = log(s + eps), drop = log(1 - s + eps); `noise`, when given, is
+    i.i.d. Gumbel noise as two rows, added to the keep and the drop logits;
+    the keep probability is the softmax of the pair at temperature tau.  A
+    patch is kept iff that probability strictly exceeds 0.5, so an exactly
+    ambivalent score drops.  The logit is one `decision_logit` node.
     """
     check_range("tau", tau)
     s = scores.data
@@ -216,12 +216,8 @@ def gumbel_decision(scores: Tensor, tau: float, noise_enabled: bool,
     drop_in = 1.0 - s + EPS_LOG
     with np.errstate(divide="ignore", invalid="ignore"):  # -> NonFiniteError
         diff = ad.finite("the decision logit", np.log(keep_in) + -np.log(drop_in))
-    if noise_enabled:
-        if rng is None:
-            raise ConfigError("noise requires an rng")
-        g_keep = rng.gumbel(size=scores.shape)
-        g_drop = rng.gumbel(size=scores.shape)
-        diff = diff + (g_keep - g_drop)
+    if noise is not None:
+        diff = diff + (noise[0] - noise[1])
     inv_tau = float(1.0 / tau)
 
     def vjp(g):
@@ -317,7 +313,7 @@ def attention_views(views: tuple[np.ndarray, ...], params: SelectionParams) -> t
 
 def sparse_eval_scores(samples: Sequence[Sample], params: SelectionParams) -> np.ndarray:
     """Eval-mode sparse-branch score of every patch of C samples that share
-    one shape, as a C x n matrix from one stacked pass with no tape, over
+    one patch shape, as a C x n matrix from one stacked pass with no tape, over
     each sample's own `views`, stacked.  Stacked `np.matmul` runs the 2-D
     kernel per slice, so row c is bitwise `branch_scores(...)[0]` after
     `score_and_decide(samples[c], ..., "eval")`; it raises NonFiniteError
@@ -341,8 +337,8 @@ def score_and_decide(
 ) -> tuple[ScoreBundle, DecisionMask, DecisionMask]:
     """Stage 1 plus the per-branch decisions, without aggregation.
 
-    Gumbel noise is sampled only in train mode; the sparse branch draws
-    first so the noise stream is reproducible.
+    Gumbel noise is sampled only in train mode, in one draw with the bits of
+    four draws of n: sparse keep and drop, then dense keep and drop.
     """
     if mode not in MODES:
         raise ConfigError(f"unknown mode: {mode}")
@@ -350,10 +346,11 @@ def score_and_decide(
                          *attention_views(sample.views, params))
 
     score_s, score_d = branch_scores(bundle, params.beta)
-    noise = mode == "train"
-    mask_s = gumbel_decision(score_s, params.tau, noise, rng)
-    mask_d = gumbel_decision(score_d, params.tau, noise, rng)
-    return bundle, mask_s, mask_d
+    if mode == "train" and rng is None:
+        raise ConfigError("noise requires an rng")
+    noise = rng.gumbel(size=(2, 2, sample.n_patches)) if mode == "train" else (None, None)
+    return (bundle, gumbel_decision(score_s, params.tau, noise[0]),
+            gumbel_decision(score_d, params.tau, noise[1]))
 
 
 def select_and_aggregate(

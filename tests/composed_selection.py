@@ -13,7 +13,7 @@ import numpy as np
 
 from seps import autodiff as ad
 from seps.autodiff import EPS_LOG
-from seps.errors import ConfigError, NoPatchesSelectedError, ShapeError, check_range
+from seps.errors import NoPatchesSelectedError, ShapeError, check_range
 from seps.selection import (CLIP_HI, AggregatedPatches, DecisionMask, ScoreBundle,
                             SelectionParams, column_softmax)
 
@@ -153,18 +153,15 @@ def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[ad.Tensor, ad.Tenso
             clip(ad.add(pred, ad.constant(dense_fixed)), 0.0, CLIP_HI))
 
 
-def gumbel_decision(scores: ad.Tensor, tau: float, noise_enabled: bool,
-                    rng: np.random.Generator | None = None) -> DecisionMask:
+def gumbel_decision(scores: ad.Tensor, tau: float,
+                    noise: np.ndarray | None = None) -> DecisionMask:
     check_range("tau", tau)
     keep = log(add_scalar(scores, EPS_LOG))
     one_minus = neg(add_scalar(scores, -1.0))
     drop = log(add_scalar(one_minus, EPS_LOG))
     diff = ad.add(keep, neg(drop))
-    if noise_enabled:
-        if rng is None:
-            raise ConfigError("noise requires an rng")
-        g_keep = rng.gumbel(size=scores.shape)
-        g_drop = rng.gumbel(size=scores.shape)
+    if noise is not None:
+        g_keep, g_drop = noise
         diff = ad.add(diff, ad.constant(g_keep - g_drop))
     logit = ad.scale(diff, 1.0 / tau)
     soft = ad.sigmoid(logit)

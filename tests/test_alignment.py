@@ -353,6 +353,60 @@ def test_pair_score_matches_the_composed_path_bitwise(head_hidden, n_patches, n_
         assert bits(got[t].data) == bits(want[t].data)
 
 
+# cell values a drawn matrix repeats, both zeros among them, so ties, zero
+# maxima of either sign and zero maxima that tie occur often
+LEVELS = (-0.5, -0.0, 0.0, 0.25, 0.5)
+
+
+@st.composite
+def tied_similarities(draw) -> np.ndarray:
+    """1-12 x 1-6 cells, each a repeated level or any value in [-1, 1], and
+    some rows of zeros of either sign."""
+    rows, cols = draw(st.integers(1, 12), label="rows"), draw(st.integers(1, 6), label="cols")
+    cell = st.one_of(st.sampled_from(LEVELS), st.floats(-1.0, 1.0))
+    matrix = np.array(draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols),
+                           label="cells")).reshape(rows, cols)
+    zero = st.lists(st.sampled_from((-0.0, 0.0)), min_size=cols, max_size=cols)
+    for row in draw(st.sets(st.integers(0, rows - 1)), label="zero rows"):
+        matrix[row] = draw(zero, label=f"row {row}")
+    return matrix
+
+
+def drawn_head(rng, k_top: int, hidden: int) -> RelevanceHead:
+    def leaf(*shape):
+        return ad.tensor(rng.normal(size=shape), requires_grad=True)
+
+    if not hidden:
+        return RelevanceHead(out_w=leaf(k_top), out_b=leaf())
+    return RelevanceHead(out_w=leaf(hidden), out_b=leaf(), hid_w=leaf(k_top, hidden),
+                         hid_b=leaf(hidden))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_pair_score_on_tied_and_zero_cells_matches_the_composed_path_bitwise(data):
+    # the fused forward reads the maxima and the top k from np.max and a
+    # sort, the composed path from the first-occurrence argmax and a stable
+    # sort by index: they agree only while zeros keep their signs and the
+    # sorted values are read back contiguously
+    matrix = data.draw(tied_similarities(), label="similarity")
+    counts = {k for n in matrix.shape for k in (n - 1, n, n + 1) if k >= 1}
+    k_top = data.draw(st.sampled_from(sorted(counts)), label="k_top")
+    hidden = data.draw(st.sampled_from((0, 3)), label="head_hidden")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="weights"))
+    params = AlignmentParams(p2w=drawn_head(rng, k_top, hidden),
+                             w2p=drawn_head(rng, k_top, hidden))
+    sim = ad.tensor(matrix, requires_grad=True)
+    wrt = [sim, *params.p2w.tensors(), *params.w2p.tensors()]
+    fused = score_from_similarity(sim, params)
+    oracle = composed.score_from_similarity(sim, params)
+    assert bits(fused.components()) == bits(oracle.components())
+    assert bits(fused.total.data) == bits(oracle.total.data)
+    got, want = ad.gradient(fused.total, wrt), ad.gradient(oracle.total, wrt)
+    for t in wrt:
+        assert bits(got[t].data) == bits(want[t].data)
+
+
 def test_pairwise_scores_match_the_composed_path_bitwise(monkeypatch):
     bank = generate_synthetic(SynthConfig(n_samples=6, dim=8, n_patches=6, seed=3))
     params = perturb_params(make_params(dim=8, n_keep=8, k_top=8, head_hidden=3), 5)

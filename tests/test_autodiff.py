@@ -446,7 +446,7 @@ def _selection_cases():
         sel.agg_dense_w.shape)
     cases["branch_score"] = (branches, unit(0.1, 0.5))
     cases["decision_logit"] = (lambda t: sum_all(mul(gumbel_decision(
-        t, 0.7, True, np.random.default_rng(3)).logit, readout)), unit(0.05, 0.95))
+        t, 0.7, np.random.default_rng(3).gumbel(size=(2, 5))).logit, readout)), unit(0.05, 0.95))
     return cases
 
 

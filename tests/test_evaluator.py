@@ -354,9 +354,9 @@ def test_selection_quality_bitwise_equal_to_the_taped_loop(shape):
 # STACK_BYTES -> the sample count of each stack in each rank call: at
 # 3 * 9 * 16 * 8 a stack holds 3 nine-patch or 2 twelve-patch samples and a
 # block a whole run; at 2 * 12 * 8 a stack holds one sample and a block two
-MIXED_BLOCKS = {None: [[5], [4], [3], [3]],
-                3 * 9 * 16 * 8: [[3, 2], [2, 2], [3], [3]],
-                2 * 12 * 8: [[1, 1], [1, 1], [1], [1, 1], [1, 1], [1, 1], [1], [1, 1], [1]],
+MIXED_BLOCKS = {None: [[5], [4], [6]],
+                3 * 9 * 16 * 8: [[3, 2], [2, 2], [3, 3]],
+                2 * 12 * 8: [[1, 1], [1, 1], [1], [1, 1], [1, 1], [1, 1], [1, 1], [1, 1]],
                 1: [[1]] * 15}
 
 
@@ -389,8 +389,7 @@ def test_selection_quality_bitwise_on_a_mixed_bank(stack_bytes, monkeypatch):
     assert [s.sample_id for stack, _ in stacks for s in stack] == [
         s.sample_id for s in bank.samples if s.sample_id not in skipped]
     for stack, _ in stacks:
-        assert len({(s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)
-                    for s in stack}) == 1
+        assert len({s.patches.shape for s in stack}) == 1
         assert len(stack) == 1 or sum(s.patches.nbytes for s in stack) <= evaluator.STACK_BYTES
     # each rank call takes the next whole stacks, all of one run, in bank order
     blocks, queue = [], list(stacks)
@@ -399,15 +398,14 @@ def test_selection_quality_bitwise_on_a_mixed_bank(stack_bytes, monkeypatch):
         while sum(len(stack) for stack, _ in block) < len(scores):
             block.append(queue.pop(0))
         samples = [s for stack, _ in block for s in stack]
-        assert len({(s.patches.shape, s.sparse_tokens.shape, s.dense_tokens.shape)
-                    for s in samples}) == 1
+        assert len({s.patches.shape for s in samples}) == 1
         assert scores.tobytes() == np.concatenate([rows for _, rows in block]).tobytes()
         assert labels.tobytes() == np.stack([s.relevance_mask for s in samples]).tobytes()
         assert len(block) == 1 or scores.nbytes <= evaluator.STACK_BYTES
         blocks.append([len(stack) for stack, _ in block])
     assert not queue
     assert blocks == MIXED_BLOCKS[stack_bytes]
-    assert len(stacks) == {None: 4, 3 * 9 * 16 * 8: 6, 2 * 12 * 8: 15, 1: 15}[stack_bytes]
+    assert len(stacks) == {None: 3, 3 * 9 * 16 * 8: 6, 2 * 12 * 8: 15, 1: 15}[stack_bytes]
 
 
 def test_selection_quality_counts_samples_whose_branches_keep_nothing():

@@ -224,6 +224,28 @@ def test_desk_step_runs_one_pair_vjp_per_nonzero_score_adjoint():
     assert runs == {"similarity": touched, "pair_score": touched}
 
 
+def test_desk_step_finds_top_k_slots_only_in_the_pair_vjps_that_run(monkeypatch):
+    # the forward reads the top-k values from a sort; the stable sort by
+    # index (`alignment._slots`) runs in the backward, once per direction
+    slots, calls = alignment._slots, []
+
+    def counted(maxima, k_top):
+        calls.append(k_top)
+        return slots(maxima, k_top)
+
+    monkeypatch.setattr(alignment, "_slots", counted)
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5), 6)
+    batch = batch_similarity(bank.samples, params.selection, params.alignment, "train",
+                             seed=5)
+    loss = batch_loss(batch, TrainConfig())
+    assert calls == []
+    runs, _ = count_pair_vjps(loss)
+    ad.gradient(loss, params.tensors())
+    assert 0 < runs["pair_score"] < 64
+    assert calls == [8] * (2 * runs["pair_score"])
+
+
 def orthogonal_batch(b: int = 8, dim: int = 32, n_patches: int = 16) -> list[Sample]:
     """Sample i's patches are positive multiples of basis vector i and its
     words equal it: each diagonal score is 2, every other score 0."""
