@@ -3,7 +3,11 @@
 Tensors are immutable value holders that record their producing operation;
 a Graph is the topologically ordered tape rooted at one output node.  All
 kernels are deterministic, reject non-finite results, and use fixed
-accumulation order so two identical runs are bitwise identical.  Most ops
+accumulation order so two identical runs are bitwise identical.  The
+backward runs the nodes in the reverse of the order in which they were
+created, each numbered by one process-wide counter, so a tensor's adjoint
+is its contributions summed left to right in that order (one node's, in
+the order of its parents).  Most ops
 live next to the model code that uses them, as one `node` each with a
 hand-written vjp; this module keeps the few generic ones.
 
@@ -18,7 +22,9 @@ Only an entry whose true value is zero can differ, in its sign.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,6 +38,7 @@ FD_STEP = 1e-6    # central-difference step
 _F64 = np.dtype(np.float64)
 
 _grad_enabled = True
+_created = itertools.count()  # next() is atomic under the GIL
 
 
 @contextlib.contextmanager
@@ -59,7 +66,7 @@ class Tensor:
     to one adjoint per parent (None for parents with no gradient path).
     """
 
-    __slots__ = ("data", "parents", "vjp", "requires_grad", "name")
+    __slots__ = ("data", "parents", "vjp", "requires_grad", "name", "seq")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None,
                  parents: tuple["Tensor", ...] = (), vjp: Callable | None = None):
@@ -68,6 +75,7 @@ class Tensor:
         self.vjp = vjp
         self.requires_grad = requires_grad
         self.name = name
+        self.seq = next(_created)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,7 +126,8 @@ def finite_node(data: np.ndarray, parents: tuple[Tensor, ...], vjp: Callable,
                 name: str) -> Tensor:
     """`node` without Tensor's check, for a value checked or finite by construction."""
     t = Tensor.__new__(Tensor)
-    t.data, t.name, t.requires_grad, t.parents, t.vjp = _as_f64(data), name, False, (), None
+    t.data, t.name, t.requires_grad, t.parents, t.vjp, t.seq = (
+        _as_f64(data), name, False, (), None, next(_created))
     if _grad_enabled:
         for p in parents:
             if p.requires_grad or p.parents:
@@ -201,7 +210,7 @@ def stack(parts: Sequence[Tensor], shape: tuple[int, ...]) -> Tensor:
 
 
 class Graph:
-    """Topologically ordered tape from leaves to one output node."""
+    """The nodes one output reaches, in creation order, leaves included."""
 
     def __init__(self, output: Tensor):
         self.output = output
@@ -209,24 +218,17 @@ class Graph:
 
     @staticmethod
     def _toposort(root: Tensor) -> list[Tensor]:
-        # depth first, parents in declared order; a node's None marks it done
-        order: list[Tensor] = []
-        seen: set[Tensor] = set()
-        stack: list[Tensor | None] = [root]
+        # every node the root reaches, in creation order: parents come first
+        seen, stack = {root}, [root]
         while stack:
-            node = stack.pop()
-            if node is None:
-                order.append(stack.pop())
-            elif node not in seen:
-                seen.add(node)
-                stack += (node, None)
-                for parent in reversed(node.parents):
-                    if parent not in seen:
-                        stack.append(parent)
-        return order
+            for parent in stack.pop().parents:
+                if parent not in seen:
+                    seen.add(parent)
+                    stack.append(parent)
+        return sorted(seen, key=attrgetter("seq"))
 
     def backward(self) -> dict[int, np.ndarray]:
-        """Accumulate adjoints in reverse topological order; a None vjp
+        """Accumulate adjoints in reverse creation order; a None vjp
         entry adds nothing, and a node no adjoint reaches is skipped."""
         if self.output.data.shape != ():
             raise GraphError("gradient of non-scalar output")

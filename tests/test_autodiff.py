@@ -187,6 +187,19 @@ def test_graph_topological_order_and_adjoints():
                                y.data * (1 - y.data) / 2.0, atol=1e-15)
 
 
+def test_adjoints_sum_in_reverse_creation_order():
+    # a, b and c each hand x one contribution; the output lists them as
+    # (c, a, b), so a depth-first walk would sum b's, a's, then c's:
+    # (-1e16 + 1.0) + 1e16 == 0.0.  Reverse creation order sums c's, b's,
+    # then a's: (1e16 + -1e16) + 1.0 == 1.0
+    x = ad.tensor(0.0, requires_grad=True)
+    a, b, c = (ad.node(x.data, (x,), lambda g, k=k: (g * k,), name)
+               for k, name in ((1.0, "a"), (-1e16, "b"), (1e16, "c")))
+    out = ad.node(x.data, (c, a, b), lambda g: (g, g, g), "out")
+    assert [n.name for n in ad.Graph(out).nodes] == [None, "a", "b", "c", "out"]
+    assert ad.gradient(out, [x])[x].item() == 1.0
+
+
 def test_gradient_non_scalar_output_raises():
     x = ad.tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(GraphError):
