@@ -50,6 +50,7 @@ class AlignmentParams:
 
     def __post_init__(self) -> None:
         check_range("k_top", self.k_top)
+        self.heads = (*self.p2w.tensors(), *self.w2p.tensors())  # each pair node's parents
 
     @property
     def k_top(self) -> int:
@@ -73,9 +74,10 @@ class AlignmentScore:
 
 class Rows:
     """One side of a similarity matrix, prepared once for every pair it
-    enters: the matrix, its row norms and their reciprocals, whether a row
-    is zero and whether those terms are finite.  `tensor` is the graph
-    tensor of a patch side, None for words, which are data.
+    enters: the matrix, its row norms and their reciprocals (also as a
+    column and as a row), whether a row is zero and whether those terms are
+    finite.  `tensor` is the graph tensor of a patch side, None for words,
+    which are data; `parents` lists it twice, as the similarity node does.
 
     The checks are recorded, not raised, so `similarity_matrix` raises for
     each pair exactly what it would raise on the raw arrays.
@@ -83,6 +85,7 @@ class Rows:
 
     def __init__(self, matrix: Tensor | np.ndarray):
         self.tensor = matrix if isinstance(matrix, Tensor) else None
+        self.parents = () if self.tensor is None else (self.tensor, self.tensor)
         data = matrix.data if self.tensor is not None else np.ascontiguousarray(
             matrix, dtype=np.float64)
         if data.ndim != 2:
@@ -92,6 +95,8 @@ class Rows:
         self.degenerate = not self.norm.all()
         # a zero norm gets no reciprocal: similarity_matrix refuses it first
         self.recip = None if self.degenerate else 1.0 / self.norm
+        if not self.degenerate:
+            self.col, self.row = self.recip[:, None], self.recip[None, :]
         self.finite = not self.degenerate and bool(
             np.isfinite(self.norm).all() and np.isfinite(self.recip).all())
 
@@ -124,16 +129,15 @@ def similarity_matrix(patches: Rows | Tensor | np.ndarray, words: Rows | np.ndar
     raw = p @ w_t
     if not (patches.finite and words.finite and np.isfinite(raw).all()):
         raise NonFiniteError("non-finite values in the similarity matrix")
-    norm_p, recip_p, recip_w = patches.norm, patches.recip, words.recip
-    out = raw * recip_p[:, None] * recip_w[None, :]
+    norm_p, recip_p, col_p, row_w = patches.norm, patches.recip, patches.col, words.row
+    out = raw * col_p * row_w
 
     def vjp(g):
-        g_rows = g * recip_w[None, :]
+        g_rows = g * row_w
         g_norm = -(g_rows * raw).sum(axis=1) * recip_p * recip_p
-        return (g_norm / norm_p)[:, None] * p, (g_rows * recip_p[:, None]) @ w_t.T
+        return (g_norm / norm_p)[:, None] * p, (g_rows * col_p) @ w_t.T
 
-    parents = () if patches.tensor is None else (patches.tensor, patches.tensor)
-    return ad.finite_node(out, parents, vjp, "similarity")  # cosines of checked norms
+    return ad.finite_node(out, patches.parents, vjp, "similarity")  # cosines of checked norms
 
 
 def _slots(maxima: np.ndarray, k_top: int) -> np.ndarray:
@@ -162,7 +166,9 @@ def _pool(s: np.ndarray, head: RelevanceHead, k_top: int):
         maxima = s[np.arange(len(s)), s.argmax(axis=1)]
         pooled = maxima[_slots(maxima, k_top)]
     else:
-        pooled = np.sort(maxima)[_descending(k_top, maxima.size)]
+        ordered = maxima.copy()  # np.sort's copy, without its Python wrapper
+        ordered.sort()
+        pooled = ordered[_descending(k_top, maxima.size)]
     out_w = head.out_w.data
     x = pooled
     if head.hid_w is not None:
@@ -194,8 +200,9 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
     s = sim.data
     if s.ndim != 2 or s.size == 0:
         raise ShapeError("score_from_similarity expects a non-empty matrix")
-    mean_p2w, head_p2w, back_p2w = _pool(s, params.p2w, params.k_top)
-    mean_w2p, head_w2p, back_w2p = _pool(s.T, params.w2p, params.k_top)
+    k_top = params.k_top
+    mean_p2w, head_p2w, back_p2w = _pool(s, params.p2w, k_top)
+    mean_w2p, head_w2p, back_w2p = _pool(s.T, params.w2p, k_top)
 
     def vjp(g):
         g_p2w, grads_p2w = back_p2w(g)
@@ -206,7 +213,7 @@ def score_from_similarity(sim: Tensor, params: AlignmentParams) -> AlignmentScor
         return (g_rows + g_cols, *grads_p2w, *grads_w2p)
 
     total = ad.node(((mean_p2w + head_p2w) + mean_w2p) + head_w2p,
-                    (sim, *params.p2w.tensors(), *params.w2p.tensors()), vjp, "pair_score")
+                    (sim, *params.heads), vjp, "pair_score")
     return AlignmentScore(mean_p2w=float(mean_p2w), head_p2w=float(head_p2w),
                           mean_w2p=float(mean_w2p), head_w2p=float(head_w2p), total=total)
 

@@ -153,11 +153,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return node(out, (a, b), vjp, "add")
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return node(a.data * c, (a,), lambda g: (g * c,), "scale")
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function; gradient y*(1-y)."""
     out = sigmoid_np(a.data)
@@ -171,7 +166,8 @@ def sigmoid(a: Tensor) -> Tensor:
 def sigmoid_np(x: np.ndarray) -> np.ndarray:
     # never overflows: min(x, -x) is -|x|, and a NaN keeps its bits
     e = np.exp(np.minimum(x, -x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def straight_through(soft: Tensor, hard: np.ndarray) -> Tensor:

@@ -205,16 +205,16 @@ def cmd_inspect(cfg: RunConfig, sample_id: str) -> int:
     bank, params = _load_model(cfg)
     sample = bank.by_id(sample_id)
     with ad.no_grad():
-        bundle, mask_s, mask_d = selection.score_and_decide(sample, params.selection, "eval")
-    pred = bundle.predicted.data
+        bundle, decisions = selection.score_and_decide(sample, params.selection, "eval")
+    pred, hard, score = bundle.predicted.data, decisions.hard, decisions.score
     print(f"# sample {sample_id}: {sample.n_patches} patches")
     print("# idx s_p s_st s_dt s_im s_sparse s_dense keep(sd) gt")
     for i in range(sample.n_patches):
         gt = "?" if sample.relevance_mask is None else str(int(sample.relevance_mask[i]))
-        keep = f"{int(mask_s.hard[i])}{int(mask_d.hard[i])}"
+        keep = f"{int(hard[0, i])}{int(hard[1, i])}"
         print(f"{i} {pred[i]:.4f} {bundle.sparse_text[i]:.4f} "
               f"{bundle.dense_text[i]:.4f} {bundle.image_self[i]:.4f} "
-              f"{mask_s.score.data[i]:.4f} {mask_d.score.data[i]:.4f} {keep} {gt}")
+              f"{score[0, i]:.4f} {score[1, i]:.4f} {keep} {gt}")
     return EXIT_OK
 
 

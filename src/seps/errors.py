@@ -76,8 +76,10 @@ RANGES = {
 def check_range(name: str, value, as_f32: bool = False) -> None:
     """ConfigError unless `value`, as float32 if `as_f32`, lies in RANGES[name]."""
     low, high, open_low = RANGES[name]
-    with np.errstate(over="ignore"):  # an overflow is inf, outside every range
-        x = float(np.float32(value)) if as_f32 else value
+    x = value
+    if as_f32:
+        with np.errstate(over="ignore"):  # an overflow is inf, outside every range
+            x = float(np.float32(value))
     if not ((low < x if open_low else low <= x) and x <= high and x < inf):
         bound = (f"lie in {'(' if open_low else '['}{low:g}, {high:g}]" if high < inf
                  else f"be finite and {'>' if open_low else '>='} {low:g}")

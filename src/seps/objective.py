@@ -9,9 +9,9 @@ hinge) so the result is bit-reproducible against a plain double loop.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -29,39 +29,44 @@ if TYPE_CHECKING:  # trainer imports this module
 
 
 def keep_means(gates: Sequence[Tensor]) -> np.ndarray:
-    """Each gate's mean keep fraction, summed then divided as np.mean's value."""
-    return np.array([gate.data.sum() / gate.size for gate in gates])
+    """Each 2 x n gate's mean keep fraction per row, as a B x 2 array; each
+    row summed, then divided, as np.mean's value."""
+    return np.array([gate.data.sum(axis=1) / gate.shape[1] for gate in gates])
 
 
 @dataclass
 class BatchScores:
     """Pairwise alignment scores S[i][j] = score(image i, caption j) plus
-    each sample's per-patch gates for the ratio loss."""
+    each sample's 2 x n gate (sparse row, then dense) for the ratio loss."""
 
     scores: Tensor                    # B x B
-    keep_sparse: list[Tensor]         # per-sample gate, sparse branch
-    keep_dense: list[Tensor]
+    gates: list[Tensor]
+
+    @functools.cached_property
+    def keep(self) -> np.ndarray:
+        """`keep_means` of the gates, computed once for the loss and the stats."""
+        return keep_means(self.gates)
 
     def keep_fractions(self) -> tuple[float, float]:
         """Batch-mean forward keep fraction per branch."""
-        return (float(np.mean(keep_means(self.keep_sparse))),
-                float(np.mean(keep_means(self.keep_dense))))
+        sparse, dense = self.keep.T.copy()
+        return float(np.mean(sparse)), float(np.mean(dense))
 
 
 def score_grid(images: Sequence[Sample], captions: Sequence[Sample],
                sel_params: SelectionParams, align_params: AlignmentParams,
                mode: str = "eval", seed: int = 0, step: int = 0) -> Iterator[tuple]:
     """Every image against every caption, one image's row at a time: the
-    image's (sparse, dense) masks and its `AlignmentScore` against each
+    image's `selection.Decisions` and its `AlignmentScore` against each
     caption, in caption order.  One selection pass per image, its decision
     noise keyed by (seed, sample id, step) in train mode; each caption and
     each image's fused vectors are prepared once for all their pairs."""
     prepared = [Rows(caption.sparse_tokens) for caption in captions]
     for image in images:
         rng = selection.decision_rng(seed, image.sample_id, step) if mode == "train" else None
-        agg, _, masks = selection.select_and_aggregate(image, sel_params, mode, rng)
+        agg, _, decisions = selection.select_and_aggregate(image, sel_params, mode, rng)
         side = Rows(agg.vectors)
-        yield masks, [score_from_similarity(similarity_matrix(side, caption), align_params)
+        yield decisions, [score_from_similarity(similarity_matrix(side, caption), align_params)
                       for caption in prepared]
 
 
@@ -69,16 +74,14 @@ def batch_similarity(samples: Sequence[Sample], sel_params: SelectionParams,
                      align_params: AlignmentParams, mode: str = "train", seed: int = 0,
                      step: int = 0) -> BatchScores:
     """The batch's own `score_grid`, image i's positive caption being
-    caption i, stacked, with each mask's gate for the ratio loss."""
+    caption i, stacked, with each sample's gate for the ratio loss."""
     if not samples:
         raise ShapeError("empty batch")
     grid = list(score_grid(samples, samples, sel_params, align_params, mode, seed, step))
     b = len(samples)
     return BatchScores(
         scores=ad.stack([score.total for _, row in grid for score in row], (b, b)),
-        keep_sparse=[mask_s.gate(mode) for (mask_s, _), _ in grid],
-        keep_dense=[mask_d.gate(mode) for (_, mask_d), _ in grid],
-    )
+        gates=[decisions.gate(mode) for decisions, _ in grid])
 
 
 def triplet_loss(scores: Tensor, margin: float) -> Tensor:
@@ -104,7 +107,7 @@ def triplet_loss(scores: Tensor, margin: float) -> Tensor:
     image = (data[hardest_image, rows] + -data[rows, rows]) + margin
     on_text, on_image = text > 0.0, image > 0.0
     # terms added left to right, as a plain loop over rows adds them
-    total = reduce(operator.add, np.maximum(text, 0.0) + np.maximum(image, 0.0))
+    total = functools.reduce(operator.add, np.maximum(text, 0.0) + np.maximum(image, 0.0))
 
     def vjp(g):
         gs = np.zeros_like(data)
@@ -116,34 +119,36 @@ def triplet_loss(scores: Tensor, margin: float) -> Tensor:
     return ad.node(total, (scores,), vjp, "triplet_loss")
 
 
-def ratio_loss(gates: tuple[Sequence[Tensor], Sequence[Tensor]], cfg: TrainConfig) -> Tensor:
+def ratio_loss(gates: Sequence[Tensor], cfg: TrainConfig,
+               keep: np.ndarray | None = None) -> Tensor:
     """Mean over images of (rho - l1*keep_sparse - l2*keep_dense)^2, as one node
-    whose parents are each image's sparse and dense gates.
+    whose parents are each image's 2 x n gate, sparse row first.
 
-    A keep fraction is the mean of its gate, so the printed value matches
+    A keep fraction is the mean of its gate row (`keep`, the gates'
+    `keep_means`, when the caller has them), so the printed value matches
     the hard decisions while gradient flows through the soft keep
-    probabilities; each gate's adjoint is spread evenly over its patches.
+    probabilities; each row's adjoint is spread evenly over its patches.
     Each gap is (ks*(-l1) + kd*(-l2)) + rho; the squares are added in batch
     order, then scaled by 1/B.
     """
-    keep_s, keep_d = gates
-    if len(keep_s) != len(keep_d) or not keep_s:
+    if not gates or any(gate.ndim != 2 or len(gate.data) != 2 for gate in gates):
         raise ShapeError("keep statistics missing for a branch")
-    inv = 1.0 / len(keep_s)
-    gaps = (keep_means(keep_s) * -cfg.lambda1 + keep_means(keep_d) * -cfg.lambda2) + cfg.rho
-    parents = (*keep_s, *keep_d)
+    keep = keep_means(gates) if keep is None else keep
+    inv = 1.0 / len(gates)
+    gaps = (keep[:, 0] * -cfg.lambda1 + keep[:, 1] * -cfg.lambda2) + cfg.rho
 
     def vjp(g):
         half = g * inv * gaps
-        means = np.concatenate([(half + half) * -cfg.lambda1, (half + half) * -cfg.lambda2])
-        return tuple(np.full(gate.shape, a / gate.size) for gate, a in zip(parents, means))
+        rows = np.stack([(half + half) * -cfg.lambda1, (half + half) * -cfg.lambda2], axis=1)
+        return tuple(np.repeat((row / gate.shape[1])[:, None], gate.shape[1], axis=1)
+                     for gate, row in zip(gates, rows))
 
     with np.errstate(over="ignore"):  # -> NonFiniteError in ad.node
-        total = reduce(operator.add, gaps * gaps) * inv
-    return ad.node(total, parents, vjp, "ratio_loss")
+        total = functools.reduce(operator.add, gaps * gaps) * inv
+    return ad.node(total, tuple(gates), vjp, "ratio_loss")
 
 
 def batch_loss(batch: BatchScores, cfg: TrainConfig) -> Tensor:
     """Unweighted sum of the alignment and ratio terms."""
     return ad.add(triplet_loss(batch.scores, cfg.margin),
-                  ratio_loss((batch.keep_sparse, batch.keep_dense), cfg))
+                  ratio_loss(batch.gates, cfg, batch.keep))

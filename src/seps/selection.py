@@ -3,10 +3,10 @@
 Stage 1 scores every patch from four views: a learned prediction head plus
 attention against the sparse-text, dense-text, and image global embeddings,
 which each sample derives once and keeps (`bank.Sample.views`).
-Stage 2 converts per-branch scores into stochastic keep/drop decisions
-(two-logit Gumbel softmax with a straight-through estimator) and fuses the
-survivors of both branches into a fixed number of aggregated vectors via
-masked column softmax weights.
+Stage 2 converts both branches' scores, as the two rows of one 2 x n array,
+into stochastic keep/drop decisions (two-logit Gumbel softmax with a
+straight-through estimator) and fuses the survivors of both branches into a
+fixed number of aggregated vectors via masked column softmax weights.
 
 Modes: "train" samples Gumbel noise and uses hard decisions with soft
 backward; "eval" is deterministic and hard; "soft" disables noise and keeps
@@ -14,10 +14,11 @@ the smooth relaxation end to end, which is what finite-difference audits
 run against.
 
 Each stage is one tape node with a plain-numpy forward and a hand-written
-vjp: the prediction head, each branch's clipped score, each decision
-logit, and the aggregation (both branches' weights and the fused vectors).
-A tensor read by two nodes sums their adjoints, and a two-term sum does
-not depend on order, so gradients are reproducible bit for bit.  Subgradient
+vjp: the prediction head, `decide` (both branches' clipped scores and
+decision logits), their keep probability, the train-mode gate, and the
+aggregation (both branches' weights and the fused vectors).  A tensor read
+by two nodes sums their adjoints, and a two-term sum does not depend on
+order, so gradients are reproducible bit for bit.  Subgradient
 conventions: the clip passes gradient on the closed interval [0, CLIP_HI];
 the train-mode gate forwards the hard decision and backpropagates as
 identity into the keep probability (straight-through); rows outside a
@@ -28,9 +29,10 @@ gradient.  The tape-free eval forward scores a stack of samples at once
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,19 +101,24 @@ class ScoreBundle:
     image_self: np.ndarray
 
 
+# one branch's row of `Decisions`, as arrays
+BranchDecision = collections.namedtuple("BranchDecision", "hard soft logit score")
+
+
 @dataclass
-class DecisionMask:
-    """Keep/drop decision for each patch in one branch.
+class Decisions:
+    """Keep/drop decisions of both branches as 2 x n rows, sparse first.
 
     `hard` is the 0/1 forward decision, `soft` the keep probability,
     `logit` the temperature-scaled log-odds that produced it, and `score`
-    the clipped branch score the logits were drawn from.
+    the clipped branch scores the logits were drawn from.  Iterating yields
+    each branch's `BranchDecision`.
     """
 
     hard: np.ndarray
     soft: Tensor
     logit: Tensor
-    score: Tensor
+    score: np.ndarray
 
     def gate(self, mode: str) -> Tensor:
         """Per-patch multiplier used downstream: hard forward in train/eval,
@@ -126,12 +133,15 @@ class DecisionMask:
 
     @functools.cached_property
     def _train_gate(self) -> Tensor:
-        # one straight-through node per mask, however many consumers read it
+        # one straight-through node per pass, however many consumers read it
         return ad.straight_through(self.soft, self.hard)
 
     @property
     def kept(self) -> np.ndarray:
         return self.hard.astype(bool)
+
+    def __iter__(self) -> Iterator[BranchDecision]:
+        return map(BranchDecision, self.hard, self.soft.data, self.logit.data, self.score)
 
 
 @dataclass
@@ -171,7 +181,7 @@ def predict_scores(patches: np.ndarray, params: SelectionParams) -> Tensor:
     def vjp(g):
         g_logits = g * out * (1.0 - out)
         g_pre = np.outer(g_logits, w2) * (1.0 - hidden * hidden)
-        return v.T @ g_pre, np.sum(g_pre, axis=0), hidden.T @ g_logits, np.sum(g_logits)
+        return v.T @ g_pre, np.add.reduce(g_pre, axis=0), hidden.T @ g_logits, g_logits.sum()
 
     parents = (params.pred_w1, params.pred_b1, params.pred_w2, params.pred_b2)
     return ad.finite_node(out, parents, vjp, "predict")  # of logits checked finite
@@ -181,119 +191,121 @@ def _attention_part(beta: float, text: np.ndarray, image: np.ndarray) -> np.ndar
     return beta * (2.0 * text + 2.0 * image)
 
 
-def _clipped_score(pred: Tensor, fixed: np.ndarray) -> Tensor:
-    """pred + fixed clipped to [0, CLIP_HI], as one node."""
-    x = ad.finite("the branch score", pred.data + fixed)  # and so is its clip
-    inside = (x >= 0.0) & (x <= CLIP_HI)
-    return ad.finite_node(np.clip(x, 0.0, CLIP_HI), (pred,), lambda g: (g * inside,),
-                          "branch_score")
+def _branch_scores(bundle: ScoreBundle, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both branches' scores, unclipped and clipped to [0, CLIP_HI], as 2 x n rows."""
+    views = np.array((bundle.sparse_text, bundle.dense_text))
+    x = ad.finite("the branch score", bundle.predicted.data * float(1.0 - 2.0 * beta)
+                  + _attention_part(beta, views, bundle.image_self))  # and so is its clip
+    return x, x.clip(0.0, CLIP_HI)
 
 
 def branch_scores(bundle: ScoreBundle, beta: float) -> tuple[Tensor, Tensor]:
-    """Per-branch decision scores, clipped to [0, 1) for the log domain.
-
-    Each branch fills the missing modality's slot with its own attention
-    score, so sparse and dense branches see the same total weight mass.
-    Both branches read one scaled prediction node.
-    """
-    pred = ad.scale(bundle.predicted, 1.0 - 2.0 * beta)
-    return (_clipped_score(pred, _attention_part(beta, bundle.sparse_text, bundle.image_self)),
-            _clipped_score(pred, _attention_part(beta, bundle.dense_text, bundle.image_self)))
+    """Per-branch decision scores `decide` draws from, clipped to [0, 1) for
+    the log domain, as constants, sparse first.  Each branch fills the missing
+    modality's slot with its own attention score, so sparse and dense
+    branches see the same total weight mass."""
+    return tuple(map(ad.constant, _branch_scores(bundle, beta)[1]))
 
 
-def gumbel_decision(scores: Tensor, tau: float, noise: np.ndarray | None = None) -> DecisionMask:
-    """Two-logit Gumbel decision per patch.
+def decide(bundle: ScoreBundle, beta: float, tau: float,
+           noise: np.ndarray | None = None) -> Decisions:
+    """Both branches' two-logit Gumbel decisions, from one `decide` node.
 
-    keep = log(s + eps), drop = log(1 - s + eps); `noise`, when given, is
-    i.i.d. Gumbel noise as two rows, added to the keep and the drop logits;
-    the keep probability is the softmax of the pair at temperature tau.  A
+    Per branch and patch, keep = log(s + eps) and drop = log(1 - s + eps)
+    for the branch score s; `noise`, when given, is i.i.d. Gumbel noise of
+    shape 2 x 2 x n (per branch, keep then drop), added to those logits.
+    The keep probability is the softmax of the pair at temperature tau.  A
     patch is kept iff that probability strictly exceeds 0.5, so an exactly
-    ambivalent score drops.  The logit is one `decision_logit` node.
+    ambivalent score drops.  The node's only parent is the prediction,
+    which both branches read scaled by 1 - 2*beta.
     """
+    x, s = _branch_scores(bundle, beta)
     check_range("tau", tau)
-    s = scores.data
-    keep_in = s + EPS_LOG
+    keep_in = s + EPS_LOG  # both in (0, 2): their logs are finite
     drop_in = 1.0 - s + EPS_LOG
-    with np.errstate(divide="ignore", invalid="ignore"):  # -> NonFiniteError
-        diff = ad.finite("the decision logit", np.log(keep_in) + -np.log(drop_in))
+    diff = ad.finite("the decision logit", np.log(keep_in) + -np.log(drop_in))
     if noise is not None:
-        diff = diff + (noise[0] - noise[1])
-    inv_tau = float(1.0 / tau)
+        diff = diff + (noise[:, 0] - noise[:, 1])
+    inv_tau, scale = float(1.0 / tau), float(1.0 - 2.0 * beta)
+    inside = (x >= 0.0) & (x <= CLIP_HI)
 
     def vjp(g):
         g_diff = g * inv_tau
-        return (g_diff / keep_in + -(-g_diff / drop_in),)
+        g_score = (g_diff / keep_in + -(-g_diff / drop_in)) * inside
+        return ((g_score[0] + g_score[1]) * scale,)
 
-    logit = ad.node(diff * inv_tau, (scores,), vjp, "decision_logit")
+    logit = ad.node(diff * inv_tau, (bundle.predicted,), vjp, "decide")
     soft = ad.sigmoid(logit)
-    hard = (soft.data > 0.5).astype(np.float64)
-    return DecisionMask(hard=hard, soft=soft, logit=logit, score=scores)
+    return Decisions(hard=(soft.data > 0.5).astype(np.float64), soft=soft, logit=logit,
+                     score=s)
 
 
 def column_softmax(x: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Softmax of each column over the rows in the boolean `support`; the
     other rows are exactly zero."""
     rows = x[support]
-    shifted = rows - np.max(rows, axis=0, keepdims=True)
-    e = np.exp(shifted)
-    w = e / np.sum(e, axis=0, keepdims=True)
-    out = np.zeros_like(x)
-    out[support] = w
+    e = np.exp(rows - np.maximum.reduce(rows, axis=0, keepdims=True))
+    out = np.zeros(x.shape)
+    out[support] = e / np.add.reduce(e, axis=0, keepdims=True)
     return out
 
 
-def _branch_weights(v: np.ndarray, weight: Tensor, bias: Tensor, mask: DecisionMask,
-                    mode: str) -> np.ndarray | None:
+def _branch_weights(v: np.ndarray, weight: Tensor, bias: Tensor, logit: np.ndarray,
+                    kept: np.ndarray, mode: str) -> np.ndarray | None:
     """Column-softmax aggregation weights of one branch, or None if the
     branch kept nothing.  Soft mode adds the log keep probability to every
     row's logits and normalises over all rows."""
     logits = ad.finite("the aggregation logits", v @ weight.data + bias.data[None, :])
     if mode == "soft":
-        x = ad.finite("the aggregation logits",
-                      logits + (-np.logaddexp(0.0, -mask.logit.data))[:, None])
+        x = ad.finite("the aggregation logits", logits + (-np.logaddexp(0.0, -logit))[:, None])
         return column_softmax(x, np.ones(len(x), dtype=bool))
-    return column_softmax(logits, mask.kept) if mask.hard.any() else None
+    return column_softmax(logits, kept) if kept.any() else None
 
 
-def aggregate(patches: np.ndarray, mask_s: DecisionMask, mask_d: DecisionMask,
-              params: SelectionParams, mode: str = "train") -> AggregatedPatches:
+def aggregate(patches: np.ndarray, decisions: Decisions, params: SelectionParams,
+              mode: str = "train") -> AggregatedPatches:
     """Fuse surviving patches of both branches into n_keep vectors as one
     `aggregate` node: the sum over branches of (weights * gate[:, None]).T @ v.
 
     Weight columns are softmax-normalized over each branch's survivors, so
     every used column sums to one; a branch that kept nothing contributes
     the zero matrix and is flagged.  Raises when both branches are empty.
-    Parents, per non-empty branch and sparse first: weight, bias, the
-    decision logit in soft mode, and the gate.
+    Parents: each non-empty branch's weight and bias, sparse first, then the
+    decision logit in soft mode, then the gate; a logit or gate row of a
+    branch that kept nothing gets the adjoint -0.0, which adds nothing.
     """
     v = _patch_matrix(patches, params)
-    if mask_s.hard.shape != (len(v),) or mask_d.hard.shape != (len(v),):
+    if decisions.hard.shape != (2, len(v)):
         raise ShapeError("mask length does not match patch count")
-    layers = ((params.agg_sparse_w, params.agg_sparse_b, mask_s),
-              (params.agg_dense_w, params.agg_dense_b, mask_d))
-    w_s, w_d = (_branch_weights(v, weight, bias, mask, mode) for weight, bias, mask in layers)
+    layers = ((params.agg_sparse_w, params.agg_sparse_b), (params.agg_dense_w, params.agg_dense_b))
+    logit, kept = decisions.logit.data, decisions.kept
+    w_s, w_d = (_branch_weights(v, weight, bias, logit[r], kept[r], mode)
+                for r, (weight, bias) in enumerate(layers))
     if w_s is None and w_d is None:
         raise NoPatchesSelectedError("no patches selected")
     soft = mode == "soft"
+    gate = decisions.gate(mode)
     parts, live, parents = [], [], []
-    for w, (weight, bias, mask) in zip((w_s, w_d), layers):
+    for r, (w, (weight, bias)) in enumerate(zip((w_s, w_d), layers)):
         if w is None:  # the zero matrix keeps the sum's ±0.0 signs
             parts.append(np.zeros((params.n_keep, v.shape[1])))
             continue
-        gate = mask.gate(mode)
-        parts.append((w * gate.data[:, None]).T.copy() @ v)
-        live.append((w, gate.data, mask.logit.data))
-        parents += [weight, bias, *([mask.logit] if soft else []), gate]
+        parts.append((w * gate.data[r][:, None]).T.copy() @ v)
+        live.append((r, w))
+        parents += [weight, bias]
+    parents += [*([decisions.logit] if soft else []), gate]
 
     def vjp(g):
         g_gated = (g @ v.T).T
-        grads = []
-        for w, gate, logit in live:
-            g_w = g_gated * gate[:, None]
-            g_x = w * (g_w - np.sum(g_w * w, axis=0, keepdims=True))
-            g_logit = [np.sum(g_x, axis=1) * ad.sigmoid_np(-logit)] if soft else []
-            grads += [v.T @ g_x, np.sum(g_x, axis=0), *g_logit, np.sum(g_gated * w, axis=1)]
-        return grads
+        grads, g_logit, g_gate = [], np.full(logit.shape, -0.0), np.full(logit.shape, -0.0)
+        for r, w in live:
+            g_w = g_gated * gate.data[r][:, None]
+            g_x = w * (g_w - np.add.reduce(g_w * w, axis=0, keepdims=True))
+            if soft:
+                g_logit[r] = np.add.reduce(g_x, axis=1) * ad.sigmoid_np(-logit[r])
+            g_gate[r] = np.add.reduce(g_gated * w, axis=1)
+            grads += [v.T @ g_x, np.add.reduce(g_x, axis=0)]
+        return [*grads, *([g_logit] if soft else []), g_gate]
 
     vectors = ad.node(parts[0] + parts[1], tuple(parents), vjp, "aggregate")
     return AggregatedPatches(vectors, w_s, w_d, empty_sparse=w_s is None, empty_dense=w_d is None)
@@ -315,7 +327,7 @@ def sparse_eval_scores(samples: Sequence[Sample], params: SelectionParams) -> np
     """Eval-mode sparse-branch score of every patch of C samples that share
     one patch shape, as a C x n matrix from one stacked pass with no tape, over
     each sample's own `views`, stacked.  Stacked `np.matmul` runs the 2-D
-    kernel per slice, so row c is bitwise `branch_scores(...)[0]` after
+    kernel per slice, so row c is bitwise the sparse row of the `score` of
     `score_and_decide(samples[c], ..., "eval")`; it raises NonFiniteError
     wherever that path's Tensor checks would."""
     patches = _patch_matrix(stack_rows([s.patches for s in samples]), params)
@@ -334,8 +346,8 @@ def score_and_decide(
     params: SelectionParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[ScoreBundle, DecisionMask, DecisionMask]:
-    """Stage 1 plus the per-branch decisions, without aggregation.
+) -> tuple[ScoreBundle, Decisions]:
+    """Stage 1 plus both branches' decisions, without aggregation.
 
     Gumbel noise is sampled only in train mode, in one draw with the bits of
     four draws of n: sparse keep and drop, then dense keep and drop.
@@ -344,13 +356,10 @@ def score_and_decide(
         raise ConfigError(f"unknown mode: {mode}")
     bundle = ScoreBundle(predict_scores(sample.patches, params),
                          *attention_views(sample.views, params))
-
-    score_s, score_d = branch_scores(bundle, params.beta)
     if mode == "train" and rng is None:
         raise ConfigError("noise requires an rng")
-    noise = rng.gumbel(size=(2, 2, sample.n_patches)) if mode == "train" else (None, None)
-    return (bundle, gumbel_decision(score_s, params.tau, noise[0]),
-            gumbel_decision(score_d, params.tau, noise[1]))
+    noise = rng.gumbel(size=(2, 2, sample.n_patches)) if mode == "train" else None
+    return bundle, decide(bundle, params.beta, params.tau, noise)
 
 
 def select_and_aggregate(
@@ -358,8 +367,7 @@ def select_and_aggregate(
     params: SelectionParams,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[AggregatedPatches, ScoreBundle, tuple[DecisionMask, DecisionMask]]:
+) -> tuple[AggregatedPatches, ScoreBundle, Decisions]:
     """Full selection pass for one sample: scoring, decisions, aggregation."""
-    bundle, mask_s, mask_d = score_and_decide(sample, params, mode, rng)
-    agg = aggregate(sample.patches, mask_s, mask_d, params, mode)
-    return agg, bundle, (mask_s, mask_d)
+    bundle, decisions = score_and_decide(sample, params, mode, rng)
+    return aggregate(sample.patches, decisions, params, mode), bundle, decisions

@@ -55,8 +55,8 @@ def _min_tie_gap(samples, params, scores, margin):
                 top = np.sort(vec)[::-1]
                 gaps.append(top[0] - top[1])
     hi = 1.0 - 1e-6
-    for _, _, masks in passes:
-        for arr in (mask.score.data for mask in masks):
+    for _, _, decisions in passes:
+        for arr in decisions.score:
             near_clip = arr[arr < hi]
             if near_clip.size:
                 gaps.append(float(np.min(hi - near_clip)))
@@ -181,16 +181,15 @@ def test_criterion_3_ratio_control():
     for step in range(200):
         # keep fractions from the decisions alone: no aggregation runs, so a
         # noisy draw that empties both branches of a sample cannot abort
-        keep_s, keep_d = [], []
+        gates = []
         for sample in samples:
             rng = selection.decision_rng(cfg.seed, sample.sample_id, step)
-            _, mask_s, mask_d = selection.score_and_decide(sample, params.selection,
-                                                           "train", rng)
-            keep_s.append(mask_s.gate("train"))
-            keep_d.append(mask_d.gate("train"))
-        sampled.append(cfg.lambda1 * float(np.mean(objective.keep_means(keep_s)))
-                       + cfg.lambda2 * float(np.mean(objective.keep_means(keep_d))))
-        loss = objective.ratio_loss((keep_s, keep_d), cfg)
+            _, decisions = selection.score_and_decide(sample, params.selection, "train", rng)
+            gates.append(decisions.gate("train"))
+        keep_s, keep_d = objective.keep_means(gates).T.copy()
+        sampled.append(cfg.lambda1 * float(np.mean(keep_s))
+                       + cfg.lambda2 * float(np.mean(keep_d)))
+        loss = objective.ratio_loss(gates, cfg)
         grads = ad.gradient(loss, params.tensors())
         optimizer_step(params, grads, state, cfg)
     achieved = float(np.mean(sampled[-20:]))

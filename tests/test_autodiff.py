@@ -12,8 +12,8 @@ import pytest
 from composed_alignment import (dot, mean_all, recip, row_max_with_arg, rows_l2norm, scale_cols,
                                 topk)
 from composed_selection import (EmptySupportError, add_colvec, add_rowvec, add_scalar, clip,
-                                log, log_sigmoid, matmul, neg, scale_rows, softmax_columns,
-                                tanh, transpose)
+                                log, log_sigmoid, matmul, neg, rows, scale, scale_rows,
+                                softmax_columns, tanh, transpose)
 from conftest import finite_difference_check, make_params, mul, sum_all
 import reference_autodiff
 
@@ -22,8 +22,7 @@ from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, score_from_similarity,
                             similarity_matrix)
 from seps.objective import ratio_loss, triplet_loss
-from seps.selection import (DecisionMask, ScoreBundle, aggregate, branch_scores,
-                            gumbel_decision, predict_scores)
+from seps.selection import Decisions, ScoreBundle, aggregate, decide, predict_scores
 from seps.errors import GraphError, NonFiniteError, ShapeError
 from seps.trainer import TrainConfig
 
@@ -253,7 +252,7 @@ def test_fd_check_reports_discontinuity():
     # must be returned, not raised or masked
     def step(t):
         hard = (t.data > 0.0).astype(float)
-        return sum_all(ad.straight_through(ad.scale(t, 0.0), hard))
+        return sum_all(ad.straight_through(scale(t, 0.0), hard))
 
     x = ad.tensor([1e-7], requires_grad=True)
     err = finite_difference_check(step, x)
@@ -396,43 +395,45 @@ def _pair_score_cases():
 
 def _selection_cases():
     """The selection pass's nodes on 5 patches of dim 3 with 2 columns, one
-    entry per probed input: a head weight, the predicted score, the branch
-    score, a decision logit, or one parent of the aggregate node."""
+    entry per probed input: a head weight, the prediction `decide` reads,
+    or one parent of the aggregate node (a logit or gate row, the other
+    row held fixed, for each branch)."""
     sel = make_params(dim=3, n_keep=2, seed=4).selection
     rng = np.random.default_rng(9)
     patches = rng.normal(size=(5, 3))
     readout = ad.constant(rng.normal(size=5))
+    readout2 = ad.constant(rng.normal(size=(2, 5)))
     columns = ad.constant(rng.normal(size=(2, 3)))
-    hard_s, hard_d = np.array([1.0, 0, 1, 1, 0]), np.array([0.0, 1, 0, 1, 1])
-    fixed_logit = ad.constant(rng.normal(size=5))
+    hard = np.array([[1.0, 0, 1, 1, 0], [0.0, 1, 0, 1, 1]])
+    fixed_logit = ad.constant(rng.normal(size=(2, 5)))
     fixed_soft = ad.constant(ad.sigmoid_np(fixed_logit.data))
 
-    def mask(hard, soft=fixed_soft, logit=fixed_logit):
-        return DecisionMask(hard=hard, soft=soft, logit=logit, score=soft)
+    def decisions(hard=hard, soft=fixed_soft, logit=fixed_logit):
+        return Decisions(hard=hard, soft=soft, logit=logit, score=soft.data)
 
-    def vectors(mode, masks=None, **weights):
+    def vectors(mode, given=None, **weights):
         params = dataclasses.replace(sel, **weights)
-        mask_s, mask_d = masks or (mask(hard_s), mask(hard_d))
-        return sum_all(mul(aggregate(patches, mask_s, mask_d, params, mode).vectors, columns))
+        return sum_all(mul(aggregate(patches, given or decisions(), params, mode).vectors,
+                           columns))
 
     def agg_weight(t, mode, field):
         return vectors(mode, **{field: t})
 
-    def agg_mask(t, branch, field):
-        masks = [mask(hard_s), mask(hard_d)]
-        masks[branch] = mask((hard_s, hard_d)[branch], **{field: t})
-        return vectors("soft", masks)
+    def agg_row(t, branch, field):
+        fixed = {"logit": fixed_logit, "soft": fixed_soft}[field].data
+        pair = [ad.constant(fixed[0]), ad.constant(fixed[1])]
+        pair[branch] = t
+        return vectors("soft", decisions(**{field: rows(*pair)}))
 
     def predicted(t, name):
         return sum_all(mul(predict_scores(patches, dataclasses.replace(sel, **{name: t})),
                            readout))
 
-    def branches(t):
+    def decided(t, noise=None):
         # beta 0.25 and both views at 1 clip the third patch at CLIP_HI
         views = np.array([0.1, 0.3, 1.0, 0.2, 0.0]), np.array([0.2, 0.1, 1.0, 0.3, 0.0])
         bundle = ScoreBundle(t, views[0], views[1][::-1].copy(), views[1])
-        s_sparse, s_dense = branch_scores(bundle, 0.25)
-        return ad.add(sum_all(mul(s_sparse, readout)), sum_all(mul(s_dense, fixed_logit)))
+        return sum_all(mul(decide(bundle, 0.25, 0.7, noise).logit, readout2))
 
     def unit(low, high):
         return lambda rng: rng.uniform(low, high, size=5)
@@ -450,30 +451,33 @@ def _selection_cases():
                     getattr(sel, field).shape)
     for index, branch in enumerate(("sparse", "dense")):
         cases[f"aggregate.soft.{branch}_logit"] = (
-            functools.partial(agg_mask, branch=index, field="logit"), (5,))
+            functools.partial(agg_row, branch=index, field="logit"), (5,))
         cases[f"aggregate.soft.{branch}_gate"] = (
-            functools.partial(agg_mask, branch=index, field="soft"), unit(0.1, 0.9))
+            functools.partial(agg_row, branch=index, field="soft"), unit(0.1, 0.9))
     # the sparse branch keeps nothing, so the dense parents come first
     cases["aggregate.eval_sparse_empty.dense_w"] = (
-        lambda t: vectors("eval", (mask(np.zeros(5)), mask(hard_d)), agg_dense_w=t),
+        lambda t: vectors("eval", decisions(hard * [[0.0], [1.0]]), agg_dense_w=t),
         sel.agg_dense_w.shape)
-    cases["branch_score"] = (branches, unit(0.1, 0.5))
-    cases["decision_logit"] = (lambda t: sum_all(mul(gumbel_decision(
-        t, 0.7, np.random.default_rng(3).gumbel(size=(2, 5))).logit, readout)), unit(0.05, 0.95))
+    # the prediction, decide's only parent, through both branches' clipped
+    # scores, and through the log-odds with noise of their own
+    cases["decide.clip"] = (decided, unit(0.1, 0.5))
+    cases["decide.noise"] = (functools.partial(
+        decided, noise=np.random.default_rng(3).gumbel(size=(2, 2, 5))), unit(0.05, 0.95))
     return cases
 
 
 def _fd_cases():
     m34 = "m34"  # marker: 3x4 matrix input
     words = np.array([[0.3, -1.0, 0.8, 0.1], [1.2, 0.4, -0.5, 0.9]])
-    eye = [ad.constant(row) for row in np.eye(6)]  # sum_all(mul(t, e_i)) picks t[i]
     ratio_cfg = TrainConfig(rho=0.4, lambda1=0.7, lambda2=1.3)
-    gate_rows = [ad.constant(row) for row in np.cos(np.arange(24.0)).reshape(4, 6)]
+    # 3 x each one-hot column of a 2 x 3 matrix: each row's mean picks one entry
+    picks = [ad.constant(3.0 * (np.arange(3) == i) * np.ones((2, 1))) for i in range(3)]
+    gate_rows = [ad.constant(rows) for rows in np.cos(np.arange(24.0)).reshape(2, 2, 6)]
     return {
         "add": (lambda t: sum_all(ad.add(t, ad.constant([0.2, -0.4, 1.0]))), (3,)),
         "add_scalar_broadcast": (lambda t: sum_all(ad.add(t, ad.constant(0.3))), (3,)),
         "mul": (lambda t: sum_all(mul(t, ad.constant([1.2, -0.8, 0.5]))), (3,)),
-        "scale": (lambda t: sum_all(ad.scale(t, -2.5)), (3,)),
+        "scale": (lambda t: sum_all(scale(t, -2.5)), (3,)),
         "sigmoid": (lambda t: sum_all(ad.sigmoid(t)), (3,)),
         "sum_all": (lambda t: sum_all(t), m34),
         "stack": (lambda t: sum_all(mul(ad.stack(
@@ -484,12 +488,12 @@ def _fd_cases():
             [mean_all(t), mean_all(tanh(t)), sum_all(mul(t, t)),
              mean_all(ad.sigmoid(t))], (2, 2)), ad.constant([[1.0, 0.0], [-0.0, 3.0]]))), m34),
         "triplet_loss": (lambda t: triplet_loss(t, TRIPLET_MARGIN), _square_scores),
-        "ratio_loss": (lambda t: ratio_loss(([sum_all(mul(t, e)) for e in eye[:3]],
-                                             [sum_all(mul(t, e)) for e in eye[3:]]), ratio_cfg), (6,)),
-        # per-patch gates: each keep fraction is its gate's mean
-        "ratio_loss_gates": (lambda t: ratio_loss(([mul(t, w) for w in gate_rows[:2]],
-                                                   [mul(t, w) for w in gate_rows[2:]]),
-                                                  ratio_cfg), (6,)),
+        # three samples, each keep fraction one entry of t
+        "ratio_loss": (lambda t: ratio_loss([mul(t, pick) for pick in picks], ratio_cfg),
+                       (2, 3)),
+        # per-patch gates: each keep fraction is its gate row's mean
+        "ratio_loss_gates": (lambda t: ratio_loss([mul(t, w) for w in gate_rows], ratio_cfg),
+                             (2, 6)),
         "similarity": (lambda t: sum_all(mul(similarity_matrix(t, words),
                                              ad.constant(np.arange(6.0).reshape(3, 2) - 2.0))),
                        m34),
@@ -514,6 +518,9 @@ def _oracle_op_cases(m34):
         "matmul": (lambda t: sum_all(matmul(t, ad.constant(np.arange(8.0).reshape(4, 2)))), m34),
         "matvec": (lambda t: sum_all(matmul(t, ad.constant([1.0, -1.0, 0.5, 2.0]))), m34),
         "transpose": (lambda t: sum_all(mul(transpose(t), transpose(t))), m34),
+        "rows": (lambda t: sum_all(mul(rows(t, mul(t, t)), ad.constant([[1.0, -2.0, 0.5],
+                                                                       [3.0, 0.7, -1.0]]))),
+                 (3,)),
         "scale_rows": (lambda t: sum_all(scale_rows(t, ad.constant([1.0, -2.0, 0.5]))), m34),
         "add_rowvec": (lambda t: sum_all(mul(add_rowvec(t, ad.constant([1.0, 2.0, 3.0, 4.0])), t)), m34),
         "add_colvec": (lambda t: sum_all(mul(add_colvec(t, ad.constant([1.0, 2.0, 3.0])), t)), m34),

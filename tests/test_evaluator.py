@@ -320,7 +320,7 @@ def taped_selection_quality(bank, params):
         with ad.no_grad():
             _, _, (mask_s, _) = selection.select_and_aggregate(
                 sample, params.selection, "eval")
-        aucs.append(float(evaluator._row_aucs(mask_s.score.data, labels)))
+        aucs.append(float(evaluator._row_aucs(mask_s.score, labels)))
     if not aucs:
         raise BankInvariantError("no masks")
     return float(np.mean(aucs))
@@ -418,10 +418,10 @@ def test_selection_quality_counts_samples_whose_branches_keep_nothing():
     for sample in bank.samples:
         labels = np.asarray(sample.relevance_mask)
         with ad.no_grad():
-            bundle, mask_s, mask_d = selection.score_and_decide(sample, params.selection)
-        assert not mask_s.kept.any() and not mask_d.kept.any()
+            _, decisions = selection.score_and_decide(sample, params.selection)
+        assert not decisions.kept.any()
         if labels.min() != labels.max():
-            expected.append(mann_whitney_auc(mask_s.score.data, labels))
+            expected.append(mann_whitney_auc(decisions.score[0], labels))
     auc = selection_quality(bank, params)
     assert abs(auc - float(np.mean(expected))) <= 1e-12
     assert round(auc, 4) == 0.3958
@@ -622,7 +622,7 @@ def test_selection_quality_builds_no_tape_and_runs_no_decision(monkeypatch):
 
     params = zero_params(make_params(dim=12, n_keep=2, k_top=2))
     params.selection.beta = 0.25
-    for name in ("select_and_aggregate", "aggregate", "gumbel_decision"):
+    for name in ("select_and_aggregate", "aggregate", "decide"):
         monkeypatch.setattr(selection, name, forbidden)
     monkeypatch.setattr(ad.Tensor, "__init__", forbidden)
     assert selection_quality(separable_bank(), params) == 1.0

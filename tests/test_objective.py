@@ -76,35 +76,59 @@ def test_batch_keep_stats_match_hard_fraction():
     bank = small_bank(seed=7)
     params = make_params(dim=6, n_keep=2, seed=6)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "eval")
-    for sample, ks, kd in zip(bank.samples, batch.keep_sparse, batch.keep_dense):
+    for sample, gate, keep in zip(bank.samples, batch.gates, batch.keep):
         _, _, (mask_s, mask_d) = selection.select_and_aggregate(
             sample, params.selection, "eval")
-        assert keep_means([ks, kd]).tolist() == [mask_s.hard.mean(), mask_d.hard.mean()]
+        assert keep_means([gate]).tolist() == [[mask_s.hard.mean(), mask_d.hard.mean()]]
+        assert keep.tolist() == [mask_s.hard.mean(), mask_d.hard.mean()]
+    assert batch.keep_fractions() == (float(np.mean([g.data[0].mean() for g in batch.gates])),
+                                      float(np.mean([g.data[1].mean() for g in batch.gates])))
 
 
-def test_train_batch_tapes_one_gate_per_mask_and_two_nodes_per_pair():
+@pytest.mark.parametrize("mode", selection.MODES)
+def test_a_step_computes_its_keep_means_once(mode, monkeypatch):
+    # the ratio loss and the trainer's keep fractions read one computation
+    calls, means = [], objective.keep_means
+
+    def counted(gates):
+        calls.append(len(gates))
+        return means(gates)
+
+    monkeypatch.setattr(objective, "keep_means", counted)
+    bank = small_bank(seed=4)
+    params = make_params(dim=6, n_keep=2, seed=5)
+    batch = batch_similarity(bank.samples, params.selection, params.alignment, mode, seed=1)
+    batch_loss(batch, TrainConfig())
+    batch.keep_fractions()
+    assert calls == [len(bank.samples)]
+
+
+def test_train_batch_tapes_one_gate_per_sample_and_two_nodes_per_pair():
     bank = small_bank(seed=4)
     params = make_params(dim=6, n_keep=2, seed=5)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train")
     names = [n.name for n in ad.Graph(batch_loss(batch, TrainConfig())).nodes]
     b = len(bank.samples)
-    assert names.count("straight_through") == 2 * b
+    assert names.count("straight_through") == b  # one 2 x n gate: both branches
+    assert all(gate.shape == (2, sample.n_patches) for gate, sample in zip(batch.gates,
+                                                                           bank.samples))
     assert names.count("similarity") == names.count("pair_score") == b * b
 
 
-def test_desk_train_step_builds_232_tape_nodes():
-    # 12 weights, then per sample: predict, its scale, two branch scores, two
-    # decision logits, two sigmoids, two gates and one aggregate node (11 x 8);
-    # two per pair (2 x 64); the stacked scores and three loss nodes
+def test_desk_train_step_builds_184_tape_nodes():
+    # 12 weights, then per sample: predict, one decide node for both
+    # branches' scores and logits, their sigmoid, their gate and one
+    # aggregate node (5 x 8); two per pair (2 x 64); the stacked scores and
+    # three loss nodes
     bank = generate_synthetic(SynthConfig(n_samples=8, seed=5))
     params = make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train",
                              seed=5)
     nodes = ad.Graph(batch_loss(batch, TrainConfig())).nodes
     names = [n.name for n in nodes]
-    assert names.count("aggregate") == 8
+    assert names.count("aggregate") == names.count("decide") == 8
     assert "branch_weights" not in names and "soft_branch_weights" not in names
-    assert len(nodes) == 232
+    assert len(nodes) == 184
 
 
 # each consumer of objective.score_grid on a desk bank of n samples, with
@@ -412,7 +436,8 @@ def test_triplet_loss_is_one_tape_node():
 
 
 def stats_of(values_s, values_d):
-    return ([ad.constant(v) for v in values_s], [ad.constant(v) for v in values_d])
+    """One 2 x 1 gate per sample: its sparse and its dense keep fraction."""
+    return [ad.constant([[s], [d]]) for s, d in zip(values_s, values_d)]
 
 
 def test_ratio_loss_zero_at_target():
@@ -427,13 +452,10 @@ def test_ratio_loss_worked_example():
 
 def test_ratio_loss_zero_lambdas_is_constant():
     cfg = TrainConfig(rho=0.5, lambda1=0.0, lambda2=0.0)
-    ps = ad.tensor(0.3, requires_grad=True)
-    pd = ad.tensor(0.6, requires_grad=True)
-    loss = ratio_loss(([ps], [pd]), cfg)
+    gate = ad.tensor([[0.3], [0.6]], requires_grad=True)
+    loss = ratio_loss([gate], cfg)
     assert loss.item() == pytest.approx(0.25, abs=1e-15)
-    grads = ad.gradient(loss, [ps, pd])
-    assert grads[ps].item() == 0.0
-    assert grads[pd].item() == 0.0
+    np.testing.assert_array_equal(ad.gradient(loss, [gate])[gate].data, [[0.0], [0.0]])
 
 
 def test_ratio_loss_averages_over_batch():
@@ -447,21 +469,17 @@ def test_ratio_gradient_step_shrinks_gap(rng):
     step = 1e-3
     for seed in range(10):
         local = np.random.default_rng(seed)
-        a = ad.tensor(local.normal(size=6), requires_grad=True)
-        b = ad.tensor(local.normal(size=6), requires_grad=True)
+        logits = ad.tensor(local.normal(size=(2, 6)), requires_grad=True)
 
-        def gap(av, bv):
-            ps = 1.0 / (1.0 + np.exp(-av))
-            pd = 1.0 / (1.0 + np.exp(-bv))
+        def gap(x):
+            ps, pd = 1.0 / (1.0 + np.exp(-x))
             return abs(cfg.rho - cfg.lambda1 * ps.mean() - cfg.lambda2 * pd.mean())
 
-        before = gap(a.data, b.data)
+        before = gap(logits.data)
         if before < 1e-6:
             continue
-        loss = ratio_loss(([ad.sigmoid(a)], [ad.sigmoid(b)]), cfg)
-        grads = ad.gradient(loss, [a, b])
-        after = gap(a.data - step * grads[a].data, b.data - step * grads[b].data)
-        assert after < before
+        grads = ad.gradient(ratio_loss([ad.sigmoid(logits)], cfg), [logits])
+        assert gap(logits.data - step * grads[logits].data) < before
 
 
 def test_ratio_gradient_matches_closed_form(rng):
@@ -469,22 +487,21 @@ def test_ratio_gradient_matches_closed_form(rng):
         cfg = TrainConfig(rho=float(rng.uniform(0.1, 1.0)),
                           lambda1=float(rng.uniform(0.0, 2.0)),
                           lambda2=float(rng.uniform(0.0, 2.0)))
-        keep_s = [ad.tensor(v, requires_grad=True) for v in rng.random(b)]
-        keep_d = [ad.tensor(v, requires_grad=True) for v in rng.random(b)]
-        grads = ad.gradient(ratio_loss((keep_s, keep_d), cfg), keep_s + keep_d)
-        for ps, pd in zip(keep_s, keep_d):
-            gap = cfg.rho - cfg.lambda1 * ps.item() - cfg.lambda2 * pd.item()
-            assert grads[ps].item() == pytest.approx(-2.0 * cfg.lambda1 * gap / b,
-                                                     rel=1e-12, abs=1e-15)
-            assert grads[pd].item() == pytest.approx(-2.0 * cfg.lambda2 * gap / b,
-                                                     rel=1e-12, abs=1e-15)
+        gates = [ad.tensor(rng.random((2, 1)), requires_grad=True) for _ in range(b)]
+        grads = ad.gradient(ratio_loss(gates, cfg), gates)
+        for gate in gates:
+            (ps,), (pd,) = gate.data
+            gap = cfg.rho - cfg.lambda1 * ps - cfg.lambda2 * pd
+            (gs,), (gd,) = grads[gate].data
+            assert gs == pytest.approx(-2.0 * cfg.lambda1 * gap / b, rel=1e-12, abs=1e-15)
+            assert gd == pytest.approx(-2.0 * cfg.lambda2 * gap / b, rel=1e-12, abs=1e-15)
 
 
 def test_ratio_loss_is_one_tape_node():
-    keep_s = [ad.tensor(0.3, requires_grad=True), ad.tensor(0.6, requires_grad=True)]
-    keep_d = [ad.tensor(0.2, requires_grad=True), ad.tensor(0.1, requires_grad=True)]
-    graph = ad.Graph(ratio_loss((keep_s, keep_d), TrainConfig()))
-    assert graph.nodes[:-1] == keep_s + keep_d
+    gates = [ad.tensor([[0.3], [0.2]], requires_grad=True),
+             ad.tensor([[0.6], [0.1]], requires_grad=True)]
+    graph = ad.Graph(ratio_loss(gates, TrainConfig()))
+    assert graph.nodes[:-1] == gates
 
 
 # ---------------------------------------------------------------------------
@@ -495,8 +512,7 @@ def test_batch_loss_adds_three_nodes_to_the_tape():
     bank = small_bank(seed=2)
     params = make_params(dim=6, n_keep=2, seed=3)
     batch = batch_similarity(bank.samples, params.selection, params.alignment, "train")
-    upstream = {id(n) for t in (batch.scores, *batch.keep_sparse, *batch.keep_dense)
-                for n in ad.Graph(t).nodes}
+    upstream = {id(n) for t in (batch.scores, *batch.gates) for n in ad.Graph(t).nodes}
     nodes = ad.Graph(batch_loss(batch, TrainConfig())).nodes
     assert [n.name for n in nodes if id(n) not in upstream] == [
         "triplet_loss", "ratio_loss", "add"]
@@ -506,21 +522,21 @@ def test_total_loss_reduces_to_triplet_when_ratio_zero():
     cfg = TrainConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     s = ad.constant([[0.5, 0.6], [0.4, 0.7]])
     stats = stats_of([0.25, 0.25], [0.25, 0.25])
-    assert batch_loss(BatchScores(s, *stats), cfg).item() == triplet_loss(s, 0.2).item()
+    assert batch_loss(BatchScores(s, stats), cfg).item() == triplet_loss(s, 0.2).item()
 
 
 def test_total_loss_reduces_to_ratio_when_margin_satisfied():
     cfg = TrainConfig(margin=0.2, rho=0.5, lambda1=1.0, lambda2=1.0)
     s = ad.constant([[0.9, 0.1], [0.2, 0.8]])
     stats = stats_of([0.3], [0.1])
-    assert batch_loss(BatchScores(s, *stats), cfg).item() == ratio_loss(stats, cfg).item()
+    assert batch_loss(BatchScores(s, stats), cfg).item() == ratio_loss(stats, cfg).item()
 
 
 def test_total_loss_is_exact_component_sum(rng):
     cfg = TrainConfig(margin=0.3, rho=0.4, lambda1=0.8, lambda2=1.2)
     s = ad.constant(rng.normal(size=(3, 3)))
     stats = stats_of(rng.random(3).tolist(), rng.random(3).tolist())
-    assert batch_loss(BatchScores(s, *stats), cfg).item() == (
+    assert batch_loss(BatchScores(s, stats), cfg).item() == (
         triplet_loss(s, 0.3).item() + ratio_loss(stats, cfg).item())
 
 

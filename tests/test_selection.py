@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import composed_selection as composed
-from composed_alignment import mean_all
 from conftest import (basis_sample, finite_difference_check, make_params, mul,
                       perturb_params, sum_all, zero_params)
 
@@ -18,9 +19,9 @@ from seps.bank import FeatureBank, Sample, SynthConfig, attention_scores, genera
 from seps.errors import ConfigError, NoPatchesSelectedError, NonFiniteError, ShapeError
 from seps.evaluator import selection_quality
 from seps.objective import batch_loss, batch_similarity
-from seps.selection import (DecisionMask, ScoreBundle, aggregate, branch_scores,
-                            gumbel_decision, predict_scores, score_and_decide,
-                            select_and_aggregate, sparse_eval_scores)
+from seps.selection import (Decisions, ScoreBundle, aggregate, branch_scores, decide,
+                            predict_scores, score_and_decide, select_and_aggregate,
+                            sparse_eval_scores)
 from seps.trainer import TrainConfig
 
 
@@ -115,37 +116,48 @@ def test_branch_scores_clipped_below_one():
 
 def test_branch_score_gradient_passes_on_the_closed_interval():
     # beta 0 makes each branch score the prediction itself: both ends of
-    # [0, CLIP_HI] pass gradient, values clipped from outside do not
+    # [0, CLIP_HI] pass the log-odds' gradient, values clipped from outside
+    # pass none
     pred = ad.tensor([0.0, selection.CLIP_HI, 1.5, -0.2, 0.3], requires_grad=True)
-    s_sp, _ = branch_scores(bundle_from(pred, *np.zeros((3, 5))), 0.0)
-    np.testing.assert_array_equal(ad.gradient(sum_all(s_sp), [pred])[pred].data,
-                                  [1.0, 1.0, 0.0, 0.0, 1.0])
+    logit = decide(bundle_from(pred, *np.zeros((3, 5))), 0.0, 1.0).logit
+    grad = ad.gradient(sum_all(logit), [pred])[pred].data
+    s = np.clip(pred.data, 0.0, selection.CLIP_HI)
+    expected = 2.0 * (1.0 / (s + EPS_LOG) + 1.0 / (1.0 - s + EPS_LOG))
+    np.testing.assert_array_equal(grad[2:4], [0.0, 0.0])
+    np.testing.assert_allclose(grad[[0, 1, 4]], expected[[0, 1, 4]], rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # stage 2: decisions
 
 
+def decisions_for(scores, tau, noise=None):
+    """Both branches' decisions on branch scores equal to `scores`: beta 0
+    and zero views make each branch score the prediction itself."""
+    pred = scores if isinstance(scores, ad.Tensor) else ad.constant(scores)
+    return decide(bundle_from(pred, *np.zeros((3, pred.size))), 0.0, tau, noise)
+
+
 def test_gumbel_hard_decision_tracks_scores():
-    mask = gumbel_decision(ad.constant([0.9, 0.2]), tau=1.0)
-    np.testing.assert_array_equal(mask.hard, [1.0, 0.0])
+    decisions = decisions_for([0.9, 0.2], tau=1.0)
+    np.testing.assert_array_equal(decisions.hard, [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_gumbel_exact_tie_drops():
-    mask = gumbel_decision(ad.constant([0.5]), tau=1.0)
-    assert mask.soft.item() == 0.5
-    assert mask.hard[0] == 0.0
+    decisions = decisions_for([0.5], tau=1.0)
+    np.testing.assert_array_equal(decisions.soft.data, [[0.5], [0.5]])
+    np.testing.assert_array_equal(decisions.hard, [[0.0], [0.0]])
 
 
 def test_gumbel_rejects_bad_tau():
     with pytest.raises(ConfigError):
-        gumbel_decision(ad.constant([0.5]), tau=0.0)
+        decisions_for([0.5], tau=0.0)
 
 
 @pytest.mark.parametrize("tau", [0.0, -1.0])
 def test_knobs_and_gumbel_share_the_tau_rule(tau):
     with pytest.raises(ConfigError, match="tau must be finite and > 0"):
-        gumbel_decision(ad.constant([0.5]), tau=tau)
+        decisions_for([0.5], tau=tau)
     with pytest.raises(ConfigError, match="tau must be finite and > 0"):
         make_params(dim=4, tau=tau)
 
@@ -158,16 +170,16 @@ def test_gumbel_keep_rate_matches_monte_carlo_oracle():
     gap = oracle_rng.gumbel(size=draws) - oracle_rng.gumbel(size=draws)
     oracle = float(np.mean(gap > np.log(1.0 - s + eps) - np.log(s + eps)))
 
-    mask = gumbel_decision(ad.constant(np.full(1000, s)), tau=1.0,
-                           noise=np.random.default_rng(31).gumbel(size=(2, 1000)))
-    empirical = float(mask.hard.mean())
-    assert abs(empirical - oracle) <= 0.05
+    decisions = decisions_for(np.full(1000, s), tau=1.0,
+                              noise=np.random.default_rng(31).gumbel(size=(2, 2, 1000)))
+    for row in decisions.hard:  # each branch, with noise of its own
+        assert abs(float(row.mean()) - oracle) <= 0.05
 
 
 def test_gumbel_train_noise_is_reproducible():
-    scores = ad.constant(np.linspace(0.1, 0.9, 7))
-    a = gumbel_decision(scores, 1.0, np.random.default_rng(5).gumbel(size=(2, 7)))
-    b = gumbel_decision(scores, 1.0, np.random.default_rng(5).gumbel(size=(2, 7)))
+    scores = np.linspace(0.1, 0.9, 7)
+    a = decisions_for(scores, 1.0, np.random.default_rng(5).gumbel(size=(2, 2, 7)))
+    b = decisions_for(scores, 1.0, np.random.default_rng(5).gumbel(size=(2, 2, 7)))
     np.testing.assert_array_equal(a.hard, b.hard)
     np.testing.assert_array_equal(a.soft.data, b.soft.data)
 
@@ -182,37 +194,38 @@ def four_draws(n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [1, 2, 16, 196])
 def test_train_noise_is_one_draw_with_the_bits_of_four(n, monkeypatch):
     assert bits(selection.decision_rng(9, "drawn", 4).gumbel(size=(4, n))) == bits(four_draws(n))
-    # the noise each branch's decision receives, in call order: sparse, dense
-    received, decide = [], selection.gumbel_decision
+    # the noise the pass hands `decide`: per branch, sparse first, keep then drop
+    received, decide_ = [], selection.decide
 
-    def recorded(scores, tau, noise=None):
+    def recorded(bundle, beta, tau, noise=None):
         received.append(noise)
-        return decide(scores, tau, noise)
+        return decide_(bundle, beta, tau, noise)
 
-    monkeypatch.setattr(selection, "gumbel_decision", recorded)
+    monkeypatch.setattr(selection, "decide", recorded)
     rng = np.random.default_rng(n)
     sample = Sample("drawn", rng.normal(size=(n, 8)), rng.normal(size=(2, 8)),
                     rng.normal(size=(3, 8)))
     score_and_decide(sample, make_params(dim=8).selection, "train",
                      selection.decision_rng(9, "drawn", 4))
-    assert bits(np.concatenate(received)) == bits(four_draws(n))
+    (noise,) = received
+    assert noise.shape == (2, 2, n) and bits(noise.reshape(4, n)) == bits(four_draws(n))
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 
 
-def explicit_mask(hard):
-    hard = np.asarray(hard, dtype=np.float64)
+def explicit_decisions(hard_s, hard_d):
+    hard = np.array((hard_s, hard_d), dtype=np.float64)
     soft = ad.constant(np.clip(hard, 0.01, 0.99))
     logit = ad.constant(np.log(soft.data / (1 - soft.data)))
-    return DecisionMask(hard=hard, soft=soft, logit=logit, score=soft)
+    return Decisions(hard=hard, soft=soft, logit=logit, score=soft.data)
 
 
 def test_aggregate_uniform_at_zero_init():
     params = zero_params(make_params(dim=3, n_keep=1)).selection
     v = np.array([[1.0, 2.0, 3.0], [3.0, 0.0, 1.0]])
-    agg = aggregate(v, explicit_mask([1, 1]), explicit_mask([0, 0]), params, "eval")
+    agg = aggregate(v, explicit_decisions([1, 1], [0, 0]), params, "eval")
     assert agg.empty_dense and not agg.empty_sparse
     np.testing.assert_allclose(agg.vectors.data, (v[0:1] + v[1:2]) / 2.0, atol=1e-15)
 
@@ -220,7 +233,7 @@ def test_aggregate_uniform_at_zero_init():
 def test_aggregate_single_patch_each_branch_doubles():
     params = zero_params(make_params(dim=3, n_keep=1)).selection
     v = np.array([[1.0, -2.0, 0.5]])
-    agg = aggregate(v, explicit_mask([1]), explicit_mask([1]), params, "eval")
+    agg = aggregate(v, explicit_decisions([1], [1]), params, "eval")
     np.testing.assert_allclose(agg.vectors.data, 2.0 * v, atol=1e-15)
 
 
@@ -229,7 +242,7 @@ def test_aggregate_matches_bruteforce_masked_softmax(rng):
     v = rng.normal(size=(5, 4))
     keep_s = np.array([1, 0, 1, 1, 0], dtype=float)
     keep_d = np.array([0, 1, 0, 0, 1], dtype=float)
-    agg = aggregate(v, explicit_mask(keep_s), explicit_mask(keep_d), params, "eval")
+    agg = aggregate(v, explicit_decisions(keep_s, keep_d), params, "eval")
 
     def brute(weighted, bias, keep):
         logits = v @ weighted + bias
@@ -246,11 +259,23 @@ def test_aggregate_matches_bruteforce_masked_softmax(rng):
     assert np.all(agg.weights_sparse[keep_s == 0] == 0.0)
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_a_branch_that_kept_nothing_adds_nothing_to_its_gate_adjoint(mode):
+    # its gate row gets -0.0, and x + -0.0 keeps every x's bits, -0.0 too:
+    # the same sum as a per-branch gate that the aggregation never read
+    params = make_params(dim=3, n_keep=2, seed=5).selection
+    v = np.random.default_rng(6).normal(size=(3, 3))
+    agg = aggregate(v, explicit_decisions([0, 0, 0], [1, 0, 1]), params, mode)
+    assert agg.empty_sparse and not agg.empty_dense
+    *weights, g_gate = agg.vectors.vjp(np.ones(agg.vectors.shape))
+    assert len(weights) == 2 and g_gate.shape == (2, 3)
+    assert bits(g_gate[0]) == bits(np.full(3, -0.0)) and g_gate[1].any()
+
+
 def test_aggregate_both_branches_empty_raises():
     params = make_params(dim=3, n_keep=1).selection
     with pytest.raises(NoPatchesSelectedError, match="no patches selected"):
-        aggregate(np.ones((2, 3)), explicit_mask([0, 0]), explicit_mask([0, 0]),
-                  params, "eval")
+        aggregate(np.ones((2, 3)), explicit_decisions([0, 0], [0, 0]), params, "eval")
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +285,10 @@ def test_aggregate_both_branches_empty_raises():
 def test_forward_eval_deterministic_bitwise():
     sample = basis_sample()
     params = make_params(dim=8, n_keep=2, seed=2)
-    a, _, masks_a = select_and_aggregate(sample, params.selection, "eval")
-    b, _, masks_b = select_and_aggregate(sample, params.selection, "eval")
+    a, _, decisions_a = select_and_aggregate(sample, params.selection, "eval")
+    b, _, decisions_b = select_and_aggregate(sample, params.selection, "eval")
     assert np.array_equal(a.vectors.data, b.vectors.data)
-    assert np.array_equal(masks_a[0].hard, masks_b[0].hard)
+    assert np.array_equal(decisions_a.hard, decisions_b.hard)
 
 
 def test_forward_zero_init_all_half_then_no_selection():
@@ -298,12 +323,12 @@ def test_forward_relevant_patches_outscore_distractors():
     sample = basis_sample()
     params = zero_params(make_params(dim=8, n_keep=2))
     params.selection.beta = 0.2
-    _, bundle, (mask_s, _) = select_and_aggregate(sample, params.selection, "eval")
+    _, bundle, decisions = select_and_aggregate(sample, params.selection, "eval")
     s_sp, _ = branch_scores(bundle, 0.2)
     relevant = s_sp.data[sample.relevance_mask == 1]
     distractor = s_sp.data[sample.relevance_mask == 0]
     assert relevant.min() > distractor.max()
-    np.testing.assert_array_equal(mask_s.hard, sample.relevance_mask.astype(float))
+    np.testing.assert_array_equal(decisions.hard[0], sample.relevance_mask.astype(float))
 
 
 @pytest.mark.parametrize("mode", selection.MODES)
@@ -312,10 +337,15 @@ def test_decision_mask_score_is_the_branch_score(mode, rng):
                     rng.normal(size=(3, 5)))
     params = make_params(dim=5, n_keep=3, seed=3)
     noise = np.random.default_rng(8) if mode == "train" else None
-    _, bundle, (mask_s, mask_d) = select_and_aggregate(sample, params.selection, mode, noise)
+    _, bundle, decisions = select_and_aggregate(sample, params.selection, mode, noise)
     s_sp, s_dn = branch_scores(bundle, params.selection.beta)
-    assert np.array_equal(mask_s.score.data, s_sp.data)
-    assert np.array_equal(mask_d.score.data, s_dn.data)
+    assert bits(decisions.score) == bits([s_sp.data, s_dn.data])
+    # each branch's row, as the keep-stats hook unpacks them
+    for mask, row in zip(decisions, range(2)):
+        assert bits(mask.hard) == bits(decisions.hard[row])
+        assert bits(mask.soft) == bits(decisions.soft.data[row])
+        assert bits(mask.logit) == bits(decisions.logit.data[row])
+        assert bits(mask.score) == bits((s_sp, s_dn)[row].data)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +354,7 @@ def test_decision_mask_score_is_the_branch_score(mode, rng):
 
 def taped_sparse_scores(sample, params):
     with ad.no_grad():
-        bundle, _, _ = score_and_decide(sample, params, "eval")
+        bundle, _ = score_and_decide(sample, params, "eval")
     return branch_scores(bundle, params.beta)[0].data
 
 
@@ -393,7 +423,7 @@ def test_sparse_eval_scores_bitwise_on_degenerate_caption_and_single_patch(rng):
     single = Sample("one", rng.normal(size=(1, 6)), rng.normal(size=(2, 6)),
                     rng.normal(size=(3, 6)))
     with ad.no_grad():
-        bundle, _, _ = score_and_decide(flat, params, "eval")
+        bundle, _ = score_and_decide(flat, params, "eval")
     np.testing.assert_array_equal(bundle.sparse_text, np.full(9, 0.5))
     assert_bitwise_parity([flat], params)
     assert_bitwise_parity([single], params)
@@ -486,21 +516,25 @@ def selection_case(case):
     return sample, params
 
 
-def selection_pass_bits(sample, params, mode):
-    """Every value of one selection pass, and the gradient of a readout of
-    the vectors and both keep means, as bytes."""
-    rng = np.random.default_rng(4) if mode == "train" else None  # seed 4: sparse empty
-    agg, bundle, masks = select_and_aggregate(sample, params, mode, rng)
+def selection_pass_bits(sample, params, mode, rng=None, select=None):
+    """Every value of one selection pass through `select` (by default
+    `selection.select_and_aggregate`), and the gradient of a readout of the
+    vectors and both keep means, as bytes."""
+    if mode == "train" and rng is None:
+        rng = np.random.default_rng(4)  # seed 4: sparse empty
+    select = select or selection.select_and_aggregate
+    agg, bundle, decisions = select(sample, params, mode, rng)
     readout = sum_all(mul(agg.vectors, ad.constant(np.cos(np.arange(agg.vectors.size))
                                                    .reshape(agg.vectors.shape))))
-    for mask in masks:
-        readout = ad.add(readout, mean_all(mask.gate(mode)))
+    gate = decisions.gate(mode)  # the sparse keep mean, minus twice the dense one
+    means = ad.constant(np.repeat([[1.0], [-2.0]], gate.shape[1], axis=1) / gate.shape[1])
+    readout = ad.add(readout, sum_all(mul(gate, means)))
     tensors = params.tensors()
     grads = ad.gradient(readout, tensors)
     empty = (agg.empty_sparse, agg.empty_dense)
     values = [agg.vectors.data, bundle.predicted.data, readout.data,
               *(w for w in (agg.weights_sparse, agg.weights_dense) if w is not None),
-              *(a for m in masks for a in (m.hard, m.soft.data, m.logit.data, m.score.data)),
+              decisions.hard, decisions.soft.data, decisions.logit.data, decisions.score,
               *(grads[t].data for t in tensors)]
     return empty, [bits(v) for v in values]
 
@@ -516,12 +550,13 @@ def test_selection_pass_matches_the_composed_path_bitwise(mode, case, monkeypatc
     assert selection_pass_bits(sample, params, mode) == (empty, fused)
 
 
-# the tape nodes under one pass's vectors: the scoring stages, the gates
-# (constants in eval mode, the soft keep probability in soft mode) and one
-# aggregate node for both branches' weights and the fused vectors: 11 nodes
-# in train mode, 1 in eval mode and 9 in soft mode
-STAGES = {"predict": 1, "scale": 1, "branch_score": 2, "decision_logit": 2, "sigmoid": 2}
-PASS_NODES = {"train": {**STAGES, "straight_through": 2, "aggregate": 1},
+# the tape nodes under one pass's vectors: the prediction, one `decide` node
+# for both branches' scores and logits, their keep probability, the gate
+# (a constant in eval mode, the keep probability in soft mode) and one
+# aggregate node for both branches' weights and the fused vectors: 5 nodes
+# in train mode, 1 in eval mode and 4 in soft mode
+STAGES = {"predict": 1, "decide": 1, "sigmoid": 1}
+PASS_NODES = {"train": {**STAGES, "straight_through": 1, "aggregate": 1},
               "eval": {"aggregate": 1},
               "soft": {**STAGES, "aggregate": 1}}
 
@@ -557,8 +592,12 @@ def test_batch_matches_the_composed_selection_bitwise(mode, head_hidden, monkeyp
     assert run() == fused
 
 
-@pytest.mark.parametrize("layer", ["pred.w1 pred.b1", "pred.w2 pred.b2",
-                                   "agg_sparse.w agg_sparse.b", "agg_dense.w agg_dense.b"])
+# a layer's weight and bias, which the tests below set to 1e308
+LAYERS = ("pred.w1 pred.b1", "pred.w2 pred.b2", "agg_sparse.w agg_sparse.b",
+          "agg_dense.w agg_dense.b")
+
+
+@pytest.mark.parametrize("layer", LAYERS)
 @pytest.mark.parametrize("mode", selection.MODES)
 def test_non_finite_raises_where_the_composed_path_raises(layer, mode, monkeypatch):
     # a layer's weight and bias at 1e308 overflow its pre-activation to inf,
@@ -570,12 +609,50 @@ def test_non_finite_raises_where_the_composed_path_raises(layer, mode, monkeypat
 
     def raises():
         rng = np.random.default_rng(0) if mode == "train" else None
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError):
-            select_and_aggregate(sample, params, mode, rng)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteError) as e:
+            selection.select_and_aggregate(sample, params, mode, rng)
+        return str(e.value)
 
-    raises()
+    fused = raises()
     use_composed(monkeypatch)
-    raises()
+    assert raises() == fused
+
+
+def pass_outcome(select, sample, params, mode, seed, step):
+    """`selection_pass_bits` of one pass, or the class and message it raised."""
+    rng = selection.decision_rng(seed, sample.sample_id, step) if mode == "train" else None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return selection_pass_bits(sample, params, mode, rng, select)
+    except (NoPatchesSelectedError, NonFiniteError) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_selection_pass_matches_the_composed_pass_on_drawn_inputs(data):
+    n, d = data.draw(st.integers(1, 20), label="patches"), data.draw(st.integers(2, 8), label="dim")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="sample"))
+    words = (data.draw(st.integers(1, 4), label="sparse words"),
+             data.draw(st.integers(1, 6), label="dense words"))
+    sample = Sample("drawn", rng.normal(size=(n, d)), *(rng.normal(size=(m, d)) for m in words))
+    params = perturb_params(make_params(
+        dim=d, n_keep=data.draw(st.integers(1, 4), label="n_keep"),
+        beta=data.draw(st.floats(0.0, 0.05) | st.floats(0.0, 0.5), label="beta"),
+        tau=data.draw(st.floats(0.05, 5.0), label="tau"),
+        seed=data.draw(st.integers(0, 99), label="model")),
+        data.draw(st.integers(0, 99), label="perturbation")).selection
+    # a low prediction under a small beta empties branches; a layer at 1e308 overflows
+    params.pred_b2.data = np.asarray(data.draw(st.floats(-8.0, 4.0), label="prediction bias"))
+    params.zero_dense_attention = data.draw(st.booleans(), label="zero_dense_attention")
+    overflow = data.draw(st.sampled_from((None,) * 8 + LAYERS), label="overflow")
+    for name in (overflow or "").split():
+        tensor = getattr(params, name.replace(".", "_"))
+        tensor.data = np.full_like(tensor.data, 1e308)
+    mode = data.draw(st.sampled_from(selection.MODES), label="mode")
+    keys = data.draw(st.integers(0, 2**31 - 1), label="seed"), data.draw(st.integers(0, 999))
+    fused = pass_outcome(selection.select_and_aggregate, sample, params, mode, *keys)
+    assert pass_outcome(composed.select_and_aggregate, sample, params, mode, *keys) == fused
 
 
 def test_forward_unknown_mode_rejected():
@@ -611,17 +688,15 @@ def test_straight_through_gradient_equals_soft_path():
     # with noise off and a linear readout, the straight-through gradient of
     # the hard decision equals the gradient of the soft relaxation, which a
     # finite-difference probe of the soft path verifies
-    readout = np.array([1.5, -2.0, 0.7, 0.4])
+    readout = np.array([[1.5, -2.0, 0.7, 0.4], [0.3, 0.9, -1.1, 2.0]])
     scores0 = np.array([0.62, 0.31, 0.55, 0.48])
     tau = 0.8
 
     def soft_loss(t):
-        mask = gumbel_decision(t, tau)
-        return sum_all(mul(mask.soft, ad.constant(readout)))
+        return sum_all(mul(decisions_for(t, tau).soft, ad.constant(readout)))
 
     point = ad.tensor(scores0, requires_grad=True)
-    mask = gumbel_decision(point, tau)
-    st_loss = sum_all(mul(mask.gate("train"), ad.constant(readout)))
+    st_loss = sum_all(mul(decisions_for(point, tau).gate("train"), ad.constant(readout)))
     st_grad = ad.gradient(st_loss, [point])[point].data
 
     soft_point = ad.tensor(scores0, requires_grad=True)

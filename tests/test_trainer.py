@@ -395,7 +395,7 @@ def test_fit_ratio_objective_moves_keep_rate_toward_target():
     for step in range(80):
         batch = objective.batch_similarity(bank.samples, params.selection,
                                            params.alignment, "train", seed=1, step=step)
-        loss = objective.ratio_loss((batch.keep_sparse, batch.keep_dense), cfg)
+        loss = objective.ratio_loss(batch.gates, cfg)
         grads = ad.gradient(loss, params.tensors())
         optimizer_step(params, grads, state, cfg)
     end_gap = abs(0.5 - combined_eval_rate())
