@@ -249,7 +249,7 @@ def read_bank(path) -> FeatureBank:
             raise reader.corrupt()
         entries.append((sid, blocks, mask))
     reader.finish()
-    # a run of consecutive samples of one shape holds each field in one buffer
+    # a run of samples of one shape holds each field in one buffer, widened by one call, not per block
     samples = []
     for _, run in itertools.groupby(entries, key=lambda e: [b.shape for b in e[1]]):
         run = list(run)
@@ -291,21 +291,6 @@ def attention_scores(patches: np.ndarray, embedding: np.ndarray) -> np.ndarray:
     raw = patches @ np.asarray(embedding, dtype=np.float64) / patches.shape[1]
     lo, hi = raw.min(), raw.max()
     return np.where(hi - lo < EPS_NORM, 0.5, (raw - lo) / (hi - lo + EPS_NORM))
-
-
-def stack_rows(arrays: list[np.ndarray]) -> np.ndarray:
-    """Equal-shape arrays stacked on a new first axis, read-only: in place when
-    they are consecutive rows of one buffer (a `read_bank` run), else copied."""
-    base, first = arrays[0].base, arrays[0].ctypes.data
-    if isinstance(base, np.ndarray) and base.ndim == arrays[0].ndim + 1 and base.strides[0] > 0:
-        start, offset = divmod(first - base.ctypes.data, base.strides[0])
-        rows = base[start:start + len(arrays)]
-        if offset == 0 and len(rows) == len(arrays) and all(
-                a.base is base and a.dtype == base.dtype and a.shape == rows.shape[1:]
-                and a.strides == rows.strides[1:]
-                and a.ctypes.data == first + at * base.strides[0] for at, a in enumerate(arrays)):
-            return _frozen(rows)
-    return _frozen(np.array(arrays))
 
 
 def _f32_exact(arr: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import EPS_LOG, Tensor
-from .bank import Sample, stable_id_hash, stack_rows
+from .bank import Sample, stable_id_hash
 from .errors import ConfigError, NoPatchesSelectedError, ShapeError, check_fields, check_range
 
 MODES = ("train", "eval", "soft")
@@ -330,7 +330,7 @@ def sparse_eval_scores(samples: Sequence[Sample], params: SelectionParams) -> np
     kernel per slice, so row c is bitwise the sparse row of the `score` of
     `score_and_decide(samples[c], ..., "eval")`; it raises NonFiniteError
     wherever that path's Tensor checks would."""
-    patches = _patch_matrix(stack_rows([s.patches for s in samples]), params)
+    patches = _patch_matrix(np.array([s.patches for s in samples]), params)
     views = tuple(np.array(view) for view in zip(*(s.views for s in samples)))
     s_st, s_dt, s_im = attention_views(views, params)
     what = "the sparse-branch score"

@@ -1,13 +1,15 @@
 """Feature-bank format, global embeddings, synthetic generation."""
 
 import re
+import struct
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from seps import bank as bank_module
 from seps.bank import (FeatureBank, Sample, SynthConfig, generate_synthetic,
-                       global_embedding, read_bank, stack_rows, write_bank)
+                       global_embedding, read_bank, text_chunk, write_bank)
 from seps.errors import BankFormatError, BankInvariantError, ConfigError
 from seps.trainer import TrainConfig
 
@@ -141,6 +143,31 @@ def test_read_rejects_trailing_garbage(tmp_path):
         read_bank(path)
 
 
+def hand_written_bank(dim: int, samples: list) -> bytes:
+    """SEPB bytes of (sample id, row count of each feature) pairs, every value
+    zero and no masks, written without `write_bank`'s validation."""
+    blob = bank_module.MAGIC + struct.pack("<III", bank_module.VERSION, dim, len(samples))
+    for sample_id, rows in samples:
+        blob += text_chunk(sample_id)
+        for n in rows:
+            blob += struct.pack("<I", n) + bytes(4 * n * dim)
+        blob += b"\x00"
+    return blob
+
+
+@pytest.mark.parametrize("dim, samples, message", [
+    (2, [], "bank has no samples"),
+    (2, [("a", (1, 1, 1)), ("a", (1, 1, 1))], "duplicate sample ids"),
+    (2, [("a", (1, 0, 1))], "a: N >= 1 violated for sparse_tokens"),
+    (0, [("a", (1, 1, 1))], "dim must be >= 1"),
+], ids=["no-samples", "equal-ids", "zero-row-block", "dim-0"])
+def test_read_validates_the_bank_it_read(dim, samples, message, tmp_path):
+    path = tmp_path / "bank.sepb"
+    path.write_bytes(hand_written_bank(dim, samples))
+    with pytest.raises(BankInvariantError, match=f"^{re.escape(message)}$"):
+        read_bank(path)
+
+
 # ---------------------------------------------------------------------------
 # frozen samples and run buffers
 
@@ -208,18 +235,13 @@ def test_read_bank_holds_each_run_in_one_buffer_per_field(tmp_path):
     for run in (samples[0:3], samples[3:5], samples[5:7]):
         for name in ("patches", "sparse_tokens", "dense_tokens"):
             rows = [getattr(s, name) for s in run]
-            stack = stack_rows(rows)
-            assert stack.base is rows[0].base and stack.flags.c_contiguous
-            assert all(np.shares_memory(stack[at], row) for at, row in enumerate(rows))
-            assert not stack.flags.writeable
-            assert stack.tobytes() == np.stack(rows).tobytes()
-    # rows out of order, repeated, not consecutive or of two runs are copied
-    for picked in ([1, 0], [0, 0], [0, 2], [2, 5], [5, 6, 0]):
-        rows = [samples[at].patches for at in picked]
-        stack = stack_rows(rows)
-        assert not any(np.shares_memory(stack, row) for row in rows)
-        assert stack.tobytes() == np.stack(rows).tobytes()
-    assert [s.patches.tobytes() for s in samples] == [s.patches.tobytes() for s in written]
+            buffer = rows[0].base
+            assert buffer.shape == (len(rows), *rows[0].shape) and not buffer.flags.writeable
+            assert all(row.base is buffer and row.ctypes.data == buffer[at].ctypes.data
+                       for at, row in enumerate(rows))
+    for name in ("patches", "sparse_tokens", "dense_tokens"):
+        assert ([getattr(s, name).tobytes() for s in samples]
+                == [getattr(s, name).tobytes() for s in written])
 
 # ---------------------------------------------------------------------------
 # global embedding

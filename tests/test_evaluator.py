@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -486,6 +487,25 @@ def test_selection_quality_raises_the_first_failing_stack_in_bank_order(workers,
     with pytest.raises(NonFiniteError, match="stack 2"):
         selection_quality(bank, params)
     assert threading.active_count() == threads
+
+
+def test_selection_quality_never_scores_the_stacks_not_started_after_a_failure(monkeypatch):
+    bank, params = separable_bank(n=32, dim=66), make_params(dim=66)
+    monkeypatch.setattr(evaluator, "STACK_BYTES", 1)  # a stack per sample
+    use_cpus(monkeypatch, 1)
+    ran = []
+
+    def failing(samples, params):
+        ran.append(samples[0])
+        if samples[0] is bank.samples[0]:
+            raise NonFiniteError("first stack")
+        time.sleep(0.02)  # so the later stacks are still queued when the failure is seen
+        return np.zeros((len(samples), samples[0].n_patches))
+
+    monkeypatch.setattr(selection, "sparse_eval_scores", failing)
+    with pytest.raises(NonFiniteError, match="first stack"):
+        selection_quality(bank, params)
+    assert len(ran) <= len(bank.samples) // 4
 
 
 def test_selection_quality_rejects_a_wrong_dim_bank_like_the_taped_loop():

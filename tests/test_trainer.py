@@ -444,6 +444,18 @@ def test_checkpoint_roundtrip_quantizes_to_float32(tmp_path):
     assert loaded.alignment.k_top == params.alignment.k_top
 
 
+def test_checkpoint_refuses_a_value_that_overflows_float32(tmp_path):
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, make_params(dim=3))
+    before = path.read_bytes()
+    params = make_params(dim=3, seed=1)
+    params.selection.pred_w1.data[0, 0] = 1e39  # finite in float64, not in float32
+    with pytest.raises(DivergenceError, match="^divergence detected$"):
+        save_checkpoint(path, params)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]  # no .tmp left
+
+
 def test_checkpoint_bad_magic(tmp_path):
     params = make_params(dim=3)
     path = tmp_path / "p.ckpt"
