@@ -7,8 +7,10 @@ two terms column-wise.  Heads are linear by default (zero-initialized so
 scoring starts as pure mean pooling) with an optional tanh hidden layer.
 
 The matrix and the score are one tape node each, with a plain-numpy
-forward and a hand-written vjp; a side that enters many pairs (a caption,
-an image's fused vectors) is prepared once as `Rows`.  Subgradient
+forward and a hand-written vjp.  A side that enters many pairs is prepared
+once as `Rows`: an image's fused vectors, or the captions of one word count
+as one stack, which an image meets in one stacked product whose slices are
+the pairs' matrices.  Subgradient
 conventions, kept by the score's vjp, which runs for a nonzero adjoint
 only: a row or column maximum routes to its first-occurrence winner; the
 top-K orders ties by first occurrence and, when K exceeds the number of
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -73,71 +76,95 @@ class AlignmentScore:
 
 
 class Rows:
-    """One side of a similarity matrix, prepared once for every pair it
-    enters: the matrix, its row norms and their reciprocals (also as a
-    column and as a row), whether a row is zero and whether those terms are
-    finite.  `tensor` is the graph tensor of a patch side, None for words,
-    which are data; `parents` lists it twice, as the similarity node does.
+    """One side of similarity matrices, prepared once for every pair it
+    enters: a patch side's matrix, or a stack of word matrices that share
+    one shape.  For each matrix: its row norms and their reciprocals (also
+    as a column and as a row), whether a row is zero and whether those
+    terms are finite.  `tensor` is the graph tensor of a patch side, None
+    for a word stack, which is data; `parents` lists it twice, as the
+    similarity node does.
 
     The checks are recorded, not raised, so `similarity_matrix` raises for
-    each pair exactly what it would raise on the raw arrays.
+    each pair exactly what it would raise on the raw arrays.  A zero norm
+    gets a zero reciprocal, which no node reads: its pairs are refused.
     """
 
     def __init__(self, matrix: Tensor | np.ndarray):
-        self.tensor = matrix if isinstance(matrix, Tensor) else None
-        self.parents = () if self.tensor is None else (self.tensor, self.tensor)
-        data = matrix.data if self.tensor is not None else np.ascontiguousarray(
-            matrix, dtype=np.float64)
-        if data.ndim != 2:
-            raise ShapeError(f"expected a matrix, got shape {data.shape}")
+        patch = isinstance(matrix, Tensor)
+        self.tensor = matrix if patch else None
+        self.parents = (matrix, matrix) if patch else ()
+        data = matrix.data if patch else np.ascontiguousarray(matrix, dtype=np.float64)
+        if data.ndim != (2 if patch else 3):
+            raise ShapeError(f"expected a {'matrix' if patch else 'stack'}, got shape {data.shape}")
         self.data = data
-        self.norm = np.sqrt((data * data).sum(axis=1))
-        self.degenerate = not self.norm.all()
-        # a zero norm gets no reciprocal: similarity_matrix refuses it first
-        self.recip = None if self.degenerate else 1.0 / self.norm
-        if not self.degenerate:
-            self.col, self.row = self.recip[:, None], self.recip[None, :]
-        self.finite = not self.degenerate and bool(
-            np.isfinite(self.norm).all() and np.isfinite(self.recip).all())
+        self.norm = np.sqrt((data * data).sum(axis=-1))
+        self.degenerate = ~self.norm.all(axis=-1)
+        self.recip = np.divide(1.0, self.norm, out=np.zeros_like(self.norm),
+                               where=self.norm != 0.0)
+        self.col, self.row = self.recip[..., None], self.recip[..., None, :]
+        self.finite = ~self.degenerate & (np.isfinite(self.norm).all(axis=-1)
+                                          & np.isfinite(self.recip).all(axis=-1))
 
     @functools.cached_property
     def t(self) -> np.ndarray:
-        """The transposed copy a word side is multiplied by."""
-        return self.data.T.copy()
+        """The transposed copy a word stack is multiplied by, one C-contiguous
+        (d, words) matrix per slice."""
+        return self.data.swapaxes(-1, -2).copy()
 
 
-def similarity_matrix(patches: Rows | Tensor | np.ndarray, words: Rows | np.ndarray) -> Tensor:
+def similarity_matrix(patches: Rows | Tensor | np.ndarray,
+                      words: Rows | np.ndarray) -> Tensor | Iterator[Tensor]:
     """Exact cosine of every patch-word pair, patches along rows and words
-    along columns, as one tape node; zero-norm vectors are refused.
+    along columns, as one tape node per word matrix; zero-norm vectors are
+    refused.
 
-    Patches may be a graph tensor; words are data.  Either side may come
-    prepared as `Rows`, so a side shared by many pairs pays for its norms
-    once.  The forward is `(P @ Wt) * (1/|p|)[:, None] * (1/|w|)[None, :]`,
-    and the patch tensor is listed twice as a parent so its norm-path
-    adjoint accumulates before its product-path one.
+    Patches may be a graph tensor, prepared as `Rows` or not; words are
+    data.  One word matrix gives its node.  A `Rows` stack gives an iterator
+    over its matrices' nodes in stack order: the product, the finiteness
+    checks and the scaling run once for the whole stack, and each matrix's
+    fault is raised only when its node is reached.  The forward is
+    `(P @ Wt) * (1/|p|)[:, None] * (1/|w|)[None, :]`, each slice of a
+    stacked product bitwise equal to its own product, and the patch tensor
+    is listed twice as a parent so its norm-path adjoint accumulates before
+    its product-path one.
     """
     if not isinstance(patches, Rows):
         patches = Rows(patches if isinstance(patches, Tensor) else ad.constant(patches))
-    if not isinstance(words, Rows):
-        words = Rows(words)
+    if isinstance(words, Rows):
+        return _similarities(patches, words)
+    words = np.asarray(words)
+    if words.ndim != 2:
+        raise ShapeError(f"expected a matrix, got shape {words.shape}")
+    return next(_similarities(patches, Rows(words[None])))
+
+
+def _similarities(patches: Rows, words: Rows) -> Iterator[Tensor]:
     p, w = patches.data, words.data
-    if p.shape[1] != w.shape[1]:
-        raise ShapeError(f"incompatible shapes {p.shape} vs {w.shape}")
-    if patches.degenerate or words.degenerate:
-        raise DegenerateVectorError("degenerate vector in alignment")
-    w_t = words.t
-    raw = p @ w_t
-    if not (patches.finite and words.finite and np.isfinite(raw).all()):
-        raise NonFiniteError("non-finite values in the similarity matrix")
-    norm_p, recip_p, col_p, row_w = patches.norm, patches.recip, patches.col, words.row
-    out = raw * col_p * row_w
+    fault = (ShapeError(f"incompatible shapes {p.shape} vs {w.shape[1:]}")
+             if p.shape[1] != w.shape[2] else
+             DegenerateVectorError("degenerate vector in alignment") if patches.degenerate
+             else None)
+    if fault is None:
+        raw = p @ words.t
+        ok = patches.finite & words.finite & np.isfinite(raw).all(axis=(1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):  # only slices refused below flag
+            out = raw * patches.col * words.row
 
-    def vjp(g):
-        g_rows = g * row_w
-        g_norm = -(g_rows * raw).sum(axis=1) * recip_p * recip_p
-        return (g_norm / norm_p)[:, None] * p, (g_rows * col_p) @ w_t.T
+    def similarity(j: int) -> Tensor:
+        if fault is not None:
+            raise fault
+        if not ok[j]:
+            raise (DegenerateVectorError("degenerate vector in alignment") if words.degenerate[j]
+                   else NonFiniteError("non-finite values in the similarity matrix"))
 
-    return ad.finite_node(out, patches.parents, vjp, "similarity")  # cosines of checked norms
+        def vjp(g):
+            g_rows = g * words.row[j]
+            g_norm = -(g_rows * raw[j]).sum(axis=1) * patches.recip * patches.recip
+            return (g_norm / patches.norm)[:, None] * p, (g_rows * patches.col) @ words.t[j].T
+
+        return ad.finite_node(out[j], patches.parents, vjp, "similarity")  # checked cosines
+
+    return map(similarity, range(len(w)))
 
 
 def _slots(maxima: np.ndarray, k_top: int) -> np.ndarray:

@@ -70,7 +70,8 @@ def recall_at_k(scores: np.ndarray, gt: GroundTruth, k: int) -> float:
 
     A positive's rank is the count of strictly higher scores plus the count
     of equal scores at a lower gallery index; a query hits when any of its
-    positives ranks below k.
+    positives ranks below k.  With one positive per query, each query's row
+    is read in place; with more, the rows are gathered once per positive.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 2 or scores.shape[0] < 1:
@@ -86,7 +87,8 @@ def recall_at_k(scores: np.ndarray, gt: GroundTruth, k: int) -> float:
     item = np.array([g for p in gt.positives for g in sorted(p)], dtype=np.intp)
     if item.min() < 0 or item.max() >= gallery:
         raise ConfigError("ground truth index outside the gallery")
-    row, own = scores[query], scores[query, item][:, None]
+    row = scores if len(query) == queries else scores[query]
+    own = scores[query, item][:, None]
     rank = (np.count_nonzero(row > own, axis=1)
             + np.count_nonzero((row == own) & (np.arange(gallery) < item[:, None]), axis=1))
     hit = np.zeros(queries, dtype=bool)
@@ -118,7 +120,10 @@ def check_retrieval_bank(bank: FeatureBank, params) -> None:
 
 def pairwise_scores(bank: FeatureBank, params) -> np.ndarray:
     """S[i, j] = eval-mode `objective.score_grid` score of image i against
-    caption j, each row filled in place."""
+    caption j, each row filled in place: one selection pass per image and
+    one similarity product per image and caption word-count, read pair by
+    pair in row-major order, so an error names the first failing pair in
+    that order."""
     check_dims(bank, params)
     scores = np.zeros((len(bank.samples), len(bank.samples)))
     with ad.no_grad():
@@ -141,7 +146,9 @@ def retrieval_eval(bank: FeatureBank, params, folds: int = 1) -> RetrievalReport
     """Evaluate retrieval in both directions over all pairs in the bank.
 
     The bank is split into `folds` contiguous folds of two or more samples;
-    each is evaluated in isolation and the six recalls are averaged.
+    each is scored and evaluated in isolation, by one `pairwise_scores` call
+    on its samples, and the six recalls are averaged.  An error names the
+    first failing pair of the first failing fold, in fold order.
     """
     check_retrieval_bank(bank, params)
     n = len(bank.samples)
@@ -149,10 +156,10 @@ def retrieval_eval(bank: FeatureBank, params, folds: int = 1) -> RetrievalReport
         raise ConfigError("fold count must divide the sample count")
     if n // folds < 2:
         raise ConfigError("fold count leaves folds of fewer than two samples")
-    scores = pairwise_scores(bank, params)
     size = n // folds
-    per_fold = [_six_recalls(scores[f * size:(f + 1) * size, f * size:(f + 1) * size])
-                for f in range(folds)]
+    per_fold = [_six_recalls(pairwise_scores(FeatureBank(bank.dim, bank.samples[at:at + size]),
+                                             params))
+                for at in range(0, n, size)]
     recalls = [float(np.mean([fold[i] for fold in per_fold])) for i in range(6)]
     return RetrievalReport(
         i2t_r1=recalls[0], i2t_r5=recalls[1], i2t_r10=recalls[2],

@@ -59,15 +59,22 @@ def score_grid(images: Sequence[Sample], captions: Sequence[Sample],
     """Every image against every caption, one image's row at a time: the
     image's `selection.Decisions` and its `AlignmentScore` against each
     caption, in caption order.  One selection pass per image, its decision
-    noise keyed by (seed, sample id, step) in train mode; each caption and
-    each image's fused vectors are prepared once for all their pairs."""
-    prepared = [Rows(caption.sparse_tokens) for caption in captions]
+    noise keyed by (seed, sample id, step) in train mode.  The captions are
+    prepared once per call, as one `Rows` stack per word-matrix shape, and
+    each image's fused vectors once per row; a row is one similarity product
+    per stack, its nodes taken in caption order as the pairs are scored."""
+    shapes = [caption.sparse_tokens.shape for caption in captions]
+    groups: dict[tuple, list] = {}
+    for shape, caption in zip(shapes, captions):
+        groups.setdefault(shape, []).append(caption.sparse_tokens)
+    stacks = {shape: Rows(np.array(group)) for shape, group in groups.items()}
     for image in images:
         rng = selection.decision_rng(seed, image.sample_id, step) if mode == "train" else None
         agg, _, decisions = selection.select_and_aggregate(image, sel_params, mode, rng)
         side = Rows(agg.vectors)
-        yield decisions, [score_from_similarity(similarity_matrix(side, caption), align_params)
-                      for caption in prepared]
+        row = {shape: similarity_matrix(side, stack) for shape, stack in stacks.items()}
+        yield decisions, [score_from_similarity(next(row[shape]), align_params)
+                          for shape in shapes]
 
 
 def batch_similarity(samples: Sequence[Sample], sel_params: SelectionParams,

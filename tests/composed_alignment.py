@@ -106,15 +106,15 @@ def topk(x: ad.Tensor, k: int) -> tuple[ad.Tensor, np.ndarray]:
 
 
 def unwrap(side):
-    """The tensor or array a prepared `Rows` side holds, so the oracle can
+    """The tensor a prepared `Rows` patch side holds, so the oracle can
     stand in where the library passes prepared sides."""
-    if not isinstance(side, Rows):
-        return side
-    return side.data if side.tensor is None else side.tensor
+    return side.tensor if isinstance(side, Rows) else side
 
 
-def similarity_matrix(patches, words) -> ad.Tensor:
-    patches, words = unwrap(patches), unwrap(words)
+def similarity_matrix(patches, words):
+    if isinstance(words, Rows):  # a stack: one matrix per slice, in stack order
+        return (similarity_matrix(patches, matrix) for matrix in words.data)
+    patches = unwrap(patches)
     if not isinstance(patches, ad.Tensor):
         patches = ad.constant(np.asarray(patches, dtype=np.float64))
     if not isinstance(words, ad.Tensor):

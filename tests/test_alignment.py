@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import composed_alignment as composed
 from conftest import finite_difference_check, make_params, perturb_params
 
-from seps import evaluator, objective, selection
+from seps import alignment, evaluator, objective, selection
 from seps import autodiff as ad
 from seps.alignment import (AlignmentParams, RelevanceHead, align_score,
                             score_from_similarity, similarity_matrix)
@@ -508,17 +508,25 @@ def test_pairwise_scores_on_ragged_banks_match_the_raw_per_pair_loop(data, monke
     assert fused == scored_or_raised(raw_pairwise_scores, bank, params, selected)
 
 
+SIMILARITY_FAULT = "non-finite values in the similarity matrix"
+# what a faulty caption becomes and what its first pair raises; "heads" is
+# no caption: both heads' biases at 1.5e308 overflow every pair's total
 CAPTION_FAULTS = {
     "zero": (np.zeros((2, 8)), DegenerateVectorError, "degenerate vector in alignment"),
-    "overflow": (np.full((2, 8), 1e200), NonFiniteError,
-                 "non-finite values in the similarity matrix"),
+    "overflow": (np.full((2, 8), 1e200), NonFiniteError, SIMILARITY_FAULT),
+    "nan": (np.full((2, 8), np.nan), NonFiniteError, SIMILARITY_FAULT),
+    # one and three words: each caption in a stack of its own
+    "nan 1 word": (np.full((1, 8), np.nan), NonFiniteError, SIMILARITY_FAULT),
+    "zero 3 words": (np.zeros((3, 8)), DegenerateVectorError, "degenerate vector in alignment"),
+    "heads": (None, FloatingPointError, "overflow encountered in scalar add"),
 }
 
 
 def with_captions(faults: dict[int, str]) -> list:
     samples = generate_synthetic(SynthConfig(n_samples=4, dim=8, n_patches=6, seed=1)).samples
-    return [dataclasses.replace(s, sparse_tokens=CAPTION_FAULTS[faults[i]][0])
-            if i in faults else s for i, s in enumerate(samples)]
+    captions = {i: CAPTION_FAULTS[kind][0] for i, kind in faults.items() if kind != "heads"}
+    return [dataclasses.replace(s, sparse_tokens=captions[i]) if i in captions else s
+            for i, s in enumerate(samples)]
 
 
 def score_paths(samples, params):
@@ -533,14 +541,47 @@ def score_paths(samples, params):
     # image 0 meets caption 1 first, so caption 1's fault is the one raised
     ({1: "zero", 2: "overflow"}, "zero"),
     ({1: "overflow", 2: "zero"}, "overflow"),
+    ({2: "nan"}, "nan"),
+    # faults in two stacks: caption order decides, not the order of the stacks
+    ({1: "nan 1 word", 2: "zero"}, "nan 1 word"),
+    ({1: "zero 3 words", 3: "nan 1 word"}, "zero 3 words"),
+    ({1: "zero", 2: "nan 1 word", 3: "zero 3 words"}, "zero"),
+    # pair (0, 0) is scored, and its total overflows, before caption 1 is reached
+    ({0: "heads", 1: "zero", 2: "nan 1 word"}, "heads"),
 ])
 def test_a_faulty_caption_raises_through_the_batch_and_the_gallery(faults, expected):
     _, error, message = CAPTION_FAULTS[expected]
     samples = with_captions(faults)
     params = make_params(dim=8, n_keep=2, k_top=2)
+    if "heads" in faults.values():
+        params.alignment.p2w.out_b.data = params.alignment.w2p.out_b.data = np.asarray(1.5e308)
+    # a 1e200 caption's norm overflows by design; every other case raises
+    # its own error with every floating-point error raising
+    state = dict(over="ignore") if "overflow" in faults.values() else dict(all="raise")
     for run in score_paths(samples, params):
-        with np.errstate(over="ignore"), pytest.raises(error, match=message):
+        with np.errstate(**state), pytest.raises(error, match=message):
             run()
+
+
+@pytest.mark.parametrize("n, d, words, count", [
+    (8, 32, (2,), 8), (8, 32, (2,), 256), (8, 32, (1, 2, 3, 4), 7), (8, 64, (2,), 16),
+    (16, 64, (1, 3, 8), 5),
+], ids=["desk batch", "desk gallery", "ragged", "dim 64", "vit-like"])
+def test_stacked_similarity_products_equal_the_per_slice_products_bitwise(n, d, words, count):
+    # the grid is bitwise only while numpy runs each slice of a stacked
+    # product through the same kernel as the one pair's product
+    rng = np.random.default_rng(count)
+    side = alignment.Rows(ad.constant(rng.normal(size=(n, d))))
+    for w in words:
+        stack = alignment.Rows(rng.normal(size=(count, w, d)))
+        raw = side.data @ stack.t
+        sims = list(similarity_matrix(side, stack))
+        for j, matrix in enumerate(stack.data):
+            assert raw[j].flags.c_contiguous and stack.t[j].flags.c_contiguous
+            assert bits(raw[j]) == bits(side.data @ matrix.T.copy())
+            # each node holds its slice of the row's one output, not a copy
+            assert sims[j].data.base is sims[0].data.base is not None
+            assert bits(sims[j].data) == bits(similarity_matrix(side.data, matrix).data)
 
 
 # ---------------------------------------------------------------------------

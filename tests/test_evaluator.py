@@ -16,7 +16,7 @@ from conftest import basis_sample, make_params, mixed_bank, zero_params
 
 from seps import autodiff as ad
 from seps import bank as bank_module
-from seps import evaluator, selection
+from seps import evaluator, objective, selection
 from seps.bank import FeatureBank, Sample, SynthConfig, generate_synthetic, read_bank, write_bank
 from seps.errors import (BankInvariantError, ConfigError, NonFiniteError,
                          NoPatchesSelectedError)
@@ -106,6 +106,33 @@ def test_recall_matches_the_lexsort_loop_on_tie_heavy_matrices(rng):
         for k in range(1, g + 1):
             got = recall_at_k(scores, gt, k)
             assert type(got) is float and got == lexsort_recall(scores, gt, k)
+
+
+def gathered_recall(scores: np.ndarray, gt: GroundTruth, k: int) -> float:
+    """recall_at_k with every query's row gathered once per positive, the
+    copy it makes only for a query with several positives."""
+    query = np.repeat(np.arange(scores.shape[0]), [len(p) for p in gt.positives])
+    item = np.array([g for p in gt.positives for g in sorted(p)], dtype=np.intp)
+    row, own = scores[query], scores[query, item][:, None]
+    rank = (np.count_nonzero(row > own, axis=1)
+            + np.count_nonzero((row == own) & (np.arange(scores.shape[1]) < item[:, None]),
+                               axis=1))
+    hit = np.zeros(scores.shape[0], dtype=bool)
+    np.logical_or.at(hit, query, rank < k)
+    return 100.0 * int(np.count_nonzero(hit)) / scores.shape[0]
+
+
+@pytest.mark.parametrize("positives", ["one", "several"])
+def test_recall_read_in_place_matches_the_gathered_rows(positives, rng):
+    for _ in range(100):
+        q, g = rng.integers(1, 9), rng.integers(1, 9)
+        scores = rng.choice([-0.0, 0.0, 0.5, -0.5, 1.0], size=(q, g))
+        sizes = np.ones(q, dtype=int) if positives == "one" else rng.integers(1, g + 1, size=q)
+        gt = GroundTruth(tuple(frozenset(rng.choice(g, size=size, replace=False).tolist())
+                               for size in sizes))
+        for matrix in (scores, np.asfortranarray(scores)):  # as rows and as a transpose
+            for k in range(1, g + 1):
+                assert recall_at_k(matrix, gt, k) == gathered_recall(scores, gt, k)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -212,6 +239,37 @@ def test_retrieval_fold_splitting():
     assert folded.rsum >= whole.rsum - 1e-9
     with pytest.raises(ConfigError):
         retrieval_eval(bank, params, folds=5)
+
+
+@pytest.mark.parametrize("folds", [1, 2, 3, 5])
+def test_each_fold_scores_only_its_own_block(folds, monkeypatch):
+    bank = generate_synthetic(SynthConfig(n_samples=30, dim=8, n_patches=6,
+                                          n_relevant_patches=2, n_sparse_words=2,
+                                          n_dense_words=3, concept_count=12, seed=5))
+    params = make_params(dim=8, n_patches=6, n_keep=3, k_top=2, seed=2)
+    scores, size = evaluator.pairwise_scores(bank, params), 30 // folds
+    blocks = [evaluator._six_recalls(scores[at:at + size, at:at + size])
+              for at in range(0, 30, size)]
+    want = [float(np.mean([block[i] for block in blocks])) for i in range(6)]
+    banks, pairs = [], []
+    pairwise, score = evaluator.pairwise_scores, objective.score_from_similarity
+
+    def counted_pairwise(part, *args):
+        banks.append(part)
+        return pairwise(part, *args)
+
+    def counted_score(sim, *args):
+        pairs.append(sim)
+        return score(sim, *args)
+
+    monkeypatch.setattr(evaluator, "pairwise_scores", counted_pairwise)
+    monkeypatch.setattr(objective, "score_from_similarity", counted_score)
+    report = retrieval_eval(bank, params, folds=folds)
+    assert [report.i2t_r1, report.i2t_r5, report.i2t_r10,
+            report.t2i_r1, report.t2i_r5, report.t2i_r10] == want
+    assert len(pairs) == 30 * 30 // folds
+    assert [(part.dim, part.samples) for part in banks] == [
+        (8, bank.samples[at:at + size]) for at in range(0, 30, size)]
 
 
 def test_retrieval_checks_folds_before_scoring(monkeypatch):

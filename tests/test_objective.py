@@ -1,5 +1,7 @@
 """Batch scores, triplet loss vs brute force, ratio loss, the batch loss."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -132,11 +134,12 @@ def test_desk_train_step_builds_184_tape_nodes():
 
 
 # each consumer of objective.score_grid on a desk bank of n samples, with
-# the (images, captions, pairs) it prepares and scores
+# the (image sides, caption stacks, pairs) it prepares and scores: a desk
+# bank's captions share one shape, so they make one stack
 GRID_CONSUMERS = {
-    "train_step": (8, (8, 8, 64), lambda bank, params: batch_similarity(
+    "train_step": (8, (8, 1, 64), lambda bank, params: batch_similarity(
         bank.samples, params.selection, params.alignment, "train", seed=5)),
-    "pairwise": (16, (16, 16, 256), evaluator.pairwise_scores),
+    "pairwise": (16, (16, 1, 256), evaluator.pairwise_scores),
     "one_pair": (2, (1, 1, 1), lambda bank, params: list(objective.score_grid(
         bank.samples[:1], bank.samples[1:], params.selection, params.alignment))),
 }
@@ -145,13 +148,13 @@ GRID_CONSUMERS = {
 @pytest.mark.parametrize("consumer", list(GRID_CONSUMERS))
 def test_grid_consumers_prepare_each_side_once_and_score_every_pair(consumer, monkeypatch):
     class CountedRows(alignment.Rows):
-        images = captions = 0
+        images = stacks = 0
 
         def __init__(self, matrix):
             if isinstance(matrix, ad.Tensor):
                 CountedRows.images += 1
             else:
-                CountedRows.captions += 1
+                CountedRows.stacks += 1
             super().__init__(matrix)
 
     # similarity_matrix would wrap an unprepared side through alignment.Rows
@@ -169,7 +172,7 @@ def test_grid_consumers_prepare_each_side_once_and_score_every_pair(consumer, mo
     bank = generate_synthetic(SynthConfig(n_samples=n, seed=5))
     run(bank, make_params(dim=32, n_patches=16, n_keep=8, k_top=8, seed=5))
     # perfbench counts one alignment pair per score_from_similarity call
-    assert (CountedRows.images, CountedRows.captions, len(pairs)) == expected
+    assert (CountedRows.images, CountedRows.stacks, len(pairs)) == expected
 
 
 def desk_batch_run(samples, params, mode, cfg=TrainConfig()):
@@ -195,6 +198,25 @@ def test_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hid
     monkeypatch.setattr(objective, "similarity_matrix", composed.similarity_matrix)
     monkeypatch.setattr(objective, "score_from_similarity", composed.score_from_similarity)
     assert fused == desk_batch_run(bank.samples, params, mode)
+
+
+@pytest.mark.parametrize("head_hidden", [0, 4])
+@pytest.mark.parametrize("mode", ["train", "soft"])
+def test_ragged_batch_loss_and_gradients_match_the_composed_path_bitwise(mode, head_hidden,
+                                                                         monkeypatch):
+    # captions of 1-4 words, so the batch's four caption stacks interleave in
+    # caption order; margin 0.5 keeps many cells' vjps live
+    bank = generate_synthetic(SynthConfig(n_samples=8, seed=head_hidden))
+    rng = np.random.default_rng(head_hidden)
+    samples = [replace(s, sparse_tokens=rng.normal(size=(words, 32)))
+               for s, words in zip(bank.samples, (1, 3, 2, 4, 3, 1, 4, 2))]
+    params = perturb_params(make_params(dim=32, n_patches=16, n_keep=8, k_top=8,
+                                        head_hidden=head_hidden, seed=1), 2)
+    cfg = TrainConfig(margin=0.5)
+    fused = desk_batch_run(samples, params, mode, cfg)
+    monkeypatch.setattr(objective, "similarity_matrix", composed.similarity_matrix)
+    monkeypatch.setattr(objective, "score_from_similarity", composed.score_from_similarity)
+    assert fused == desk_batch_run(samples, params, mode, cfg)
 
 
 @pytest.mark.parametrize("head_hidden", [0, 3])
