@@ -10,12 +10,11 @@ The matrix and the score are one tape node each, with a plain-numpy
 forward and a hand-written vjp.  A side that enters many pairs is prepared
 once as `Rows`: an image's fused vectors, or the captions of one word count
 as one stack, which an image meets in one stacked product whose slices are
-the pairs' matrices.  Subgradient
-conventions, kept by the score's vjp, which runs for a nonzero adjoint
-only: a row or column maximum routes to its first-occurrence winner; the
-top-K orders ties by first occurrence and, when K exceeds the number of
-maxima, pads with the first-occurrence minimum, whose slots all add into
-that one entry.
+the pairs' matrices.  Subgradient conventions, kept by the score's vjp,
+which runs for a nonzero adjoint only: a row or column maximum routes to
+its first-occurrence winner; the top-K orders ties by first occurrence
+and, when K exceeds the number of maxima, pads with the first-occurrence
+minimum, whose slots all add into that one entry.
 """
 
 from __future__ import annotations
